@@ -1,10 +1,13 @@
 """Exhaustive censuses of quadruples bounded by height or maximal entry.
 
-Canonical enumeration iterates b >= c >= d >= 0 and solves the quadruple
-equation for the leading entry: 2a = (b+c+d) + sqrt(6(bc+cd+db) -
-3(b^2+c^2+d^2)), with exact integer discriminant tests.  Counts grow
-roughly like n^2 log^3 n; the divisor-square sieve provides the matching
-diagnostic sum.
+Reflecting the largest entry reduces every quadruple to exactly one root
+(g, g, g, 0), g the gcd of the entries (see reduction.py).  Run backwards,
+that reduction makes the canonical (nonincreasing) quadruples into a forest
+with one tree per root.  A census walks that forest depth first; height and
+largest entry never decrease from parent to child, so a bound prunes whole
+subtrees and the cost is proportional to the output.  Counts grow roughly
+like n^2 log^3 n; the divisor-square sieve provides the matching diagnostic
+sum.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Quadruple, ResourceLimitError, is_triangle_quadruple
-from .reduction import is_primitive
+from .core import Quadruple, ResourceLimitError
 
 DEFAULT_BOUND_CAP = 5000
 
@@ -42,80 +44,64 @@ def ordered_multiplicity(q: Quadruple) -> int:
     return math.factorial(4) // denom
 
 
-def _leading_candidates(b: int, c: int, d: int):
-    """Exact integer solutions a >= b of the quadruple equation for (b, c, d)."""
-    delta = 6 * (b * c + c * d + d * b) - 3 * (b * b + c * c + d * d)
-    if delta < 0:
-        return
-    s = math.isqrt(delta)
-    if s * s != delta:
-        return
-    sigma = b + c + d
-    for twice_a in {sigma + s, sigma - s}:
-        if twice_a % 2:
-            continue
-        a = twice_a // 2
-        if a >= b:
-            yield a
+def _norm_sq(q: Quadruple) -> int:
+    return sum(x * x for x in q)
 
 
-def _canonical_by_height(bound: int) -> list[Quadruple]:
-    bound_sq = bound * bound
-    found = set()
-    for b in range(bound + 1):
-        bb = b * b
-        if bb > bound_sq:
+def _max_entry(q: Quadruple) -> int:
+    return q[0]
+
+
+def _walk(bound: int, key, primitive: bool) -> list[Quadruple]:
+    """Sorted canonical quadruples q with key(q) <= bound, by reverse reduction.
+
+    Depth-first over the forest of nonincreasing quadruples rooted at the
+    roots (g, g, g, 0).  A child of q (sum s) replaces one copy of an
+    entry value v by w = s - 2v, kept only when w > v (the sum grows) and
+    w is at least every other entry: reflecting the child's largest entry
+    then gives back q, so q is its unique parent under reduce_step.  key
+    (squared height or largest entry) never decreases along an edge, so a
+    child over the bound prunes its whole subtree.  The gcd is invariant
+    under the generators, so the primitive census walks only the g = 1
+    tree.
+    """
+    stack = []
+    for g in range(1, 2 if primitive else bound + 1):
+        if key((g, g, g, 0)) > bound:
             break
-        for c in range(b + 1):
-            norm_bc = bb + c * c
-            if norm_bc > bound_sq:
-                break
-            rem = bound_sq - norm_bc
-            for d in range(min(c, math.isqrt(rem)) + 1):
-                dd = d * d
-                for a in _leading_candidates(b, c, d):
-                    q = (a, b, c, d)
-                    if a * a + norm_bc + dd > bound_sq:
-                        continue
-                    if q != (0, 0, 0, 0) and is_triangle_quadruple(q):
-                        found.add(q)
-    return sorted(found)
+        stack.append((g, g, g, 0))
+    found = []
+    while stack:
+        q = stack.pop()
+        found.append(q)
+        s = sum(q)
+        for i, v in enumerate(q):
+            w = s - 2 * v
+            if v < w and q[0] <= w and not (i and q[i - 1] == v):
+                child = (w,) + q[:i] + q[i + 1 :]
+                if key(child) <= bound:
+                    stack.append(child)
+    found.sort()
+    return found
 
 
-def _canonical_by_max(bound: int) -> list[Quadruple]:
-    found = set()
-    for b in range(bound + 1):
-        for c in range(b + 1):
-            for d in range(c + 1):
-                for a in _leading_candidates(b, c, d):
-                    if a > bound:
-                        continue
-                    q = (a, b, c, d)
-                    if q != (0, 0, 0, 0) and is_triangle_quadruple(q):
-                        found.add(q)
-    return sorted(found)
-
-
-def _check_bound(bound: int, max_bound: int) -> None:
+def _check_args(bound: int, mode: str, max_bound: int) -> None:
     if bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
     if bound > max_bound:
         raise ResourceLimitError(
             f"census bound {bound} exceeds configured cap {max_bound}"
         )
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _build_report(
     canonical: list[Quadruple],
     bound: int,
     mode: str,
-    primitive: bool,
     include_list: bool,
 ) -> CensusReport:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if primitive:
-        canonical = [q for q in canonical if is_primitive(q)]
     if mode == "canonical":
         count = len(canonical)
         listed = tuple(canonical) if include_list else None
@@ -143,9 +129,9 @@ def enumerate_all(
     nonincreasing multiset representatives; ordered mode lists every
     distinct arrangement.
     """
-    _check_bound(height_bound, max_bound)
-    canonical = _canonical_by_height(height_bound)
-    return _build_report(canonical, height_bound, mode, primitive, True)
+    _check_args(height_bound, mode, max_bound)
+    canonical = _walk(height_bound * height_bound, _norm_sq, primitive)
+    return _build_report(canonical, height_bound, mode, True)
 
 
 def count_by_height(
@@ -155,9 +141,9 @@ def count_by_height(
     max_bound: int = DEFAULT_BOUND_CAP,
 ) -> CensusReport:
     """Count-only census by height."""
-    _check_bound(n, max_bound)
-    canonical = _canonical_by_height(n)
-    return _build_report(canonical, n, mode, primitive, False)
+    _check_args(n, mode, max_bound)
+    canonical = _walk(n * n, _norm_sq, primitive)
+    return _build_report(canonical, n, mode, False)
 
 
 def count_by_max(
@@ -167,18 +153,10 @@ def count_by_max(
     max_bound: int = DEFAULT_BOUND_CAP,
     include_list: bool = False,
 ) -> CensusReport:
-    """Census of quadruples whose maximal entry is at most n.
-
-    Every enumerated quadruple is checked against the sandwich
-    max(Q) <= H(Q) <= 2 max(Q) (exactly, on squares).
-    """
-    _check_bound(n, max_bound)
-    canonical = _canonical_by_max(n)
-    for q in canonical:
-        norm_sq = sum(x * x for x in q)
-        top = max(q)
-        assert top * top <= norm_sq <= 4 * top * top, q
-    return _build_report(canonical, n, mode, primitive, include_list)
+    """Census of quadruples whose maximal entry is at most n."""
+    _check_args(n, mode, max_bound)
+    canonical = _walk(n, _max_entry, primitive)
+    return _build_report(canonical, n, mode, include_list)
 
 
 def height_sweep(
@@ -191,12 +169,10 @@ def height_sweep(
     A single enumeration at the top bound is bucketed by exact squared
     height, so the sweep costs one census.
     """
-    _check_bound(max_n, max_bound)
-    canonical = _canonical_by_height(max_n)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_args(max_n, mode, max_bound)
+    canonical = _walk(max_n * max_n, _norm_sq, False)
     weights = sorted(
-        (sum(x * x for x in q), 1 if mode == "canonical" else ordered_multiplicity(q))
+        (_norm_sq(q), 1 if mode == "canonical" else ordered_multiplicity(q))
         for q in canonical
     )
     rows = []

@@ -1,7 +1,11 @@
+import bisect
+import functools
 import math
+from itertools import permutations
 
 import pytest
 
+from trigroup import counting
 from trigroup.core import ResourceLimitError, is_triangle_quadruple, norm_form_substitution
 from trigroup.counting import (
     canonicalize,
@@ -29,6 +33,59 @@ def naive_census(bound, by="height"):
                         continue
                     found.add(q)
     return found
+
+
+def _leading_candidates(b, c, d):
+    """Exact integer solutions a >= b of the quadruple equation for (b, c, d):
+    2a = (b+c+d) +- sqrt(6(bc+cd+db) - 3(b^2+c^2+d^2))."""
+    delta = 6 * (b * c + c * d + d * b) - 3 * (b * b + c * c + d * d)
+    if delta < 0:
+        return
+    s = math.isqrt(delta)
+    if s * s != delta:
+        return
+    sigma = b + c + d
+    for twice_a in {sigma + s, sigma - s}:
+        if twice_a % 2:
+            continue
+        a = twice_a // 2
+        if a >= b:
+            yield a
+
+
+@functools.lru_cache(maxsize=None)
+def scan_census(bound, by):
+    """Independent oracle: the cubic discriminant scan over b >= c >= d,
+    returning the sorted canonical quadruples."""
+    bound_sq = bound * bound
+    found = set()
+    for b in range(bound + 1):
+        bb = b * b
+        if by == "height" and bb > bound_sq:
+            break
+        for c in range(b + 1):
+            norm_bc = bb + c * c
+            if by == "height" and norm_bc > bound_sq:
+                break
+            top = min(c, math.isqrt(bound_sq - norm_bc)) if by == "height" else c
+            for d in range(top + 1):
+                for a in _leading_candidates(b, c, d):
+                    q = (a, b, c, d)
+                    if by == "height" and a * a + norm_bc + d * d > bound_sq:
+                        continue
+                    if by == "max" and a > bound:
+                        continue
+                    if is_triangle_quadruple(q):
+                        found.add(q)
+    return tuple(sorted(found))
+
+
+def _expected_list(canonical, mode, primitive):
+    if primitive:
+        canonical = [q for q in canonical if math.gcd(*q) == 1]
+    if mode == "canonical":
+        return tuple(canonical)
+    return tuple(sorted(t for q in canonical for t in set(permutations(q))))
 
 
 def test_enumerate_all_bound_5():
@@ -80,6 +137,97 @@ def test_max_census_matches_naive_oracle(bound):
     assert count_by_max(bound, mode="ordered").count == sum(
         ordered_multiplicity(q) for q in oracle
     )
+
+
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+@pytest.mark.parametrize("primitive", [False, True])
+@pytest.mark.parametrize("bound", [100, 146, 200])
+def test_height_census_matches_scan_oracle(bound, primitive, mode):
+    expected = _expected_list(scan_census(bound, "height"), mode, primitive)
+    report = enumerate_all(bound, mode=mode, primitive=primitive)
+    assert report.quadruples == expected
+    assert report.count == len(expected)
+    assert count_by_height(bound, mode=mode, primitive=primitive).count == len(expected)
+
+
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+@pytest.mark.parametrize("primitive", [False, True])
+@pytest.mark.parametrize("bound", [121, 200])
+def test_max_census_matches_scan_oracle(bound, primitive, mode):
+    expected = _expected_list(scan_census(bound, "max"), mode, primitive)
+    report = count_by_max(bound, mode=mode, primitive=primitive, include_list=True)
+    assert report.quadruples == expected
+    assert report.count == len(expected)
+    assert count_by_max(bound, mode=mode, primitive=primitive).count == len(expected)
+
+
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+def test_height_sweep_matches_scan_oracle(mode):
+    norms = sorted(
+        (sum(x * x for x in q), ordered_multiplicity(q) if mode == "ordered" else 1)
+        for q in scan_census(146, "height")
+    )
+    rows = height_sweep(146, mode=mode)
+    assert [n for n, _, _ in rows] == list(range(1, 147))
+    for n, count, ratio in rows:
+        assert count == sum(w for norm, w in norms if norm <= n * n)
+        if n == 1:
+            assert ratio == 0.0
+        else:
+            assert ratio == pytest.approx(count / (n * n * math.log(n) ** 3))
+
+
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+def test_gcd_decomposition_at_height_1000(mode):
+    # A quadruple of gcd g is g times a primitive one, so the count with
+    # squared height <= N is the sum over g of the primitive count with
+    # squared height <= N // g^2 (scaling keeps the ordered multiplicity).
+    bound_sq = 1000 * 1000
+    primitive = enumerate_all(1000, primitive=True).quadruples
+    weighted = sorted(
+        (sum(x * x for x in q), ordered_multiplicity(q) if mode == "ordered" else 1)
+        for q in primitive
+    )
+    norms = [norm for norm, _ in weighted]
+    prefix = [0]
+    for _, w in weighted:
+        prefix.append(prefix[-1] + w)
+    total = sum(
+        prefix[bisect.bisect_right(norms, bound_sq // (g * g))]
+        for g in range(1, 1001)
+    )
+    assert count_by_height(1000, mode=mode).count == total
+
+
+def test_census_properties_over_walk():
+    # Every listed quadruple is valid (the walk does not re-check its
+    # output) and obeys max(Q) <= H(Q) <= 2 max(Q), exactly on squares.
+    for report in (
+        enumerate_all(200),
+        enumerate_all(60, mode="ordered"),
+        count_by_max(200, include_list=True),
+        count_by_max(60, mode="ordered", include_list=True),
+    ):
+        assert report.quadruples
+        for q in report.quadruples:
+            assert is_triangle_quadruple(q), q
+            top = max(q)
+            assert top * top <= sum(x * x for x in q) <= 4 * top * top, q
+
+
+def test_mode_checked_before_enumerating(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("census walked before the mode was checked")
+
+    monkeypatch.setattr(counting, "_walk", no_walk)
+    for call in (
+        lambda: enumerate_all(300, mode="bogus"),
+        lambda: count_by_height(300, mode="bogus"),
+        lambda: count_by_max(300, mode="bogus"),
+        lambda: height_sweep(300, mode="bogus"),
+    ):
+        with pytest.raises(ValueError, match="mode"):
+            call()
 
 
 def test_census_monotone_and_sandwiched():

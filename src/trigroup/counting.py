@@ -191,23 +191,45 @@ def height_sweep(
     return rows
 
 
+def _pair_count(y: int) -> int:
+    """Number of pairs of positive integers with product at most y, i.e. the
+    sum of d(k) for k <= y, by the hyperbola method in isqrt(y) steps."""
+    r = math.isqrt(y)
+    return 2 * sum(y // i for i in range(1, r + 1)) - r * r
+
+
 def divisor_square_sum(n: int) -> tuple[int, float]:
     """Exact sum of d(k)^2 for k = 1..n, plus the ratio to n ln^3 n.
 
-    Sieves divisor counts with the paired-divisor trick (each divisor
-    i <= sqrt(k) contributes 2, squares contribute 1), so only about
-    sqrt(n) vectorized passes are needed.  Values stay far below the
-    int64 overflow line for any feasible n.
+    Ramanujan's identity sum d(k)^2 k^-s = zeta(s)^4 / zeta(2s)
+    (Messenger of Math. 1916) gives sum_{k<=n} d(k)^2 =
+    sum_{m^2<=n} mu(m) D4(n // m^2), where D4(x) counts the 4-tuples of
+    positive integers with product at most x.  As d4 is d convolved with
+    itself, the hyperbola method gives D4(x) = 2 sum_{a<=r} d(a) D(x // a)
+    - D(r)^2 with r = isqrt(x) and D = _pair_count.  That is about n^(3/4)
+    integer steps in O(sqrt n) memory; d and mu are sieved up to sqrt n.
     """
-    import numpy as np
-
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, math.isqrt(n) + 1):
-        counts[i * i] += 1
-        counts[i * i + i :: i] += 2
-    total = int(np.dot(counts[1:], counts[1:]))
+    root = math.isqrt(n)
+    d = [0] * (root + 1)
+    for i in range(1, root + 1):
+        for j in range(i, root + 1, i):
+            d[j] += 1
+    mu = [1] * (root + 1)
+    for p in range(2, root + 1):
+        if d[p] == 2:  # p is prime
+            for j in range(p, root + 1, p):
+                mu[j] = -mu[j]
+            for j in range(p * p, root + 1, p * p):
+                mu[j] = 0
+    total = 0
+    for m in range(1, root + 1):
+        if mu[m]:
+            x = n // (m * m)
+            r = math.isqrt(x)
+            d4 = 2 * sum(d[a] * _pair_count(x // a) for a in range(1, r + 1)) - _pair_count(r) ** 2
+            total += mu[m] * d4
     if n == 1:
         return total, 0.0
     return total, total / (n * math.log(n) ** 3)

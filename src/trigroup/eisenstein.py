@@ -1,23 +1,36 @@
 """Representations by the norm form z^2 - zw + w^2.
 
-The form is the norm of the ring of Eisenstein integers, which has six
-units, so the number of representations of k is six times a multiplicative
-divisor sum: A(k) = 6 * sum over d | k of chi(d), where chi is the
-nontrivial character mod 3.  Solving the form also counts the quadruples
-containing a fixed positive pair (p, q), via the unimodular substitution
-that sends the quadruple equation to z^2 - zw + w^2 = 3pq.
+The form is the norm of the ring of Eisenstein integers Z[omega], where
+N(z + w*omega) = z^2 - zw + w^2.  Z[omega] has unique factorization and
+six units, so the solutions of N = k are read off the factorization of
+k: each split prime p = 1 mod 3 is a norm pi * conj(pi), found with
+Cornacchia's algorithm; 3 is the norm of 1 - omega; an inert prime
+p = 2 mod 3 must occur to an even power.  Their number is six times a
+multiplicative divisor sum: A(k) = 6 * sum over d | k of chi(d), where
+chi is the nontrivial character mod 3.  Solving the form also counts the
+quadruples containing a fixed positive pair (p, q), via the unimodular
+substitution that sends the quadruple equation to z^2 - zw + w^2 = 3pq.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Quadruple, ResourceLimitError, is_triangle_quadruple
+from .core import Quadruple, ResourceLimitError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with these witnesses is deterministic below 3.3e24.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+# The six units of Z[omega] as (z, w) pairs for z + w*omega.
+_UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+
+
+def _require_int(name: str, value) -> None:
+    """Reject bools and non-int values; bool is an int subclass."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -90,6 +103,7 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
     splitting.  Raises ResourceLimitError on adversarial inputs rather
     than running unbounded.
     """
+    _require_int("factorize argument", k)
     if k < 1:
         raise ValueError(f"factorize needs a positive integer, got {k!r}")
     factors: dict[int, int] = {}
@@ -128,32 +142,90 @@ def divisor_count(n: int) -> int:
     return result
 
 
+def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Product of a0 + a1*omega and b0 + b1*omega, using omega^2 = -1 - omega."""
+    (a0, a1), (b0, b1) = a, b
+    return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 - a1 * b1)
+
+
+def _power(a: tuple[int, int], n: int) -> tuple[int, int]:
+    result = (1, 0)
+    for _ in range(n):
+        result = _mul(result, a)
+    return result
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _split_prime(p: int) -> tuple[int, int]:
+    """(z, w) with N(z + w*omega) = p, for a prime p = 1 mod 3.
+
+    Cornacchia's algorithm (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, section 1.5): from r with r^2 = -3 mod p, run Euclid
+    on (p, r) until the remainder x is below sqrt(p); then
+    p = x^2 + 3y^2, and pi = (x + y) + 2y*omega has norm x^2 + 3y^2.
+    """
+    a, x = p, _sqrt_mod(p - 3, p)
+    while x * x > p:
+        a, x = x, a % x
+    y2, rest = divmod(p - x * x, 3)
+    y = math.isqrt(y2)
+    if rest or y * y != y2:
+        raise ArithmeticError(f"Cornacchia found no x^2 + 3y^2 = {p}")
+    return (x + y, 2 * y)
+
+
 def solve_norm_form(k: int) -> list[tuple[int, int]]:
     """All integer (z, w) with z^2 - zw + w^2 = k, sorted lexicographically.
 
-    Completing the square gives (2z - w)^2 + 3w^2 = 4k, so |w| is at
-    most 2*sqrt(k/3); for each w the discriminant 4k - 3w^2 must be a
-    perfect square, tested with exact integer square roots.
+    Built from factorize(k) over Z[omega], where z + w*omega has norm
+    z^2 - zw + w^2.  A split prime p = 1 mod 3 with exponent e is
+    pi * conj(pi) (see _split_prime) and contributes one of the e + 1
+    factors pi^a * conj(pi)^(e - a); the ramified prime 3 contributes
+    (1 - omega)^e; an inert prime p = 2 mod 3 contributes p^(e/2), and
+    an odd e leaves no solutions.  Every product of one choice per prime
+    times each of the six units is a solution, each exactly once by
+    unique factorization, so there are 6 * divisor_character_sum(k).
+    The work is that of factorize plus the output; factorize's
+    iteration cap raises ResourceLimitError on numbers it cannot split.
     """
+    _require_int("norm form target", k)
     if k < 0:
         raise ValueError(f"norm form target must be nonnegative, got {k!r}")
     if k == 0:
         return [(0, 0)]
-    solutions = []
-    wmax = math.isqrt(4 * k // 3) + 1
-    for w in range(-wmax, wmax + 1):
-        disc = 4 * k - 3 * w * w
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        if (w + s) % 2 == 0:
-            solutions.append(((w + s) // 2, w))
-            if s != 0:
-                solutions.append(((w - s) // 2, w))
-    solutions.sort()
-    return solutions
+    elements = [(1, 0)]
+    for p, e in factorize(k).items():
+        if p % 3 == 2:
+            if e % 2:
+                return []
+            choices = [(p ** (e // 2), 0)]
+        elif p == 3:
+            choices = [_power((1, -1), e)]
+        else:
+            pi = _split_prime(p)
+            conj = (pi[0] - pi[1], -pi[1])
+            choices = [_mul(_power(pi, a), _power(conj, e - a)) for a in range(e + 1)]
+        elements = [_mul(x, c) for x in elements for c in choices]
+    return sorted(_mul(x, u) for x in elements for u in _UNITS)
 
 
 def divisor_character_sum(m: int) -> int:
@@ -166,6 +238,7 @@ def divisor_character_sum(m: int) -> int:
     form representations of m, which the tests cross-check against
     solve_norm_form.
     """
+    _require_int("argument", m)
     if m < 1:
         raise ValueError(f"argument must be a positive integer, got {m!r}")
     result = 1
@@ -190,16 +263,12 @@ def quadruples_with_pair(p: int, q: int) -> list[Quadruple]:
     Each norm form solution (z, w) of z^2 - zw + w^2 = 3pq maps to the
     extension (c, d) = (p + q - z, p + q - w).  Nonnegativity of c and d
     and validity of the quadruple are theorems for p, q > 0, so they are
-    asserted, not filtered.  Extensions are ordered: (c, d) and (d, c)
-    are distinct entries when they both occur.
+    not filtered; the tests check them.  Extensions are ordered: (c, d)
+    and (d, c) are distinct entries when they both occur.
     """
+    _require_int("pair entry p", p)
+    _require_int("pair entry q", q)
     if p < 1 or q < 1:
         raise ValueError(f"pair entries must be positive, got ({p!r}, {q!r})")
-    extensions = []
-    for z, w in solve_norm_form(3 * p * q):
-        c, d = p + q - z, p + q - w
-        assert c >= 0 and d >= 0, (p, q, z, w)
-        quad = (p, q, c, d)
-        assert is_triangle_quadruple(quad), quad
-        extensions.append(quad)
-    return extensions
+    s = p + q
+    return [(p, q, s - z, s - w) for z, w in solve_norm_form(3 * p * q)]

@@ -1,8 +1,17 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from trigroup import eisenstein
 from trigroup.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +131,47 @@ def test_normform(capsys):
     assert payload["count"] == 12
     assert payload["character_sum"] == 2
     assert [3, 1] in payload["solutions"]
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("normform", "300000000000000000000"), 6),
+        # two primes = 1 mod 3 near 1e10: pq is about 1e20
+        (("pair", "10000000033", "10001000011"), 24),
+    ],
+)
+def test_normform_and_pair_near_1e20(capsys, argv, count):
+    start = time.perf_counter()
+    payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert payload["count"] == count
+
+
+def test_normform_unfactorable_exits_3(capsys, monkeypatch):
+    # the default cap gives up only after about 10 s, so lower it here
+    monkeypatch.setattr(
+        eisenstein, "factorize", functools.partial(eisenstein.factorize, max_iterations=10_000)
+    )
+    # 100000000000000000039 * 300000000000000000053, both prime
+    semiprime = "30000000000000000017000000000000000002067"
+    code, out, err = run_cli(capsys, "normform", semiprime)
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
+@pytest.mark.parametrize("argv", [("normform", "91"), ("pair", "2", "2")])
+def test_output_unchanged_under_optimize_flag(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*flags):
+        cmd = [sys.executable, *flags, "-m", "trigroup.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, check=True, timeout=60).stdout
+
+    plain = run()
+    assert json.loads(plain)["count"] > 0
+    assert run("-O") == plain
 
 
 def test_stabilizer(capsys):

@@ -1,7 +1,11 @@
 import bisect
 import functools
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +294,36 @@ def test_canonicalize_and_multiplicity():
 def test_divisor_square_sum_values(n, expected):
     total, _ = divisor_square_sum(n)
     assert total == expected
+
+
+def sieve_divisor_square_sum(n):
+    """Independent oracle: sieve d(k) for all k <= n, pairing each divisor
+    i <= sqrt(k) with k // i (squares counted once)."""
+    counts = [0] * (n + 1)
+    for i in range(1, math.isqrt(n) + 1):
+        counts[i * i] += 1
+        for j in range(i * i + i, n + 1, i):
+            counts[j] += 2
+    return sum(c * c for c in counts)
+
+
+def test_divisor_square_sum_against_sieve():
+    for n in list(range(1, 2000)) + [10**5 - 1, 10**5, 2 * 10**5 + 3]:
+        assert divisor_square_sum(n)[0] == sieve_divisor_square_sum(n), n
+
+
+def test_divisor_square_sum_imports_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, trigroup; trigroup.divisor_square_sum(10**4); print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_divisor_square_sum_against_naive():

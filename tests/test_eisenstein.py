@@ -26,6 +26,39 @@ def brute_solutions(k):
     )
 
 
+def scan_solutions(k):
+    """Independent oracle: the O(sqrt k) scan over w.
+
+    Completing the square gives (2z - w)^2 + 3w^2 = 4k, so |w| is at most
+    2*sqrt(k/3); for each w the discriminant 4k - 3w^2 must be a perfect
+    square.
+    """
+    if k == 0:
+        return [(0, 0)]
+    solutions = []
+    wmax = math.isqrt(4 * k // 3) + 1
+    for w in range(-wmax, wmax + 1):
+        disc = 4 * k - 3 * w * w
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        if s * s != disc:
+            continue
+        if (w + s) % 2 == 0:
+            solutions.append(((w + s) // 2, w))
+            if s != 0:
+                solutions.append(((w - s) // 2, w))
+    solutions.sort()
+    return solutions
+
+
+def prime_at_most(n, residue):
+    """Largest prime p <= n with p = residue mod 3 (n must be at least 7)."""
+    while not (n % 3 == residue and is_prime(n)):
+        n -= 1
+    return n
+
+
 def brute_divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
 
@@ -44,6 +77,61 @@ def test_solve_norm_form_examples():
 def test_solve_norm_form_against_oracle():
     for k in range(0, 400):
         assert solve_norm_form(k) == brute_solutions(k), k
+
+
+def test_solve_norm_form_against_scan():
+    for k in range(0, 10**4 + 1):
+        assert solve_norm_form(k) == scan_solutions(k), k
+
+
+_smooth = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=6).map(math.prod)
+_cofactor = st.sampled_from((1, 2, 3, 4, 7, 9, 12, 21, 91))
+_norm_targets = st.one_of(
+    # smooth times a prime of either class
+    _smooth.flatmap(
+        lambda s: st.tuples(st.integers(7, 10**9 // s), st.sampled_from((1, 2))).map(
+            lambda t: s * prime_at_most(*t)
+        )
+    ),
+    st.integers(0, 18).map(lambda e: 3**e),
+    # an inert prime to an odd or even power
+    st.integers(1, 6).flatmap(
+        lambda e: st.tuples(st.integers(7, int(10 ** (7 / e))), _cofactor).map(
+            lambda t: prime_at_most(t[0], 2) ** e * t[1]
+        )
+    ),
+    # the square of a split prime
+    st.tuples(st.integers(7, 3300), _cofactor).map(lambda t: prime_at_most(t[0], 1) ** 2 * t[1]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_norm_targets)
+def test_solve_norm_form_against_scan_large(k):
+    assert 1 <= k <= 10**9
+    assert solve_norm_form(k) == scan_solutions(k), k
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        # 2^2 * 3 * 7^4 * 13^3 * 19^2 * 31 * 37 * 43 * 61 * 67 * 73
+        336_255_995_207_176_455_684,
+        # 7^2 * 13^2 * 19 * 10000141 * 100000039
+        157_341_279_842_975_207_161,
+        3 * 10**20,
+    ],
+)
+def test_solve_norm_form_near_1e20(k):
+    sols = solve_norm_form(k)
+    assert sols == sorted(set(sols))
+    assert len(sols) == representation_count(k)
+    assert all(z * z - z * w + w * w == k for z, w in sols)
+    closed = set(sols)
+    for z, w in sols:
+        assert (-w, z - w) in closed  # times omega
+        assert (-z, -w) in closed
+        assert (w, z) in closed
 
 
 def test_solution_set_symmetries():
@@ -109,6 +197,47 @@ def test_quadruples_with_pair_spec_cases():
     assert (2, 2, 6, 2) in exts
     assert len(exts) == representation_count(12) == 6
     assert len(quadruples_with_pair(1, 3)) == representation_count(9) == 6
+
+
+def test_quadruples_with_pair_order():
+    for p in range(1, 13):
+        for q in range(1, 13):
+            s = p + q
+            expected = [(p, q, s - z, s - w) for z, w in scan_solutions(3 * p * q)]
+            assert quadruples_with_pair(p, q) == expected, (p, q)
+
+
+def test_quadruples_with_pair_large():
+    # p = 7 * 13^2 * 19 * 31 * 37 * 43 and the prime q = 1 mod 3
+    p, q = 1_108_588_117, 1_000_000_009
+    exts = quadruples_with_pair(p, q)
+    assert len(exts) == representation_count(3 * p * q) == 1152
+    for quad in exts:
+        assert quad[:2] == (p, q)
+        assert quad[2] >= 0 and quad[3] >= 0
+        assert is_triangle_quadruple(quad)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (solve_norm_form, (True,)),
+        (solve_norm_form, (2.5,)),
+        (solve_norm_form, (7.0,)),
+        (factorize, (12.0,)),
+        (factorize, (True,)),
+        (divisor_character_sum, (7.0,)),
+        (divisor_character_sum, (True,)),
+        (representation_count, (7.0,)),
+        (representation_count, (True,)),
+        (quadruples_with_pair, (True, 1)),
+        (quadruples_with_pair, (1, 2.0)),
+        (quadruples_with_pair, (1, "2")),
+    ],
+)
+def test_non_int_input_rejected(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_pair_extensions_against_direct_scan():

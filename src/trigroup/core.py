@@ -62,10 +62,15 @@ def mat_transpose(m: Mat4) -> Mat4:
     return tuple(tuple(m[j][i] for j in range(4)) for i in range(4))
 
 
+def _require_index(i) -> None:
+    """Reject anything but an int generator index in 1..4 (bools included)."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= 4:
+        raise ValueError(f"generator index must be in {{1,2,3,4}}, got {i!r}")
+
+
 def generator_matrix(i: int) -> Mat4:
     """Return the reflection matrix S_i for i in {1, 2, 3, 4}."""
-    if i not in _GENERATORS:
-        raise ValueError(f"generator index must be in {{1,2,3,4}}, got {i!r}")
+    _require_index(i)
     return _GENERATORS[i]
 
 
@@ -82,13 +87,14 @@ def quadratic_form(x) -> int:
 def is_triangle_quadruple(q) -> bool:
     """True iff q is a nonnegative, not-all-zero integer 4-tuple with Q(q) = 0.
 
-    Total over arbitrary integer 4-tuples.  The all-zero tuple satisfies
-    the equation but is rejected: it is fixed by every generator and has
-    no geometric reading.
+    Total over arbitrary 4-tuples: an entry that is a bool or not an int
+    makes the answer False.  The all-zero tuple satisfies the equation
+    but is rejected: it is fixed by every generator and has no geometric
+    reading.
     """
     if len(q) != 4:
         return False
-    if any(x < 0 for x in q):
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in q):
         return False
     if not any(q):
         return False
@@ -103,21 +109,31 @@ def validate_quadruple(q) -> Quadruple:
     return t
 
 
+def _reflect(v: Vector4, i: int) -> Vector4:
+    """Generator i on a 4-vector: entry i becomes the sum of the others
+    minus itself.  Unchecked: i must be in 1..4, and v may be any integer
+    vector.  Validation belongs to the public callers."""
+    a, b, c, d = v
+    if i == 1:
+        return (b + c + d - a, b, c, d)
+    if i == 2:
+        return (a, a + c + d - b, c, d)
+    if i == 3:
+        return (a, b, a + b + d - c, d)
+    return (a, b, c, a + b + c - d)
+
+
 def apply_generator(q: Quadruple, i: int) -> Quadruple:
     """Replace entry i of a valid quadruple by (sum of the others) - entry.
 
-    The result is again a valid quadruple; nonnegativity of the new
-    entry is a theorem (the product of the old and new entry at
-    position i equals the sum of squared differences of the other
-    three), so it is asserted rather than branched on.
+    The result is again a valid quadruple: the product of the old and
+    new entry at position i equals the sum of squared differences of the
+    other three, so the new entry is nonnegative (a theorem the tests
+    check, not a runtime branch).
     """
     q = validate_quadruple(q)
-    if i not in _GENERATORS:
-        raise ValueError(f"generator index must be in {{1,2,3,4}}, got {i!r}")
-    s = sum(q)
-    new = s - 2 * q[i - 1]
-    assert new >= 0, (q, i)
-    return tuple(new if j == i - 1 else q[j] for j in range(4))
+    _require_index(i)
+    return _reflect(q, i)
 
 
 def verify_coxeter_relations() -> list[tuple[str, bool]]:
@@ -165,25 +181,6 @@ SUBSTITUTION_MATRIX: Mat4 = (
     (1, 1, -1, 0),
     (1, 1, 0, -1),
 )
-
-
-def _det4(m: Mat4) -> int:
-    """Determinant by cofactor expansion; exact."""
-
-    def det3(r):
-        (a, b, c), (d, e, f), (g, h, i) = r
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    total = 0
-    for j in range(4):
-        minor = tuple(
-            tuple(m[r][col] for col in range(4) if col != j) for r in range(1, 4)
-        )
-        total += (-1) ** j * m[0][j] * det3(minor)
-    return total
-
-
-assert _det4(SUBSTITUTION_MATRIX) == 1
 
 
 def norm_form_substitution(q: Quadruple) -> tuple[int, int, int, int]:

@@ -1,11 +1,15 @@
 """Breadth-first enumeration of group elements and quadruple orbits.
 
-Element BFS deduplicates exact matrices layer by layer; because every
-generator is an involution, a product formed from a depth-n element can
-only coincide with elements at depth n-1, n, or n+1, so only two layers
-need to be retained.  Layer sizes are the growth coefficients of the
-group and are computed independently of the closed recurrence, which is
-kept as a separate code path so the two can be reported side by side.
+The generators act on 4-vectors as Bourbaki's geometric representation
+of the Coxeter group on K4 with every label 3, whose form FORM_MATRIX is
+nondegenerate and sends (1, 1, 1, 1) to its negative.  So -(1, 1, 1, 1)
+lies in an open chamber, and by Tits' theorem w -> w(1, 1, 1, 1) is
+injective: a group element is counted as its image of (1, 1, 1, 1), and
+the element BFS is the orbit BFS from that vector.  One loop, _bfs,
+serves element growth, stabilizer growth and quadruple orbits; a BFS
+over exact 4x4 matrices in the tests is its oracle.  Layer sizes are
+computed independently of the closed recurrence, which is kept as a
+separate code path so the two can be reported side by side.
 """
 
 from __future__ import annotations
@@ -14,17 +18,20 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import counting
 from .core import (
+    GENERATOR_INDICES,
     IDENTITY,
     Mat4,
     Quadruple,
     ResourceLimitError,
     Vector4,
+    _reflect,
+    _require_index,
     generator_matrix,
     mat_mul,
-    mat_vec,
     validate_quadruple,
 )
 from .eisenstein import factorize
@@ -33,6 +40,10 @@ MAX_ELEMENTS_ENV = "TRIGROUP_MAX_ELEMENTS"
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
 RECURRENCE_SEEDS = (1, 4, 12)
+
+# Its negative lies in the open fundamental chamber, so only the identity
+# fixes it and its orbit is a copy of the group.
+_CHAMBER_VECTOR = (1, 1, 1, 1)
 
 
 def element_cap(max_elements: int | None = None) -> int:
@@ -54,53 +65,52 @@ class GrowthTable:
     orbit_sizes: tuple[int, ...] | None = None
 
 
-def element_layers(
-    generators: tuple[Mat4, ...],
-    max_depth: int,
-    max_elements: int | None = None,
-) -> list[list[Mat4]]:
-    """BFS layers of the group generated by involutive matrices.
+def _require_depth(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"depth must be a nonnegative int, got {n!r}")
 
-    Layer n holds the exact matrices at word length n, sorted, so the
-    result is deterministic regardless of expansion order.  Raises
-    ResourceLimitError when the total element count exceeds the cap.
+
+def _bfs(
+    start: Vector4,
+    letters: tuple[int, ...],
+    max_depth: int,
+    cap: int,
+    max_sum: int | None = None,
+) -> list[list[Vector4]]:
+    """Sorted BFS layers of start under the reflections in letters.
+
+    Layer n holds the vectors first reached by a word of length n; with
+    max_sum set, vectors whose entry sum exceeds it are dropped.  Every
+    reflection is an involution, so a vector reached from layer n can
+    only already lie in layer n - 1 or n, and only two layers are kept
+    for deduplication.  Raises ResourceLimitError once the running total
+    exceeds cap after a layer.
     """
-    cap = element_cap(max_elements)
-    layers = [[IDENTITY]]
-    prev: set[Mat4] = set()
-    cur: set[Mat4] = {IDENTITY}
+    _require_depth(max_depth)
+    layers = [[start]]
+    prev: set[Vector4] = set()
+    cur: set[Vector4] = {start}
     total = 1
     for _ in range(max_depth):
-        nxt: set[Mat4] = set()
-        for m in cur:
-            for g in generators:
-                candidate = mat_mul(m, g)
-                if candidate not in prev and candidate not in cur:
-                    nxt.add(candidate)
+        nxt: set[Vector4] = set()
+        for v in cur:
+            for i in letters:
+                w = _reflect(v, i)
+                if w not in prev and w not in cur and (max_sum is None or sum(w) <= max_sum):
+                    nxt.add(w)
         total += len(nxt)
         if total > cap:
-            raise ResourceLimitError(
-                f"element BFS exceeded cap of {cap} elements"
-            )
+            raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
         layers.append(sorted(nxt))
         prev, cur = cur, nxt
     return layers
 
 
-def all_generators() -> tuple[Mat4, ...]:
-    return tuple(generator_matrix(i) for i in (1, 2, 3, 4))
-
-
 def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable:
     """Growth table of the full group: layer sizes and cumulative counts."""
-    layers = element_layers(all_generators(), max_depth, max_elements)
+    layers = _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, element_cap(max_elements))
     sizes = tuple(len(layer) for layer in layers)
-    cumulative = []
-    total = 0
-    for s in sizes:
-        total += s
-        cumulative.append(total)
-    return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(cumulative))
+    return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
 
 
 def growth_recurrence(n: int) -> int:
@@ -138,14 +148,6 @@ class VectorOrbit:
         return {v for layer in self.layers for v in layer}
 
 
-def _vector_neighbors(v: Vector4) -> list[Vector4]:
-    s = sum(v)
-    return [
-        tuple((s - 2 * v[j]) if j == i else v[j] for j in range(4))
-        for i in range(4)
-    ]
-
-
 def orbit_vectors(
     root: Quadruple,
     max_depth: int,
@@ -163,30 +165,10 @@ def orbit_vectors(
     dropped).
     """
     root = validate_quadruple(root)
-    cap = element_cap(max_vectors)
-    prev: set[Vector4] = set()
-    cur: set[Vector4] = {root}
-    total = 1
-    cumulative = [1]
-    layers = [[root]]
-    for _ in range(max_depth):
-        nxt: set[Vector4] = set()
-        for v in cur:
-            for w in _vector_neighbors(v):
-                if max_sum is not None and sum(w) > max_sum:
-                    continue
-                if w not in prev and w not in cur:
-                    nxt.add(w)
-        total += len(nxt)
-        if total > cap:
-            raise ResourceLimitError(f"vector BFS exceeded cap of {cap} vectors")
-        cumulative.append(total)
-        if keep_layers:
-            layers.append(sorted(nxt))
-        prev, cur = cur, nxt
+    layers = _bfs(root, GENERATOR_INDICES, max_depth, element_cap(max_vectors), max_sum)
     return VectorOrbit(
         root=root,
-        cumulative_sizes=tuple(cumulative),
+        cumulative_sizes=tuple(accumulate(len(layer) for layer in layers)),
         layers=tuple(tuple(layer) for layer in layers) if keep_layers else None,
     )
 
@@ -198,8 +180,7 @@ def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
     is linear, with 3n new elements at each length n >= 1, so the count
     of elements of length at most 2n is 6n^2 + 3n + 1.
     """
-    gens = tuple(generator_matrix(i) for i in (2, 3, 4))
-    layers = element_layers(gens, max_n, max_elements)
+    layers = _bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, element_cap(max_elements))
     return [len(layer) for layer in layers]
 
 
@@ -225,20 +206,13 @@ def extremal_word(n: int) -> Word:
     return prefix + (4, 3, 2, 1) * m
 
 
-def word_matrix(word: Word) -> Mat4:
-    """Product of generator matrices in the written order."""
-    result = IDENTITY
-    for letter in word:
-        result = mat_mul(result, generator_matrix(letter))
-    return result
-
-
 def word_norm(word: Word, root: Quadruple) -> int:
     """Maximum entry of the word applied to a quadruple, letters right to left."""
     v = validate_quadruple(root)
+    for letter in word:
+        _require_index(letter)
     for letter in reversed(word):
-        s = sum(v)
-        v = tuple((s - 2 * v[j]) if j == letter - 1 else v[j] for j in range(4))
+        v = _reflect(v, letter)
     return max(v)
 
 
@@ -250,37 +224,38 @@ def max_norm_profile(
     """Exhaustive per-length maxima of the sup norm over the whole group.
 
     Entry n is (max over all length-n elements w of max(w r), list of
-    the words attaining it).  Each element carries its lexicographically
-    smallest reduced word, so ties are recorded deterministically.
+    the words attaining it).  Each element, keyed by its image of
+    (1, 1, 1, 1), carries its lexicographically smallest reduced word and
+    its image of the root; a layer is grown by left multiplication, so
+    both images take one reflection.  Ties are recorded
+    deterministically.
     """
     root = validate_quadruple(root)
+    _require_depth(max_n)
     cap = element_cap(max_elements)
-    gens = [(i, generator_matrix(i)) for i in (1, 2, 3, 4)]
-    prev: dict[Mat4, Word] = {}
-    cur: dict[Mat4, Word] = {IDENTITY: ()}
+    prev: dict[Vector4, tuple[Word, Vector4]] = {}
+    cur: dict[Vector4, tuple[Word, Vector4]] = {_CHAMBER_VECTOR: ((), root)}
     total = 1
     profile: list[tuple[int, list[Word]]] = []
-    for _ in range(max_n + 1):
-        best = max(max(mat_vec(m, root)) for m in cur)
-        attaining = sorted(
-            word for m, word in cur.items() if max(mat_vec(m, root)) == best
-        )
-        profile.append((best, attaining))
-        nxt: dict[Mat4, Word] = {}
-        for m, word in cur.items():
-            for letter, g in gens:
-                candidate = mat_mul(m, g)
+    while True:
+        best = max(max(image) for _, image in cur.values())
+        profile.append((best, sorted(word for word, image in cur.values() if max(image) == best)))
+        if len(profile) > max_n:
+            return profile
+        nxt: dict[Vector4, tuple[Word, Vector4]] = {}
+        for key, (word, image) in cur.items():
+            for letter in GENERATOR_INDICES:
+                candidate = _reflect(key, letter)
                 if candidate in prev or candidate in cur:
                     continue
-                cand_word = word + (letter,)
+                cand_word = (letter,) + word
                 seen = nxt.get(candidate)
-                if seen is None or cand_word < seen:
-                    nxt[candidate] = cand_word
+                if seen is None or cand_word < seen[0]:
+                    nxt[candidate] = (cand_word, _reflect(image, letter))
         total += len(nxt)
         if total > cap:
-            raise ResourceLimitError(f"element BFS exceeded cap of {cap} elements")
+            raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
         prev, cur = cur, nxt
-    return profile
 
 
 def max_norm_at_length(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Quadruple, apply_generator, validate_quadruple
+from .core import GENERATOR_INDICES, Quadruple, _reflect, validate_quadruple
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def is_root(q: Quadruple) -> bool:
     """
     q = validate_quadruple(q)
     s = sum(q)
-    return all(sum(apply_generator(q, i)) >= s for i in (1, 2, 3, 4))
+    return all(sum(_reflect(q, i)) >= s for i in GENERATOR_INDICES)
 
 
 def reduce_step(q: Quadruple) -> tuple[Quadruple, int] | None:
@@ -42,9 +42,13 @@ def reduce_step(q: Quadruple) -> tuple[Quadruple, int] | None:
     Ties between maximal entries break to the lowest position index.
     Returns (reduced quadruple, generator index), or None if q is a root.
     """
-    q = validate_quadruple(q)
+    return _reduce_step(validate_quadruple(q))
+
+
+def _reduce_step(q: Quadruple) -> tuple[Quadruple, int] | None:
+    """reduce_step on a quadruple already validated."""
     i = q.index(max(q)) + 1
-    candidate = apply_generator(q, i)
+    candidate = _reflect(q, i)
     if sum(candidate) < sum(q):
         return candidate, i
     return None
@@ -60,7 +64,7 @@ def reduce_to_root(q: Quadruple) -> ReductionTrace:
     start = validate_quadruple(q)
     steps: list[tuple[int, Quadruple]] = []
     cur = start
-    while (nxt := reduce_step(cur)) is not None:
+    while (nxt := _reduce_step(cur)) is not None:
         cur, i = nxt
         steps.append((i, cur))
     return ReductionTrace(start=start, steps=tuple(steps), root=cur)

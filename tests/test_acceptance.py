@@ -44,8 +44,6 @@ from trigroup.lie import (
 from trigroup.orbit import (
     bfs_elements,
     coxeter_char_poly,
-    element_layers,
-    all_generators,
     extremal_word,
     growth_recurrence,
     max_norm_profile,
@@ -59,6 +57,7 @@ from trigroup.orbit import (
 from trigroup.reduction import gcd_content, reduce_to_root
 from trigroup import simplex
 from trigroup.core import apply_generator
+from matrix_bfs import all_generators, element_layers
 
 ROOT = (0, 1, 1, 1)
 

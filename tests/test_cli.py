@@ -114,6 +114,22 @@ def test_census_cap_exits_3(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "--depth", "-1"),
+        ("orbit", "--depth", "-2"),
+        ("orbit", "--depth", "-1", "--list"),
+        ("stabilizer", "--depth", "-1"),
+    ],
+)
+def test_negative_depth_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "depth" in err
+
+
 def test_orbit_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, "orbit", "--depth", "8", "--max-elements", "5")
     assert code == 3

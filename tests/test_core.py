@@ -5,7 +5,6 @@ from trigroup.core import (
     FORM_MATRIX,
     IDENTITY,
     SUBSTITUTION_MATRIX,
-    _det4,
     apply_generator,
     form_signature,
     generator_matrix,
@@ -19,6 +18,7 @@ from trigroup.core import (
     verify_coxeter_relations,
 )
 from conftest import random_quadruples
+from matrix_bfs import det4 as _det4
 
 int_vectors = st.tuples(*[st.integers(-200, 200)] * 4)
 
@@ -76,6 +76,45 @@ def test_apply_generator_rejects_invalid():
         apply_generator((1, 1, 1, 1), 1)
     with pytest.raises(ValueError):
         apply_generator((0, 1, 1, 1), 5)
+
+
+@pytest.mark.parametrize("i", [True, 1.0, 0, "1"])
+def test_apply_generator_rejects_non_int_index(i):
+    with pytest.raises(ValueError):
+        apply_generator((0, 1, 1, 1), i)
+    with pytest.raises(ValueError):
+        generator_matrix(i)
+
+
+# Each satisfies the quadruple equation, but one entry is a bool or not an int.
+@pytest.mark.parametrize(
+    "q",
+    [(True, True, True, False), (1, 1, 1, False), (1.5, 1.5, 1.5, 0.0), (3.0, 1, 1, 1)],
+)
+def test_non_int_entries_are_not_quadruples(q):
+    assert quadratic_form(q) == 0
+    assert is_triangle_quadruple(q) is False
+    with pytest.raises(ValueError):
+        validate_quadruple(q)
+    with pytest.raises(ValueError):
+        apply_generator(q, 1)
+
+
+@given(
+    st.integers(1, 50),
+    st.integers(0, 3),
+    st.lists(st.integers(1, 4), max_size=30),
+)
+def test_reflection_keeps_entries_nonnegative(x, zero_at, word):
+    # the new entry t at position i satisfies 2*t*q_i = sum of squared
+    # differences of the other three entries, so t >= 0 when q_i > 0, and
+    # q_i = 0 forces the others equal to some x and t = 3x; apply_generator
+    # has no runtime check of it
+    q = tuple(0 if j == zero_at else x for j in range(4))
+    for letter in word:
+        for i in range(1, 5):
+            assert min(apply_generator(q, i)) >= 0
+        q = apply_generator(q, letter)
 
 
 def test_generator_matrix_literals():

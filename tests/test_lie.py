@@ -29,7 +29,7 @@ def test_translation_matrix_matches_display():
 
 
 def test_translation_determinant_and_action():
-    from trigroup.core import _det4
+    from matrix_bfs import det4 as _det4
 
     m = translation_matrix()
     assert _det4(m) == 1  # product of four determinant -1 reflections

@@ -6,19 +6,17 @@ import pytest
 from trigroup.core import (
     FORM_MATRIX,
     ResourceLimitError,
-    _det4,
     is_triangle_quadruple,
     mat_mul,
     mat_transpose,
     mat_vec,
 )
 from trigroup.orbit import (
+    _bfs,
     bfs_elements,
     char_poly,
     coxeter_char_poly,
     coxeter_element,
-    element_layers,
-    all_generators,
     extremal_word,
     growth_recurrence,
     max_norm_at_length,
@@ -31,11 +29,15 @@ from trigroup.orbit import (
     spectral_radius_closed_form,
     stabilizer_counts,
     stabilizer_cumulative_closed_form,
-    word_matrix,
     word_norm,
 )
+import matrix_bfs
+from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)
+
+# Coefficients of the Coxeter growth series (1+2t+2t^2+t^3)/(1-2t-2t^2+3t^3).
+COXETER_SERIES = (1, 4, 12, 30, 72, 168, 390, 900, 2076, 4782, 11016, 25368)
 
 
 def test_recurrence_values():
@@ -235,3 +237,61 @@ def test_search_prime_factor_count():
         if n > 1:
             count += 1
         assert count <= 4
+
+
+def test_element_bfs_is_the_orbit_of_the_chamber_vector():
+    # Tits: w -> w(1,1,1,1) is injective, so each matrix layer maps onto
+    # the vector layer of the same depth, one to one
+    ones = (1, 1, 1, 1)
+    vector_layers = _bfs(ones, (1, 2, 3, 4), 9, 10**6)
+    for matrices, vectors in zip(element_layers(all_generators(), 9), vector_layers, strict=True):
+        images = [mat_vec(m, ones) for m in matrices]
+        assert len(set(images)) == len(matrices)
+        assert sorted(images) == vectors
+
+
+def test_bfs_layer_sizes_against_matrix_oracle():
+    oracle = [len(layer) for layer in element_layers(all_generators(), 9)]
+    assert list(bfs_elements(9).layer_sizes) == oracle
+    stabilizer = tuple(all_generators()[1:])
+    assert stabilizer_counts(9) == [len(layer) for layer in element_layers(stabilizer, 9)]
+
+
+def test_bfs_layer_sizes_against_coxeter_series():
+    table = bfs_elements(11)
+    assert table.layer_sizes == COXETER_SERIES
+    assert table.cumulative_sizes[-1] == sum(COXETER_SERIES)
+
+
+@pytest.mark.parametrize("root", [(0, 1, 1, 1), (0, 7, 7, 7), (3, 0, 3, 3)])
+def test_max_norm_profile_against_matrix_oracle(root):
+    assert max_norm_profile(8, root) == matrix_bfs.max_norm_profile(8, root)
+
+
+def test_max_norm_profile_cap_counts_elements_through_length_n():
+    through_5 = sum(COXETER_SERIES[:6])
+    assert len(max_norm_profile(5, ROOT, max_elements=through_5)) == 6
+    with pytest.raises(ResourceLimitError):
+        max_norm_profile(5, ROOT, max_elements=through_5 - 1)
+
+
+@pytest.mark.parametrize("word", [(5,), (0, 0), (1, True), (2.0,)])
+def test_word_norm_rejects_bad_letters(word):
+    with pytest.raises(ValueError):
+        word_norm(word, ROOT)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _bfs((1, 1, 1, 1), (1, 2, 3, 4), -1, 100),
+        lambda: bfs_elements(-1),
+        lambda: orbit_vectors(ROOT, -2),
+        lambda: stabilizer_counts(-1),
+        lambda: max_norm_profile(-1, ROOT),
+        lambda: max_norm_at_length(-1, ROOT),
+    ],
+)
+def test_negative_depth_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trigroup import core, reduction
 from trigroup.core import apply_generator
 from trigroup.reduction import (
     gcd_content,
@@ -119,3 +120,30 @@ def test_root_pattern_equivalence():
     for q in random_quadruples(80, seed=9):
         pattern = sorted(q)[:1] == [0] and len(set(sorted(q)[1:])) == 1
         assert is_root(q) is (pattern and sorted(q)[1] == math.gcd(*q))
+
+
+def test_reduce_rejects_float_and_bool_entries():
+    # both satisfy the quadruple equation; neither is an int quadruple
+    for q in ((1.5, 1.5, 1.5, 0.0), (True, True, True, False)):
+        for fn in (reduce_to_root, reduce_step, is_root):
+            with pytest.raises(ValueError):
+                fn(q)
+
+
+@pytest.mark.parametrize("fn", [reduce_to_root, reduce_step, is_root])
+def test_public_reductions_validate_once(monkeypatch, fn):
+    q = (0, 1, 1, 1)
+    for letter in (1, 2, 3, 4) * 5:
+        q = apply_generator(q, letter)
+    assert len(reduce_to_root(q).steps) == 20
+    calls = []
+    validate = core.validate_quadruple
+
+    def counting_validate(q):
+        calls.append(q)
+        return validate(q)
+
+    for module in (core, reduction):
+        monkeypatch.setattr(module, "validate_quadruple", counting_validate)
+    fn(q)
+    assert calls == [q]

@@ -112,7 +112,7 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             k //= p
     p = 41
-    while p * p <= k and p < 100_000:
+    while p * p <= k and p < 1_000:
         while k % p == 0:
             factors[p] = factors.get(p, 0) + 1
             k //= p

@@ -270,6 +270,25 @@ def test_factorize_reconstructs():
         assert product == k
 
 
+@pytest.mark.parametrize(
+    "expected",
+    [
+        {1009: 1, 1013: 1},
+        {41: 3, 99991: 2},
+        {3: 1, 65537: 1, 65539: 1},
+        {2: 5, 997: 1, 1009: 3},
+        {99989: 1, 99991: 1},
+        {7: 1, 1000000007: 1},
+    ],
+)
+def test_factorize_medium_primes(expected):
+    # primes above the trial-division bound are split by Pollard-Brent
+    k = 1
+    for p, e in expected.items():
+        k *= p**e
+    assert factorize(k) == expected
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):

@@ -1,7 +1,7 @@
 """Command-line interface: every library operation as a subcommand.
 
-Single JSON documents go to stdout; list outputs stream as JSON lines
-(or CSV) so large censuses never buffer.  Integers whose magnitude
+Single JSON documents go to stdout; list outputs are JSON lines (or
+CSV), written in batches after the first line.  Integers whose magnitude
 exceeds 53 bits are serialized as strings to survive double-precision
 JSON consumers.  Exit codes: 0 success, 2 invalid input, 3 resource cap
 exceeded.
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
 )
 
 _BIG = 2**53
+_BATCH = 256
 
 
 def _json_safe(obj):
@@ -42,6 +44,23 @@ def _json_safe(obj):
 
 def _emit(payload) -> None:
     print(json.dumps(_json_safe(payload), sort_keys=True))
+
+
+def _json_int(x: int) -> str:
+    """An integer as _emit writes it: a string beyond 53 bits."""
+    return f'"{x}"' if x > _BIG or x < -_BIG else str(x)
+
+
+def _write_rows(lines) -> None:
+    """Write list rows, preformatted as _emit would write each, to stdout:
+    the first alone so that it leaves at once, the rest _BATCH at a time."""
+    lines = iter(lines)
+    write = sys.stdout.write
+    for line in lines:
+        write(line)
+        break
+    while batch := "".join(islice(lines, _BATCH)):
+        write(batch)
 
 
 def _quadruple(values) -> tuple[int, int, int, int]:
@@ -86,9 +105,11 @@ def _cmd_orbit(args) -> int:
         max_sum=args.max_sum,
     )
     if args.list:
-        for depth, layer in enumerate(result.layers):
-            for v in layer:
-                _emit({"depth": depth, "vector": list(v)})
+        _write_rows(
+            f'{{"depth": {depth}, "vector": [{", ".join(map(_json_int, v))}]}}\n'
+            for depth, layer in enumerate(result.layers)
+            for v in layer
+        )
     else:
         _emit(
             {
@@ -136,12 +157,13 @@ def _census_args(parser: argparse.ArgumentParser) -> None:
 
 def _stream_census(report, fmt: str) -> None:
     if fmt == "csv":
-        print("a,b,c,d")
-        for q in report.quadruples:
-            print(",".join(str(x) for x in q))
+        sys.stdout.write("a,b,c,d\n")
+        _write_rows(f"{a},{b},{c},{d}\n" for a, b, c, d in report.quadruples)
     else:
-        for q in report.quadruples:
-            _emit({"quadruple": list(q)})
+        _write_rows(
+            f'{{"quadruple": [{", ".join(map(_json_int, q))}]}}\n'
+            for q in report.quadruples
+        )
 
 
 def _cmd_census_height(args) -> int:
@@ -212,10 +234,14 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_normform(args) -> int:
-    solutions = eisenstein.solve_norm_form(args.k)
-    payload = {"k": args.k, "count": len(solutions), "solutions": [list(s) for s in solutions]}
-    if args.k >= 1:
-        payload["character_sum"] = eisenstein.divisor_character_sum(args.k)
+    payload = {"k": args.k}
+    if args.k < 1:  # solve_norm_form answers k = 0 and rejects k < 0
+        solutions = eisenstein.solve_norm_form(args.k)
+    else:  # one factorization serves the solutions and the character sum
+        factors = eisenstein.factorize(args.k)
+        solutions = eisenstein._norm_form_solutions(factors)
+        payload["character_sum"] = eisenstein._character_sum(factors)
+    payload.update(count=len(solutions), solutions=[list(s) for s in solutions])
     _emit(payload)
     return 0
 

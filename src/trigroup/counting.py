@@ -13,12 +13,14 @@ sum.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
 from .core import Quadruple, ResourceLimitError
 
 DEFAULT_BOUND_CAP = 5000
+DIVISOR_SUM_CAP = 10**10  # divisor_square_sum takes ~n^(3/4) steps
 
 MODES = ("canonical", "ordered")
 
@@ -52,8 +54,8 @@ def _max_entry(q: Quadruple) -> int:
     return q[0]
 
 
-def _walk(bound: int, key, primitive: bool) -> list[Quadruple]:
-    """Sorted canonical quadruples q with key(q) <= bound, by reverse reduction.
+def _walk(bound: int, key, primitive: bool) -> Iterator[Quadruple]:
+    """Yield the canonical quadruples q with key(q) <= bound, by reverse reduction.
 
     Depth-first over the forest of nonincreasing quadruples rooted at the
     roots (g, g, g, 0).  A child of q (sum s) replaces one copy of an
@@ -63,17 +65,16 @@ def _walk(bound: int, key, primitive: bool) -> list[Quadruple]:
     (squared height or largest entry) never decreases along an edge, so a
     child over the bound prunes its whole subtree.  The gcd is invariant
     under the generators, so the primitive census walks only the g = 1
-    tree.
+    tree.  Only the stack is held, so a count stores no quadruples.
     """
     stack = []
     for g in range(1, 2 if primitive else bound + 1):
         if key((g, g, g, 0)) > bound:
             break
         stack.append((g, g, g, 0))
-    found = []
     while stack:
         q = stack.pop()
-        found.append(q)
+        yield q
         s = sum(q)
         for i, v in enumerate(q):
             w = s - 2 * v
@@ -81,8 +82,6 @@ def _walk(bound: int, key, primitive: bool) -> list[Quadruple]:
                 child = (w,) + q[:i] + q[i + 1 :]
                 if key(child) <= bound:
                     stack.append(child)
-    found.sort()
-    return found
 
 
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
@@ -97,23 +96,19 @@ def _check_args(bound: int, mode: str, max_bound: int) -> None:
 
 
 def _build_report(
-    canonical: list[Quadruple],
+    walk: Iterable[Quadruple],
     bound: int,
     mode: str,
     include_list: bool,
 ) -> CensusReport:
+    if not include_list:
+        weights = map(ordered_multiplicity, walk) if mode == "ordered" else (1 for _ in walk)
+        return CensusReport(bound=bound, mode=mode, count=sum(weights))
     if mode == "canonical":
-        count = len(canonical)
-        listed = tuple(canonical) if include_list else None
+        listed = tuple(sorted(walk))
     else:
-        count = sum(ordered_multiplicity(q) for q in canonical)
-        if include_list:
-            listed = tuple(
-                sorted(t for q in canonical for t in set(permutations(q)))
-            )
-        else:
-            listed = None
-    return CensusReport(bound=bound, mode=mode, count=count, quadruples=listed)
+        listed = tuple(sorted(t for q in walk for t in set(permutations(q))))
+    return CensusReport(bound=bound, mode=mode, count=len(listed), quadruples=listed)
 
 
 def enumerate_all(
@@ -130,8 +125,8 @@ def enumerate_all(
     distinct arrangement.
     """
     _check_args(height_bound, mode, max_bound)
-    canonical = _walk(height_bound * height_bound, _norm_sq, primitive)
-    return _build_report(canonical, height_bound, mode, True)
+    walk = _walk(height_bound * height_bound, _norm_sq, primitive)
+    return _build_report(walk, height_bound, mode, True)
 
 
 def count_by_height(
@@ -142,8 +137,7 @@ def count_by_height(
 ) -> CensusReport:
     """Count-only census by height."""
     _check_args(n, mode, max_bound)
-    canonical = _walk(n * n, _norm_sq, primitive)
-    return _build_report(canonical, n, mode, False)
+    return _build_report(_walk(n * n, _norm_sq, primitive), n, mode, False)
 
 
 def count_by_max(
@@ -155,8 +149,7 @@ def count_by_max(
 ) -> CensusReport:
     """Census of quadruples whose maximal entry is at most n."""
     _check_args(n, mode, max_bound)
-    canonical = _walk(n, _max_entry, primitive)
-    return _build_report(canonical, n, mode, include_list)
+    return _build_report(_walk(n, _max_entry, primitive), n, mode, include_list)
 
 
 def height_sweep(
@@ -170,10 +163,9 @@ def height_sweep(
     height, so the sweep costs one census.
     """
     _check_args(max_n, mode, max_bound)
-    canonical = _walk(max_n * max_n, _norm_sq, False)
     weights = sorted(
         (_norm_sq(q), 1 if mode == "canonical" else ordered_multiplicity(q))
-        for q in canonical
+        for q in _walk(max_n * max_n, _norm_sq, False)
     )
     rows = []
     total = 0
@@ -208,9 +200,12 @@ def divisor_square_sum(n: int) -> tuple[int, float]:
     itself, the hyperbola method gives D4(x) = 2 sum_{a<=r} d(a) D(x // a)
     - D(r)^2 with r = isqrt(x) and D = _pair_count.  That is about n^(3/4)
     integer steps in O(sqrt n) memory; d and mu are sieved up to sqrt n.
+    Above DIVISOR_SUM_CAP it raises ResourceLimitError before any work.
     """
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > DIVISOR_SUM_CAP:
+        raise ResourceLimitError(f"divisor sum bound {n} exceeds cap {DIVISOR_SUM_CAP}")
     root = math.isqrt(n)
     d = [0] * (root + 1)
     for i in range(1, root + 1):

@@ -212,8 +212,13 @@ def solve_norm_form(k: int) -> list[tuple[int, int]]:
         raise ValueError(f"norm form target must be nonnegative, got {k!r}")
     if k == 0:
         return [(0, 0)]
+    return _norm_form_solutions(factorize(k))
+
+
+def _norm_form_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """solve_norm_form for the k >= 1 whose factorization is factors."""
     elements = [(1, 0)]
-    for p, e in factorize(k).items():
+    for p, e in factors.items():
         if p % 3 == 2:
             if e % 2:
                 return []
@@ -241,8 +246,13 @@ def divisor_character_sum(m: int) -> int:
     _require_int("argument", m)
     if m < 1:
         raise ValueError(f"argument must be a positive integer, got {m!r}")
+    return _character_sum(factorize(m))
+
+
+def _character_sum(factors: dict[int, int]) -> int:
+    """divisor_character_sum for the m whose factorization is factors."""
     result = 1
-    for p, e in factorize(m).items():
+    for p, e in factors.items():
         if p == 3:
             continue
         if p % 3 == 1:

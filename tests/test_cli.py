@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from trigroup import eisenstein
-from trigroup.cli import main
+from trigroup.cli import _BATCH, _json_safe, main
+from trigroup.counting import count_by_max, enumerate_all
+from trigroup.eisenstein import factorize
+from trigroup.orbit import orbit_vectors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -299,3 +303,129 @@ def test_env_cap_respected(capsys, monkeypatch):
     monkeypatch.setenv("TRIGROUP_MAX_ELEMENTS", "5")
     code, _, err = run_cli(capsys, "orbit", "--depth", "8")
     assert code == 3
+
+
+# --- list rows: the per-row json.dumps path kept as the oracle ---------------
+
+
+def emit_oracle(payload):
+    """One list row as the CLI wrote it before rows were preformatted."""
+    return json.dumps(_json_safe(payload), sort_keys=True) + "\n"
+
+
+def orbit_oracle(root, depth, max_sum=None):
+    result = orbit_vectors(tuple(root), depth, max_sum=max_sum)
+    return "".join(
+        emit_oracle({"depth": d, "vector": list(v)})
+        for d, layer in enumerate(result.layers)
+        for v in layer
+    )
+
+
+def census_oracle(report, fmt):
+    if fmt == "csv":
+        return "a,b,c,d\n" + "".join(",".join(str(x) for x in q) + "\n" for q in report.quadruples)
+    return "".join(emit_oracle({"quadruple": list(q)}) for q in report.quadruples)
+
+
+@pytest.mark.parametrize("max_sum", [None, 60])
+@pytest.mark.parametrize("root", [(0, 1, 1, 1), (3, 0, 3, 3)])
+def test_orbit_list_matches_emit_oracle(capsys, root, max_sum):
+    for depth in range(8):
+        argv = ["orbit", "--depth", str(depth), "--list", "--root", *map(str, root)]
+        if max_sum is not None:
+            argv += ["--max-sum", str(max_sum)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == orbit_oracle(root, depth, max_sum), (argv, depth)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize(
+    "mode,primitive", [("canonical", False), ("ordered", False), ("canonical", True), ("ordered", True)]
+)
+@pytest.mark.parametrize("command,bound", [("census-height", 101), ("census-max", 60)])
+def test_census_list_matches_emit_oracle(capsys, command, bound, mode, primitive, fmt):
+    argv = [command, str(bound), "--list", "--mode", mode, "--format", fmt]
+    if primitive:
+        argv.append("--primitive")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if command == "census-height":
+        report = enumerate_all(bound, mode=mode, primitive=primitive)
+    else:
+        report = count_by_max(bound, mode=mode, primitive=primitive, include_list=True)
+    assert out == census_oracle(report, fmt)
+
+
+def test_orbit_list_53_bit_boundary(capsys):
+    g = 2**53
+    code, out, _ = run_cli(capsys, "orbit", "--depth", "1", "--list", "--root", "0", *[str(g)] * 3)
+    assert code == 0
+    assert out == orbit_oracle((0, g, g, g), 1)
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[0] == {"depth": 0, "vector": [0, g, g, g]}
+    assert {"depth": 1, "vector": [str(3 * g), g, g, g]} in rows
+
+
+class RecordingStdout(io.TextIOBase):
+    """Stand-in for sys.stdout that keeps every write call apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--depth", "7", "--list"),
+        ("census-height", "101", "--list"),
+        ("census-height", "60", "--mode", "ordered", "--list", "--format", "csv"),
+        ("census-max", "60", "--list", "--mode", "ordered", "--primitive"),
+    ],
+)
+def test_list_first_row_written_alone(monkeypatch, argv):
+    stream = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(list(argv)) == 0
+    writes = stream.writes
+    if "csv" in argv:
+        assert writes[0] == "a,b,c,d\n"
+        writes = writes[1:]
+    lines = "".join(writes).splitlines(keepends=True)
+    assert len(lines) > _BATCH
+    assert writes[0] == lines[0]
+    assert len(writes) == 1 + -(-(len(lines) - 1) // _BATCH)
+    assert all(w.endswith("\n") for w in writes)
+
+
+def test_normform_factorizes_once(capsys, monkeypatch):
+    code, before, _ = run_cli(capsys, "normform", "91")
+    calls = []
+
+    def counted(k, *args, **kwargs):
+        calls.append(k)
+        return factorize(k, *args, **kwargs)
+
+    monkeypatch.setattr(eisenstein, "factorize", counted)
+    code, after, _ = run_cli(capsys, "normform", "91")
+    assert code == 0
+    assert calls == [91]
+    assert after == before
+    assert json.loads(after)["character_sum"] == 4
+
+
+def test_divisor_sum_over_cap_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "divisor-sum", "10000000001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err

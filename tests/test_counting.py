@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -334,3 +336,37 @@ def test_divisor_square_sum_against_naive():
         total, ratio = divisor_square_sum(n)
         assert total == sum(d(k) ** 2 for k in range(1, n + 1))
         assert ratio == pytest.approx(total / (n * math.log(n) ** 3))
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 10.0, "10", None])
+def test_divisor_square_sum_rejects_non_int(n):
+    with pytest.raises(ValueError):
+        divisor_square_sum(n)
+
+
+def test_divisor_square_sum_cap_raises_before_work():
+    assert counting.DIVISOR_SUM_CAP == 10**10
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        divisor_square_sum(10**10 + 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_count_only_census_holds_no_list():
+    # The walk is consumed as it goes: a count needs only the walk's stack,
+    # a list needs the whole census.
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    listed = peak(lambda: enumerate_all(400))
+    for call in (
+        lambda: count_by_height(400),
+        lambda: count_by_height(400, mode="ordered"),
+        lambda: count_by_max(400, primitive=True),
+    ):
+        assert peak(call) < listed / 10

@@ -10,6 +10,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from itertools import islice
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
     ResourceLimitError,
+    _is_int,
     form_signature,
     is_triangle_quadruple,
     quadratic_form,
@@ -29,9 +31,7 @@ _BATCH = 256
 
 
 def _json_safe(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
+    if _is_int(obj):  # bools fall through unchanged
         return str(obj) if abs(obj) > _BIG else obj
     if isinstance(obj, Fraction):
         return str(obj)
@@ -437,7 +437,10 @@ def _cmd_alpha(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused; each
+    subcommand's handler is _cmd_<name>, looked up when main runs."""
     parser = argparse.ArgumentParser(
         prog="trigroup",
         description="Exact arithmetic for quadruples under the four-reflection group.",
@@ -446,11 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test a 4-tuple against the quadruple equation")
     p.add_argument("entries", type=int, nargs=4)
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("reduce", help="reduce a quadruple to its root, recording the trace")
     p.add_argument("entries", type=int, nargs=4)
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("orbit", help="breadth-first orbit of a quadruple under the generators")
     p.add_argument("--root", type=int, nargs=4, default=[0, 1, 1, 1])
@@ -458,75 +459,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sum", type=int, default=None, help="discard vectors with larger entry sum")
     p.add_argument("--max-elements", type=int, default=None)
     p.add_argument("--list", action="store_true", help="stream vectors as JSON lines")
-    p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("growth", help="per-length element counts: BFS against the closed recurrence")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--root", type=int, nargs=4, default=[0, 1, 1, 1])
     p.add_argument("--max-elements", type=int, default=None)
-    p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("census-height", help="census of quadruples with bounded height")
     _census_args(p)
     p.add_argument("--sweep", action="store_true", help="emit (n, count, ratio) rows up to the bound")
-    p.set_defaults(func=_cmd_census_height)
 
     p = sub.add_parser("census-max", help="census of quadruples with bounded maximal entry")
     _census_args(p)
-    p.set_defaults(func=_cmd_census_max)
 
     p = sub.add_parser("divisor-sum", help="exact sum of squared divisor counts")
     p.add_argument("bound", type=int)
-    p.set_defaults(func=_cmd_divisor_sum)
 
     p = sub.add_parser("pair", help="all quadruples containing a fixed positive pair")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("normform", help="integer representations by z^2 - zw + w^2")
     p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_normform)
 
     p = sub.add_parser("stabilizer", help="growth of the root-fixing subgroup")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-elements", type=int, default=None)
-    p.set_defaults(func=_cmd_stabilizer)
 
     p = sub.add_parser("extremal", help="norm-extremal words and exhaustive norm maxima")
     p.add_argument("length", type=int)
     p.add_argument("--root", type=int, nargs=4, default=[0, 1, 1, 1])
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--max-elements", type=int, default=None)
-    p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify", help="pass/fail ledgers for the exact matrix identities")
     p.add_argument("target", choices=("coxeter", "cartan", "lie", "a1"))
     p.add_argument("--max-n", type=int, default=20, help="power range for the a1 ledger")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simplex", help="the n-dimensional identity, reflection, and Gram check")
     p.add_argument("action", choices=("verify", "reflect", "gram"))
     p.add_argument("entries", nargs="*", help="tuple entries as integers or fractions like 3/8")
     p.add_argument("--index", type=int, default=None, help="1-based distance entry to reflect")
     p.add_argument("--config", default=None, help="JSON file with a point configuration")
-    p.set_defaults(func=_cmd_simplex)
 
     p = sub.add_parser("alpha", help="prime factors (with multiplicity) of the entry product")
     p.add_argument("entries", type=int, nargs="*")
     p.add_argument("--search", action="store_true")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--max-count", type=int, default=None)
-    p.set_defaults(func=_cmd_alpha)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a wrapped module-level handler is the one run
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

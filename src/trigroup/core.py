@@ -62,16 +62,31 @@ def mat_transpose(m: Mat4) -> Mat4:
     return tuple(tuple(m[j][i] for j in range(4)) for i in range(4))
 
 
-def _require_index(i) -> None:
-    """Reject anything but an int generator index in 1..4 (bools included)."""
-    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= 4:
-        raise ValueError(f"generator index must be in {{1,2,3,4}}, got {i!r}")
+def _is_int(value) -> bool:
+    """The library's one rule for an int input: an int that is not a bool
+    (bool subclasses int, so True would otherwise pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """Return value if it is an int (not a bool) in [minimum, maximum];
+    otherwise raise ValueError.  Public entry points call this once on
+    each int argument, so floats, bools, strings and None never reach the
+    arithmetic."""
+    if not (
+        _is_int(value)
+        and (minimum is None or value >= minimum)
+        and (maximum is None or value <= maximum)
+    ):
+        low = "" if minimum is None else f" >= {minimum}"
+        high = "" if maximum is None else f" <= {maximum}"
+        raise ValueError(f"{name} must be an int{low}{high}, got {value!r}")
+    return value
 
 
 def generator_matrix(i: int) -> Mat4:
     """Return the reflection matrix S_i for i in {1, 2, 3, 4}."""
-    _require_index(i)
-    return _GENERATORS[i]
+    return _GENERATORS[_require_int("generator index", i, 1, 4)]
 
 
 def quadratic_form(x) -> int:
@@ -80,6 +95,13 @@ def quadratic_form(x) -> int:
     Q vanishes exactly on the solutions of the quadruple equation, and
     equals x A x^T for the form matrix A.
     """
+    for v in x:
+        _require_int("form entry", v)
+    return _form(x)
+
+
+def _form(x) -> int:
+    """quadratic_form on a 4-vector whose entries are already checked."""
     a, b, c, d = x
     return 3 * (a * a + b * b + c * c + d * d) - (a + b + c + d) ** 2
 
@@ -94,11 +116,11 @@ def is_triangle_quadruple(q) -> bool:
     """
     if len(q) != 4:
         return False
-    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in q):
+    if not all(_is_int(x) and x >= 0 for x in q):
         return False
     if not any(q):
         return False
-    return quadratic_form(q) == 0
+    return _form(q) == 0
 
 
 def validate_quadruple(q) -> Quadruple:
@@ -132,8 +154,7 @@ def apply_generator(q: Quadruple, i: int) -> Quadruple:
     check, not a runtime branch).
     """
     q = validate_quadruple(q)
-    _require_index(i)
-    return _reflect(q, i)
+    return _reflect(q, _require_int("generator index", i, 1, 4))
 
 
 def verify_coxeter_relations() -> list[tuple[str, bool]]:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Quadruple, ResourceLimitError
+from .core import Quadruple, ResourceLimitError, _require_int, validate_quadruple
 
 DEFAULT_BOUND_CAP = 5000
 DIVISOR_SUM_CAP = 10**10  # divisor_square_sum takes ~n^(3/4) steps
@@ -35,7 +35,7 @@ class CensusReport:
 
 def canonicalize(q: Quadruple) -> Quadruple:
     """Sort entries in nonincreasing order (multiset representative)."""
-    return tuple(sorted(q, reverse=True))
+    return tuple(sorted(validate_quadruple(q), reverse=True))
 
 
 def ordered_multiplicity(q: Quadruple) -> int:
@@ -85,9 +85,8 @@ def _walk(bound: int, key, primitive: bool) -> Iterator[Quadruple]:
 
 
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
-    if bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
-    if bound > max_bound:
+    _require_int("bound", bound, 1)
+    if _require_int("max_bound", max_bound, 1) < bound:
         raise ResourceLimitError(
             f"census bound {bound} exceeds configured cap {max_bound}"
         )
@@ -202,9 +201,7 @@ def divisor_square_sum(n: int) -> tuple[int, float]:
     integer steps in O(sqrt n) memory; d and mu are sieved up to sqrt n.
     Above DIVISOR_SUM_CAP it raises ResourceLimitError before any work.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > DIVISOR_SUM_CAP:
+    if _require_int("n", n, 1) > DIVISOR_SUM_CAP:
         raise ResourceLimitError(f"divisor sum bound {n} exceeds cap {DIVISOR_SUM_CAP}")
     root = math.isqrt(n)
     d = [0] * (root + 1)

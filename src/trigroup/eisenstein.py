@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Quadruple, ResourceLimitError
+from .core import Quadruple, ResourceLimitError, _require_int
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -27,14 +27,13 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
 
 
-def _require_int(name: str, value) -> None:
-    """Reject bools and non-int values; bool is an int subclass."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n below 3.3e24; strong test above."""
+    return _is_prime(_require_int("n", n))
+
+
+def _is_prime(n: int) -> bool:
+    """is_prime for an n already checked to be an int."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -103,9 +102,8 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
     splitting.  Raises ResourceLimitError on adversarial inputs rather
     than running unbounded.
     """
-    _require_int("factorize argument", k)
-    if k < 1:
-        raise ValueError(f"factorize needs a positive integer, got {k!r}")
+    _require_int("factorize argument", k, 1)
+    _require_int("max_iterations", max_iterations, 1)
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while k % p == 0:
@@ -122,7 +120,7 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         root = math.isqrt(m)
@@ -132,14 +130,6 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
         d = _pollard_rho(m, max_iterations)
         stack.extend((d, m // d))
     return dict(sorted(factors.items()))
-
-
-def divisor_count(n: int) -> int:
-    """Number of divisors of n, from the factorization."""
-    result = 1
-    for e in factorize(n).values():
-        result *= e + 1
-    return result
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -207,10 +197,7 @@ def solve_norm_form(k: int) -> list[tuple[int, int]]:
     The work is that of factorize plus the output; factorize's
     iteration cap raises ResourceLimitError on numbers it cannot split.
     """
-    _require_int("norm form target", k)
-    if k < 0:
-        raise ValueError(f"norm form target must be nonnegative, got {k!r}")
-    if k == 0:
+    if _require_int("norm form target", k, 0) == 0:
         return [(0, 0)]
     return _norm_form_solutions(factorize(k))
 
@@ -243,10 +230,7 @@ def divisor_character_sum(m: int) -> int:
     form representations of m, which the tests cross-check against
     solve_norm_form.
     """
-    _require_int("argument", m)
-    if m < 1:
-        raise ValueError(f"argument must be a positive integer, got {m!r}")
-    return _character_sum(factorize(m))
+    return _character_sum(factorize(_require_int("argument", m, 1)))
 
 
 def _character_sum(factors: dict[int, int]) -> int:
@@ -276,9 +260,7 @@ def quadruples_with_pair(p: int, q: int) -> list[Quadruple]:
     not filtered; the tests check them.  Extensions are ordered: (c, d)
     and (d, c) are distinct entries when they both occur.
     """
-    _require_int("pair entry p", p)
-    _require_int("pair entry q", q)
-    if p < 1 or q < 1:
-        raise ValueError(f"pair entries must be positive, got ({p!r}, {q!r})")
+    _require_int("pair entry p", p, 1)
+    _require_int("pair entry q", q, 1)
     s = p + q
     return [(p, q, s - z, s - w) for z, w in solve_norm_form(3 * p * q)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FORM_MATRIX, Mat4, IDENTITY, generator_matrix, mat_mul, mat_transpose
+from .core import FORM_MATRIX, Mat4, IDENTITY, _require_int, generator_matrix, mat_mul, mat_transpose
 from .linalg import bareiss_rank
 
 # Expected value of S1 S2 S1 S3, recorded independently of the product code.
@@ -82,19 +82,9 @@ def translation_matrix() -> Mat4:
     return product
 
 
-def translation_power(n: int) -> Mat4:
-    """Exact n-th power of the translation element, by repeated multiplication."""
-    if n < 0:
-        raise ValueError(f"exponent must be nonnegative, got {n!r}")
-    result = IDENTITY
-    base = translation_matrix()
-    for _ in range(n):
-        result = mat_mul(result, base)
-    return result
-
-
 def power_formula_matrix(n: int) -> Mat4:
     """Evaluate the recorded closed form for the n-th power."""
+    _require_int("exponent", n, 0)
     return tuple(
         tuple(c0 + c1 * n + c2 * n * n for (c0, c1, c2) in row)
         for row in POWER_FORMULA_COEFFS
@@ -117,6 +107,7 @@ def power_formula_report(max_n: int) -> list[EntryMismatch]:
     recorded formula disagrees with the exact powers in exactly one
     entry for every n >= 1; the report states it, the caller decides.
     """
+    _require_int("max_n", max_n, 0)
     mismatches = []
     power = IDENTITY
     base = translation_matrix()

@@ -1,5 +1,6 @@
-"""Exact elimination helpers: fraction-free integer routines and a small
-rational Gaussian toolkit for the geometry module."""
+"""Exact elimination: fraction-free integer determinant and rank, and
+their rational forms for the geometry module, which clear denominators
+and run the integer routines."""
 
 from __future__ import annotations
 
@@ -74,58 +75,11 @@ def rational_det(rows) -> Fraction:
 
 
 def rational_rank(rows) -> int:
-    """Rank of a rational matrix via plain Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                factor = m[i][col] / pivot
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def solve_rational(matrix, rhs) -> list[Fraction] | None:
-    """Solve M x = rhs over the rationals; None if inconsistent.
-
-    For underdetermined consistent systems an arbitrary solution with
-    free variables set to zero is returned.
-    """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        m[rank] = [a / pivot for a in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for i in range(rank, nrows):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return x
+    """Rank of a rational matrix: scale each row to integers, which keeps
+    the rank, and run the fraction-free integer elimination."""
+    ints = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        ints.append([int(x * scale) for x in row])
+    return bareiss_rank(ints)

@@ -28,8 +28,9 @@ from .core import (
     Quadruple,
     ResourceLimitError,
     Vector4,
+    _is_int,
     _reflect,
-    _require_index,
+    _require_int,
     generator_matrix,
     mat_mul,
     validate_quadruple,
@@ -48,12 +49,12 @@ _CHAMBER_VECTOR = (1, 1, 1, 1)
 
 def element_cap(max_elements: int | None = None) -> int:
     """Resolve the BFS element cap: argument, else environment, else default."""
-    if max_elements is not None:
-        return max_elements
-    env = os.environ.get(MAX_ELEMENTS_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_ELEMENTS
+    if max_elements is None:
+        env = os.environ.get(MAX_ELEMENTS_ENV)
+        if env is None:
+            return DEFAULT_MAX_ELEMENTS
+        return _require_int(MAX_ELEMENTS_ENV, int(env), 1)
+    return _require_int("element cap", max_elements, 1)
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,6 @@ class GrowthTable:
 
     layer_sizes: tuple[int, ...]
     cumulative_sizes: tuple[int, ...]
-    orbit_sizes: tuple[int, ...] | None = None
-
-
-def _require_depth(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"depth must be a nonnegative int, got {n!r}")
 
 
 def _bfs(
@@ -84,9 +79,11 @@ def _bfs(
     reflection is an involution, so a vector reached from layer n can
     only already lie in layer n - 1 or n, and only two layers are kept
     for deduplication.  Raises ResourceLimitError once the running total
-    exceeds cap after a layer.
+    exceeds cap after a layer.  Checks max_depth and max_sum, once.
     """
-    _require_depth(max_depth)
+    _require_int("depth", max_depth, 0)
+    if max_sum is not None:
+        _require_int("max_sum", max_sum, 0)
     layers = [[start]]
     prev: set[Vector4] = set()
     cur: set[Vector4] = {start}
@@ -120,18 +117,12 @@ def growth_recurrence(n: int) -> int:
     with this at depth 3 (30 against 29); both values are reported by
     the growth table machinery rather than reconciled here.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n!r}")
-    if n < 3:
+    if _require_int("index", n, 0) < 3:
         return RECURRENCE_SEEDS[n]
     a, b, c = RECURRENCE_SEEDS
     for _ in range(n - 2):
         a, b, c = b, c, 2 * c + 2 * b - 3 * a
     return c
-
-
-def recurrence_values(max_n: int) -> list[int]:
-    return [growth_recurrence(n) for n in range(max_n + 1)]
 
 
 @dataclass(frozen=True)
@@ -186,6 +177,7 @@ def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
 
 def stabilizer_cumulative_closed_form(n: int) -> int:
     """Closed form 6n^2 + 3n + 1 for stabilizer elements of length <= 2n."""
+    _require_int("n", n, 0)
     return 6 * n * n + 3 * n + 1
 
 
@@ -199,9 +191,7 @@ def extremal_word(n: int) -> Word:
     by m copies of the full descending cycle (4, 3, 2, 1); letters act
     on vectors right to left.
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n!r}")
-    m, i = divmod(n, 4)
+    m, i = divmod(_require_int("length", n, 0), 4)
     prefix = {0: (), 1: (1,), 2: (2, 1), 3: (3, 2, 1)}[i]
     return prefix + (4, 3, 2, 1) * m
 
@@ -210,7 +200,7 @@ def word_norm(word: Word, root: Quadruple) -> int:
     """Maximum entry of the word applied to a quadruple, letters right to left."""
     v = validate_quadruple(root)
     for letter in word:
-        _require_index(letter)
+        _require_int("generator index", letter, 1, 4)
     for letter in reversed(word):
         v = _reflect(v, letter)
     return max(v)
@@ -231,7 +221,7 @@ def max_norm_profile(
     deterministically.
     """
     root = validate_quadruple(root)
-    _require_depth(max_n)
+    _require_int("depth", max_n, 0)
     cap = element_cap(max_elements)
     prev: dict[Vector4, tuple[Word, Vector4]] = {}
     cur: dict[Vector4, tuple[Word, Vector4]] = {_CHAMBER_VECTOR: ((), root)}
@@ -314,8 +304,11 @@ def spectral_radius(error_bound: Fraction = Fraction(1, 10**13)) -> Fraction:
 
     Sign evaluations are exact at rational points; the returned value is
     within error_bound of the root.  The polynomial is palindromic, so
-    the reciprocal of the returned root is also a root.
+    the reciprocal of the returned root is also a root.  error_bound must
+    be a positive int or Fraction: at zero the bisection would never stop.
     """
+    if not (isinstance(error_bound, Fraction) or _is_int(error_bound)) or error_bound <= 0:
+        raise ValueError(f"error_bound must be a positive int or Fraction, got {error_bound!r}")
     coeffs = coxeter_char_poly()
     lo, hi = Fraction(8), Fraction(9)
     if not (_poly_eval(coeffs, lo) < 0 < _poly_eval(coeffs, hi)):
@@ -360,6 +353,7 @@ def search_prime_factor_count(
 ) -> list[Quadruple]:
     """Canonical primitive quadruples of bounded height whose entry product
     has at most max_count prime factors (zero-entry quadruples excluded)."""
+    _require_int("max_count", max_count, 0)
     kwargs = {} if max_bound is None else {"max_bound": max_bound}
     report = counting.enumerate_all(height_bound, mode="canonical", primitive=True, **kwargs)
     found = []

@@ -23,7 +23,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rational_det, rational_rank, solve_rational
+from .core import _require_int
+from .linalg import rational_det, rational_rank
 
 Entries = tuple[Fraction, ...]
 
@@ -54,10 +55,6 @@ def identity_residual(values) -> Fraction:
     return (n + 1) * sum(e * e for e in entries) - total * total
 
 
-def is_valid_tuple(values) -> bool:
-    return identity_residual(values) == 0
-
-
 def reflect(values, index: int) -> Entries:
     """Replace distance entry `index` (1-based; entry 0 is the squared side)
     by (2/n) * (sum of the other entries) - entry.
@@ -69,8 +66,7 @@ def reflect(values, index: int) -> Entries:
     """
     entries = as_entries(values)
     n = dimension(entries)
-    if not 1 <= index <= n + 1:
-        raise ValueError(f"index must be in 1..{n + 1}, got {index!r}")
+    _require_int("index", index, 1, n + 1)
     residual = identity_residual(entries)
     if residual != 0:
         raise ValueError(f"tuple does not satisfy the identity (residual {residual})")
@@ -160,10 +156,9 @@ class PointConfiguration:
         self.side_squared()
         base = self.vertices[0]
         edges = [_sub(v, base) for v in self.vertices[1:]]
-        columns = list(map(list, zip(*edges)))
         if rational_rank(edges) != self.n:
             raise ValueError("vertices are affinely dependent")
-        if solve_rational(columns, list(_sub(self.point, base))) is None:
+        if rational_rank(edges + [_sub(self.point, base)]) != self.n:
             raise ValueError("point does not lie in the affine hull of the vertices")
 
 
@@ -204,8 +199,7 @@ def standard_configuration(
     must sum to 1 but may be negative, placing the point anywhere in
     the affine hull.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n!r}")
+    _require_int("dimension", n, 2)
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -224,18 +218,6 @@ def standard_configuration(
         sum(w * v[j] for w, v in zip(weights, vertices)) for j in range(n + 1)
     )
     return PointConfiguration(vertices=vertices, point=point)
-
-
-def nonintegral_reflection_example() -> tuple[Entries, int, Entries]:
-    """An integer-valued valid tuple for n = 3 whose reflection is not integral.
-
-    The point at a vertex of a unit-side 3-simplex gives (1, 0, 1, 1, 1);
-    reflecting the zero entry yields 8/3, demonstrating that the n > 2
-    reflections leave the integers.
-    """
-    entries = as_entries((1, 0, 1, 1, 1))
-    index = 1
-    return entries, index, reflect(entries, index)
 
 
 def _fraction_to_pair(x: Fraction) -> list[int]:

@@ -1,0 +1,224 @@
+"""One rule for int inputs at every public entry point.
+
+Each public function that takes an int (directly, or as an entry of a
+quadruple or a word) is listed below with a small valid call and the
+positions of its int arguments.  The property replaces one of them by a
+float, a bool, a str, None or an out-of-range int: the call must raise
+ValueError (or ResourceLimitError), never TypeError or IndexError, and it
+may return only where the value is legal (None for an optional cap) or
+the function is a total predicate.
+"""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import trigroup
+from trigroup import ResourceLimitError, counting, eisenstein, lie, orbit, simplex
+
+Q = (0, 1, 1, 1)
+Q7 = (7, 4, 3, 1)
+T = (1, Fraction(3, 8), Fraction(3, 8), Fraction(3, 8), Fraction(3, 8))
+ANY = (None, None)
+NONNEG = (0, None)
+POSITIVE = (1, None)
+GENERATOR = (1, 4)
+
+
+def _entries(arg, valid_range):
+    """Slots for the four entries of the quadruple at argument position arg."""
+    return {(arg, j): valid_range for j in range(4)}
+
+
+# name -> (valid positional args, {path: (min, max) of the legal ints}).  A
+# path (i,) is argument i; (i, j) is entry j of argument i.  Functions
+# without an int parameter have no slots; they are listed so that the
+# coverage test sees every public function considered.
+CALLS = {
+    # core
+    "apply_generator": ((Q, 1), {**_entries(0, NONNEG), (1,): GENERATOR}),
+    "generator_matrix": ((1,), {(0,): GENERATOR}),
+    "is_triangle_quadruple": ((Q,), _entries(0, NONNEG)),
+    "norm_form_substitution": (((1, 1, 1, 0),), _entries(0, NONNEG)),
+    "quadratic_form": ((Q7,), _entries(0, ANY)),
+    "validate_quadruple": ((Q,), _entries(0, NONNEG)),
+    "form_signature": ((), {}),
+    "verify_coxeter_relations": ((), {}),
+    # counting
+    "canonicalize": ((Q,), _entries(0, NONNEG)),
+    "count_by_height": ((10, "canonical", False, 100), {(0,): POSITIVE, (3,): POSITIVE}),
+    "count_by_max": ((10, "ordered", False, 100, True), {(0,): POSITIVE, (3,): POSITIVE}),
+    "divisor_square_sum": ((100,), {(0,): POSITIVE}),
+    "enumerate_all": ((10, "canonical", True, 100), {(0,): POSITIVE, (3,): POSITIVE}),
+    "height_sweep": ((10, "canonical", 100), {(0,): POSITIVE, (2,): POSITIVE}),
+    # eisenstein
+    "divisor_character_sum": ((91,), {(0,): POSITIVE}),
+    "factorize": ((91, 1000), {(0,): POSITIVE, (1,): POSITIVE}),
+    "is_prime": ((97,), {(0,): ANY}),
+    "quadruples_with_pair": ((1, 2), {(0,): POSITIVE, (1,): POSITIVE}),
+    "representation_count": ((7,), {(0,): POSITIVE}),
+    "solve_norm_form": ((7,), {(0,): NONNEG}),
+    # orbit
+    "bfs_elements": ((3, 1000), {(0,): NONNEG, (1,): POSITIVE}),
+    "coxeter_char_poly": ((), {}),
+    "coxeter_element": ((), {}),
+    "extremal_word": ((5,), {(0,): NONNEG}),
+    "growth_recurrence": ((5,), {(0,): NONNEG}),
+    "max_norm_at_length": ((3, Q, 1000), {(0,): NONNEG, **_entries(1, NONNEG), (2,): POSITIVE}),
+    "orbit_vectors": (
+        (Q, 3, 1000, 50),
+        {**_entries(0, NONNEG), (1,): NONNEG, (2,): POSITIVE, (3,): NONNEG},
+    ),
+    "prime_factor_count": ((Q7,), _entries(0, NONNEG)),
+    # error_bound is a rational, but it follows the int rule for its type
+    "spectral_radius": ((Fraction(1, 10),), {(0,): (1, None)}),
+    "spectral_radius_closed_form": ((), {}),
+    "stabilizer_counts": ((4, 1000), {(0,): NONNEG, (1,): POSITIVE}),
+    "word_norm": (((1, 2), Q), {(0, 0): GENERATOR, (0, 1): GENERATOR, **_entries(1, NONNEG)}),
+    # reduction
+    "gcd_content": ((Q7,), _entries(0, NONNEG)),
+    "is_primitive": ((Q7,), _entries(0, NONNEG)),
+    "is_root": ((Q7,), _entries(0, NONNEG)),
+    "reduce_step": ((Q7,), _entries(0, NONNEG)),
+    "reduce_to_root": ((Q7,), _entries(0, NONNEG)),
+    "same_orbit": ((Q, Q7), {**_entries(0, NONNEG), **_entries(1, NONNEG)}),
+    # lie
+    "translation_matrix": ((), {}),
+    "power_formula_matrix": ((3,), {(0,): NONNEG}),
+    "power_formula_report": ((3,), {(0,): NONNEG}),
+    "derivative_matrix": ((), {}),
+    "formula_derivative_at_zero": ((), {}),
+    "six_spanning_matrices": ((), {}),
+    "display_comparison": ((), {}),
+    "infinitesimal_residual": ((), {}),
+    "preserves_form_infinitesimally": ((), {}),
+    "matrix_span_rank": ((), {}),
+    "six_matrix_rank": ((), {}),
+    # simplex: entries are rationals, so only the index and dimension are ints
+    "as_entries": ((), {}),
+    "dimension": ((), {}),
+    "identity_residual": ((), {}),
+    "reflect": ((T, 1), {(1,): (1, 4)}),
+    "gram_matrix": ((), {}),
+    "gram_det": ((), {}),
+    "gram_closed_form": ((), {}),
+    "tuple_from_configuration": ((), {}),
+    "gram_residual": ((), {}),
+    "standard_configuration": ((3,), {(0,): (2, None)}),
+    "configuration_to_json": ((), {}),
+    "configuration_from_json": ((), {}),
+    "load_configuration": ((), {}),
+}
+
+TOTAL = {"is_triangle_quadruple"}  # predicates that answer False instead of raising
+
+
+def _public_functions():
+    found = {}
+    for name in trigroup.__all__:
+        value = getattr(trigroup, name)
+        if inspect.isfunction(value):
+            found[name] = value
+    for module in (eisenstein, lie, simplex):
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_"):
+                found[name] = value
+    return found
+
+
+FUNCTIONS = _public_functions()
+SLOTS = sorted((name, path, bounds) for name, (_, slots) in CALLS.items() for path, bounds in slots.items())
+
+
+def test_every_public_function_is_listed():
+    assert set(CALLS) == set(FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))
+def test_valid_calls_return(name):
+    args, _ = CALLS[name]
+    result = FUNCTIONS[name](*args)
+    if name in TOTAL:
+        assert result is True
+
+
+def _replace(args, path, value):
+    args = list(args)
+    if len(path) == 1:
+        args[path[0]] = value
+    else:
+        inner = list(args[path[0]])
+        inner[path[1]] = value
+        args[path[0]] = tuple(inner)
+    return tuple(args)
+
+
+@st.composite
+def _bad_calls(draw):
+    name, path, (low, high) = draw(st.sampled_from(SLOTS))
+    args, _ = CALLS[name]
+    valid = args[path[0]] if len(path) == 1 else args[path[0]][path[1]]
+    wrong_type = st.sampled_from([True, False, None, str(valid), float(valid), float(valid) + 0.5])
+    out_of_range = []
+    if low is not None:
+        out_of_range.append(st.integers(low - 50, low - 1))
+    if high is not None:
+        out_of_range.append(st.integers(high + 1, high + 50))
+    bad = draw(st.one_of(wrong_type, *out_of_range))
+    return name, path, bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bad_calls())
+def test_bad_int_raises_value_error(case):
+    name, path, bad = case
+    fn = FUNCTIONS[name]
+    args = _replace(CALLS[name][0], path, bad)
+    try:
+        result = fn(*args)
+    except (ValueError, ResourceLimitError):
+        return
+    if name in TOTAL:
+        assert result is False
+        return
+    # the one legal replacement: None for a parameter whose default is None
+    parameter = list(inspect.signature(fn).parameters.values())[path[0]]
+    assert len(path) == 1 and bad is None and parameter.default is None, (name, path, bad, result)
+
+
+# Each of these returned a value, leaked TypeError or never returned before
+# the int rule was applied at every entry point.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: orbit.growth_recurrence(True),
+        lambda: orbit.growth_recurrence(2.0),
+        lambda: orbit.extremal_word(True),
+        lambda: orbit.extremal_word(2.0),
+        lambda: counting.count_by_height(True),
+        lambda: counting.count_by_height(3.0),
+        lambda: counting.enumerate_all(2.5),
+        lambda: counting.height_sweep(True),
+        lambda: counting.count_by_height(10, max_bound=True),
+        lambda: orbit.stabilizer_cumulative_closed_form(1.5),
+        lambda: orbit.stabilizer_cumulative_closed_form(-1),
+        lambda: orbit.bfs_elements(3, -1),
+        lambda: orbit.bfs_elements(3, max_elements=True),
+        lambda: orbit.orbit_vectors(Q, 3, max_sum=2.5),
+        lambda: simplex.reflect(T, True),
+        lambda: orbit.spectral_radius(Fraction(0)),
+        lambda: trigroup.quadratic_form((1.5, 1, 1, 0)),
+    ],
+)
+def test_motivating_probes_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("env", ["-5", "0", "2.5", "many"])
+def test_element_cap_from_environment_is_checked(monkeypatch, env):
+    monkeypatch.setenv(orbit.MAX_ELEMENTS_ENV, env)
+    with pytest.raises(ValueError):
+        orbit.bfs_elements(2)

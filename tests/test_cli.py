@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trigroup import eisenstein
+from trigroup import cli, eisenstein
 from trigroup.cli import _BATCH, _json_safe, main
 from trigroup.counting import count_by_max, enumerate_all
 from trigroup.eisenstein import factorize
@@ -132,6 +132,46 @@ def test_negative_depth_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "depth" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--depth", "3", "--max-elements", "0"),
+        ("orbit", "--depth", "3", "--max-sum", "-1"),
+        ("extremal", "2", "--exhaustive", "--max-elements", "-1"),
+        ("census-height", "10", "--max-bound", "0"),
+        ("verify", "a1", "--max-n", "-1"),
+        ("alpha", "--search", "--height", "10", "--max-count", "-1"),
+        ("simplex", "reflect", "1", "3/8", "3/8", "3/8", "3/8", "--index", "0"),
+    ],
+)
+def test_out_of_range_int_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "must be an int" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("census-height", "3.0"), ("extremal", "2.0"), ("orbit", "--depth", "True"), ("pair", "1", "2.5")],
+)
+def test_non_int_argument_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_built_once_and_handler_looked_up_per_call(capsys, monkeypatch):
+    for _ in range(3):
+        assert main(["check", "7", "4", "3", "1"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    # a handler replaced in the module globals is the one main runs
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: seen.append(args.entries) or 0)
+    assert main(["check", "7", "4", "3", "1"]) == 0
+    assert seen == [[7, 4, 3, 1]]
 
 
 def test_orbit_cap_exits_3(capsys):

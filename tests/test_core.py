@@ -92,8 +92,10 @@ def test_apply_generator_rejects_non_int_index(i):
     [(True, True, True, False), (1, 1, 1, False), (1.5, 1.5, 1.5, 0.0), (3.0, 1, 1, 1)],
 )
 def test_non_int_entries_are_not_quadruples(q):
-    assert quadratic_form(q) == 0
+    assert 3 * sum(x * x for x in q) - sum(q) ** 2 == 0
     assert is_triangle_quadruple(q) is False
+    with pytest.raises(ValueError):
+        quadratic_form(q)
     with pytest.raises(ValueError):
         validate_quadruple(q)
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from trigroup.core import is_triangle_quadruple
 from trigroup.eisenstein import (
     divisor_character_sum,
-    divisor_count,
     factorize,
     is_prime,
     quadruples_with_pair,
@@ -61,6 +60,14 @@ def prime_at_most(n, residue):
 
 def brute_divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def divisor_count(n):
+    """Number of divisors of n, from the factorization."""
+    result = 1
+    for e in factorize(n).values():
+        result *= e + 1
+    return result
 
 
 def test_solve_norm_form_examples():

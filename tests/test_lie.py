@@ -17,11 +17,36 @@ from trigroup.lie import (
     six_matrix_rank,
     six_spanning_matrices,
     translation_matrix,
-    translation_power,
 )
 from trigroup.linalg import bareiss_det, bareiss_rank, rational_det, rational_rank
 
 ZERO = tuple((0, 0, 0, 0) for _ in range(4))
+
+
+def translation_power(n):
+    """Exact n-th power of the translation element, by repeated multiplication."""
+    result = IDENTITY
+    for _ in range(n):
+        result = mat_mul(result, translation_matrix())
+    return result
+
+
+def gaussian_rank(rows):
+    """Rank of a rational matrix by plain Gaussian elimination over Fractions:
+    the oracle for the fraction-free routines."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                factor = m[i][col] / m[rank][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def test_translation_matrix_matches_display():
@@ -96,7 +121,21 @@ def test_rank_edge_cases():
 
 def test_bareiss_against_fraction_elimination():
     rows = [[entry for row in m for entry in row] for _, m in six_spanning_matrices()]
-    assert bareiss_rank(rows) == rational_rank(rows)
+    assert bareiss_rank(rows) == gaussian_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]],
+        [[0, 0, 0], [Fraction(2, 3), 0, Fraction(-1, 9)], [0, 0, 0]],
+        [[1, Fraction(1, 2), 0, 3], [2, 1, 0, 6], [Fraction(1, 7), 0, 1, 0]],
+    ],
+)
+def test_rational_rank_against_fraction_elimination(rows):
+    assert rational_rank(rows) == gaussian_rank(rows)
 
 
 @pytest.mark.parametrize(

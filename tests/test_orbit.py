@@ -23,7 +23,6 @@ from trigroup.orbit import (
     max_norm_profile,
     orbit_vectors,
     prime_factor_count,
-    recurrence_values,
     search_prime_factor_count,
     spectral_radius,
     spectral_radius_closed_form,
@@ -42,7 +41,7 @@ COXETER_SERIES = (1, 4, 12, 30, 72, 168, 390, 900, 2076, 4782, 11016, 25368)
 
 def test_recurrence_values():
     assert [growth_recurrence(n) for n in range(5)] == [1, 4, 12, 29, 70]
-    assert recurrence_values(6) == [1, 4, 12, 29, 70, 162, 377]
+    assert [growth_recurrence(n) for n in range(7)] == [1, 4, 12, 29, 70, 162, 377]
     with pytest.raises(ValueError):
         growth_recurrence(-1)
 
@@ -173,6 +172,17 @@ def test_extremal_words_attain_exhaustive_max():
         assert norm <= rn
         assert norm == rn  # the staircase words do attain the maximum
         assert attaining  # ties recorded
+
+
+@pytest.mark.parametrize("bound", [Fraction(0), Fraction(-1, 3), 0, -1, True, 0.5, 1e-13, "1/10", None])
+def test_spectral_radius_rejects_bad_bound(bound):
+    # a zero bound used to bisect forever
+    with pytest.raises(ValueError):
+        spectral_radius(bound)
+
+
+def test_spectral_radius_accepts_int_bound():
+    assert spectral_radius(1) == Fraction(17, 2)
 
 
 def test_coxeter_element_char_poly():

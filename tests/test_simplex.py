@@ -12,9 +12,8 @@ from trigroup.simplex import (
     gram_closed_form,
     gram_det,
     gram_residual,
+    as_entries,
     identity_residual,
-    is_valid_tuple,
-    nonintegral_reflection_example,
     reflect,
     standard_configuration,
     tuple_from_configuration,
@@ -24,6 +23,21 @@ from conftest import random_quadruples
 F = Fraction
 
 CENTROID_TUPLE = (1, F(3, 8), F(3, 8), F(3, 8), F(3, 8))
+
+
+def is_valid_tuple(values):
+    return identity_residual(values) == 0
+
+
+def nonintegral_reflection_example():
+    """An integer-valued valid tuple for n = 3 whose reflection is not integral.
+
+    The point at a vertex of a unit-side 3-simplex gives (1, 0, 1, 1, 1);
+    reflecting the zero entry yields 8/3: the n > 2 reflections leave the
+    integers.
+    """
+    entries = as_entries((1, 0, 1, 1, 1))
+    return entries, 1, reflect(entries, 1)
 
 
 def random_valid_tuple(rng, n):

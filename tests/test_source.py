@@ -12,3 +12,28 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def _isinstance_types(node):
+    """Names of the types an isinstance(x, T) call tests against."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return set()
+    spec = node.args[1]
+    elts = spec.elts if isinstance(spec, ast.Tuple) else [spec]
+    return {e.id for e in elts if isinstance(e, ast.Name)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_int_rule_lives_only_in_core(path):
+    # core._is_int / core._require_int are the one definition of an int
+    # input; no other module tests for int or bool itself or keeps a
+    # private _require_* copy
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tested = set().union(*(_isinstance_types(node) for node in ast.walk(tree)))
+    checks = {node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_require")}
+    if path.name == "core.py":
+        assert checks == {"_require_int"}
+    else:
+        assert tested.isdisjoint({"bool", "int"}), f"{path.name} tests isinstance against {tested}"
+        assert checks == set(), f"{path.name} defines {checks}"

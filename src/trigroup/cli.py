@@ -63,14 +63,8 @@ def _write_rows(lines) -> None:
         write(batch)
 
 
-def _quadruple(values) -> tuple[int, int, int, int]:
-    if len(values) != 4:
-        raise ValueError(f"expected 4 integers, got {len(values)}")
-    return tuple(values)
-
-
 def _cmd_check(args) -> int:
-    q = _quadruple(args.entries)
+    q = tuple(args.entries)
     _emit(
         {
             "quadruple": list(q),
@@ -82,7 +76,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    trace = reduction.reduce_to_root(_quadruple(args.entries))
+    trace = reduction.reduce_to_root(tuple(args.entries))
     _emit(
         {
             "start": list(trace.start),
@@ -123,6 +117,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    orbit.growth_recurrence(args.depth)  # its length cap fires before the BFS runs
     table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
     vec = orbit.orbit_vectors(
         tuple(args.root), args.depth, max_vectors=args.max_elements, keep_layers=False
@@ -166,6 +161,10 @@ def _stream_census(report, fmt: str) -> None:
         )
 
 
+def _emit_count(report, primitive: bool) -> None:
+    _emit({"bound": report.bound, "mode": report.mode, "primitive": primitive, "count": report.count})
+
+
 def _cmd_census_height(args) -> int:
     if args.sweep:
         for n, count, ratio in counting.height_sweep(
@@ -182,14 +181,7 @@ def _cmd_census_height(args) -> int:
     report = counting.count_by_height(
         args.bound, mode=args.mode, primitive=args.primitive, max_bound=args.max_bound
     )
-    _emit(
-        {
-            "bound": report.bound,
-            "mode": report.mode,
-            "primitive": args.primitive,
-            "count": report.count,
-        }
-    )
+    _emit_count(report, args.primitive)
     return 0
 
 
@@ -203,15 +195,8 @@ def _cmd_census_max(args) -> int:
     )
     if args.list:
         _stream_census(report, args.format)
-        return 0
-    _emit(
-        {
-            "bound": report.bound,
-            "mode": report.mode,
-            "primitive": args.primitive,
-            "count": report.count,
-        }
-    )
+    else:
+        _emit_count(report, args.primitive)
     return 0
 
 
@@ -334,8 +319,8 @@ def _cmd_verify(args) -> int:
         )
         return 0 if all_pass else 1
     # target == "a1": the comparison ledger itself is the product, so a
-    # recorded mismatch is reported, not treated as a failure.
-    lie.translation_matrix()
+    # recorded mismatch is reported, not treated as a failure;
+    # power_formula_report raises if the translation matrix has changed.
     mismatches = lie.power_formula_report(args.max_n)
     _emit(
         {
@@ -367,39 +352,22 @@ def _cmd_simplex(args) -> int:
         if not args.entries:
             raise ValueError("provide tuple entries or --config")
         entries = simplex.as_entries(args.entries)
+    payload = {"entries": [str(e) for e in entries]}
     if args.action == "verify":
         residual = simplex.identity_residual(entries)
-        _emit(
-            {
-                "entries": [str(e) for e in entries],
-                "residual": str(residual),
-                "valid": residual == 0,
-            }
-        )
-        return 0
-    if args.action == "reflect":
+        payload.update(residual=str(residual), valid=residual == 0)
+    elif args.action == "reflect":
         if args.index is None:
             raise ValueError("reflect requires --index")
         result = simplex.reflect(entries, args.index)
-        _emit(
-            {
-                "entries": [str(e) for e in entries],
-                "index": args.index,
-                "result": [str(e) for e in result],
-                "negative": any(e < 0 for e in result),
-            }
+        payload.update(
+            index=args.index, result=[str(e) for e in result], negative=any(e < 0 for e in result)
         )
-        return 0
-    det = simplex.gram_det(entries)
-    closed = simplex.gram_closed_form(entries)
-    _emit(
-        {
-            "entries": [str(e) for e in entries],
-            "determinant": str(det),
-            "closed_form": str(closed),
-            "match": det == closed,
-        }
-    )
+    else:
+        det = simplex.gram_det(entries)
+        closed = simplex.gram_closed_form(entries)
+        payload.update(determinant=str(det), closed_form=str(closed), match=det == closed)
+    _emit(payload)
     return 0
 
 

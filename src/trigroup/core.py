@@ -12,6 +12,9 @@ All arithmetic is exact arbitrary-precision integer arithmetic.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import reduce
+
 Quadruple = tuple[int, int, int, int]
 Vector4 = tuple[int, int, int, int]
 Mat4 = tuple[tuple[int, int, int, int], ...]
@@ -84,9 +87,29 @@ def _require_int(name: str, value, minimum: int | None = None, maximum: int | No
     return value
 
 
+def _rational(name: str, value) -> Fraction:
+    """The library's one rule for a rational input: a Fraction, an int
+    that is not a bool, or a str that Fraction parses ("3/8", "-2",
+    "0.25").  Anything else, floats and bools included, raises
+    ValueError."""
+    if isinstance(value, Fraction) or _is_int(value):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} must be a Fraction, an int or a fraction string, got {value!r}")
+
+
 def generator_matrix(i: int) -> Mat4:
     """Return the reflection matrix S_i for i in {1, 2, 3, 4}."""
     return _GENERATORS[_require_int("generator index", i, 1, 4)]
+
+
+def _word_matrix(word) -> Mat4:
+    """The product S_w1 S_w2 ... S_wk of the generator matrices along word."""
+    return reduce(mat_mul, map(generator_matrix, word), IDENTITY)
 
 
 def quadratic_form(x) -> int:

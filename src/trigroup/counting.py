@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from .core import Quadruple, ResourceLimitError, _require_int, validate_quadruple
 
@@ -159,27 +159,18 @@ def height_sweep(
     """Rows (n, count of height <= n, count / (n^2 ln^3 n)) for n = 1..max_n.
 
     A single enumeration at the top bound is bucketed by exact squared
-    height, so the sweep costs one census.
+    height h: a quadruple first counts at n = ceil(sqrt h), so the sweep
+    costs one census and holds one counter per n.
     """
     _check_args(max_n, mode, max_bound)
-    weights = sorted(
-        (_norm_sq(q), 1 if mode == "canonical" else ordered_multiplicity(q))
-        for q in _walk(max_n * max_n, _norm_sq, False)
-    )
-    rows = []
-    total = 0
-    idx = 0
-    for n in range(1, max_n + 1):
-        n_sq = n * n
-        while idx < len(weights) and weights[idx][0] <= n_sq:
-            total += weights[idx][1]
-            idx += 1
-        if n == 1:
-            ratio = 0.0
-        else:
-            ratio = total / (n_sq * math.log(n) ** 3)
-        rows.append((n, total, ratio))
-    return rows
+    buckets = [0] * (max_n + 1)
+    for q in _walk(max_n * max_n, _norm_sq, False):
+        weight = 1 if mode == "canonical" else ordered_multiplicity(q)
+        buckets[math.isqrt(_norm_sq(q) - 1) + 1] += weight
+    return [
+        (n, total, 0.0 if n == 1 else total / (n * n * math.log(n) ** 3))
+        for n, total in enumerate(accumulate(buckets[1:]), 1)
+    ]
 
 
 def _pair_count(y: int) -> int:

@@ -145,35 +145,21 @@ def _power(a: tuple[int, int], n: int) -> tuple[int, int]:
     return result
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the quadratic residue a modulo the odd prime p (Tonelli-Shanks)."""
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def _split_prime(p: int) -> tuple[int, int]:
     """(z, w) with N(z + w*omega) = p, for a prime p = 1 mod 3.
 
+    A cube root of unity u != 1 mod p is g^((p-1)/3) for the first
+    g = 2, 3, ... that does not give 1; it solves u^2 + u + 1 = 0, so
+    (2u + 1)^2 = -3 mod p.
     Cornacchia's algorithm (H. Cohen, A Course in Computational Algebraic
-    Number Theory, 1993, section 1.5): from r with r^2 = -3 mod p, run Euclid
-    on (p, r) until the remainder x is below sqrt(p); then
-    p = x^2 + 3y^2, and pi = (x + y) + 2y*omega has norm x^2 + 3y^2.
+    Number Theory, 1993, section 1.5): from r = 2u + 1, run Euclid on
+    (p, r) until the remainder x is below sqrt(p); then p = x^2 + 3y^2,
+    and pi = (x + y) + 2y*omega has norm x^2 + 3y^2.
     """
-    a, x = p, _sqrt_mod(p - 3, p)
+    g = 2
+    while (u := pow(g, (p - 1) // 3, p)) == 1:
+        g += 1
+    a, x = p, (2 * u + 1) % p
     while x * x > p:
         a, x = x, a % x
     y2, rest = divmod(p - x * x, 3)

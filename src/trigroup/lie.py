@@ -14,8 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FORM_MATRIX, Mat4, IDENTITY, _require_int, generator_matrix, mat_mul, mat_transpose
+from .core import (
+    FORM_MATRIX, IDENTITY, Mat4, ResourceLimitError, _require_int, _word_matrix, mat_mul, mat_transpose
+)
 from .linalg import bareiss_rank
+
+# power_formula_report multiplies max_n + 1 matrices with entries ~n^2.
+POWER_REPORT_CAP = 10_000
 
 # Expected value of S1 S2 S1 S3, recorded independently of the product code.
 TRANSLATION_DISPLAY: Mat4 = (
@@ -74,9 +79,7 @@ def translation_matrix() -> Mat4:
     A mismatch would mean the generator definitions and the recorded
     display have diverged, which is a fatal defect, so it raises.
     """
-    product = IDENTITY
-    for i in (1, 2, 1, 3):
-        product = mat_mul(product, generator_matrix(i))
+    product = _word_matrix((1, 2, 1, 3))
     if product != TRANSLATION_DISPLAY:
         raise AssertionError(f"translation element changed: {product}")
     return product
@@ -106,8 +109,10 @@ def power_formula_report(max_n: int) -> list[EntryMismatch]:
     Returns every disagreeing (n, entry) pair for 0 <= n <= max_n.  The
     recorded formula disagrees with the exact powers in exactly one
     entry for every n >= 1; the report states it, the caller decides.
+    Above POWER_REPORT_CAP it raises ResourceLimitError before any work.
     """
-    _require_int("max_n", max_n, 0)
+    if _require_int("max_n", max_n, 0) > POWER_REPORT_CAP:
+        raise ResourceLimitError(f"power range {max_n} exceeds cap {POWER_REPORT_CAP}")
     mismatches = []
     power = IDENTITY
     base = translation_matrix()
@@ -135,13 +140,7 @@ def formula_derivative_at_zero() -> Mat4:
 
 def _conjugate_by_word(word: tuple[int, ...], x: Mat4) -> Mat4:
     """w X w^-1 for a generator word w; generators are their own inverses."""
-    g = IDENTITY
-    for i in word:
-        g = mat_mul(g, generator_matrix(i))
-    g_inv = IDENTITY
-    for i in reversed(word):
-        g_inv = mat_mul(g_inv, generator_matrix(i))
-    return mat_mul(g, mat_mul(x, g_inv))
+    return mat_mul(_word_matrix(word), mat_mul(x, _word_matrix(reversed(word))))
 
 
 def _bracket(x: Mat4, y: Mat4) -> Mat4:

@@ -23,7 +23,6 @@ from itertools import accumulate
 from . import counting
 from .core import (
     GENERATOR_INDICES,
-    IDENTITY,
     Mat4,
     Quadruple,
     ResourceLimitError,
@@ -31,7 +30,7 @@ from .core import (
     _is_int,
     _reflect,
     _require_int,
-    generator_matrix,
+    _word_matrix,
     mat_mul,
     validate_quadruple,
 )
@@ -41,6 +40,10 @@ MAX_ELEMENTS_ENV = "TRIGROUP_MAX_ELEMENTS"
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
 RECURRENCE_SEEDS = (1, 4, 12)
+
+# Work cap on the word length n of growth_recurrence (n steps on numbers
+# of ~n digits) and extremal_word (a word of n letters to apply).
+LENGTH_CAP = 10_000
 
 # Its negative lies in the open fundamental chamber, so only the identity
 # fixes it and its orbit is a copy of the group.
@@ -115,9 +118,12 @@ def growth_recurrence(n: int) -> int:
 
     G_n = 2 G_{n-1} + 2 G_{n-2} - 3 G_{n-3}.  The BFS oracle disagrees
     with this at depth 3 (30 against 29); both values are reported by
-    the growth table machinery rather than reconciled here.
+    the growth table machinery rather than reconciled here.  Above
+    LENGTH_CAP it raises ResourceLimitError before any work.
     """
-    if _require_int("index", n, 0) < 3:
+    if _require_int("depth", n, 0) > LENGTH_CAP:
+        raise ResourceLimitError(f"recurrence depth {n} exceeds cap {LENGTH_CAP}")
+    if n < 3:
         return RECURRENCE_SEEDS[n]
     a, b, c = RECURRENCE_SEEDS
     for _ in range(n - 2):
@@ -189,9 +195,12 @@ def extremal_word(n: int) -> Word:
 
     For n = 4m + i the word is the length-i staircase prefix followed
     by m copies of the full descending cycle (4, 3, 2, 1); letters act
-    on vectors right to left.
+    on vectors right to left.  Above LENGTH_CAP it raises
+    ResourceLimitError.
     """
-    m, i = divmod(_require_int("length", n, 0), 4)
+    if _require_int("length", n, 0) > LENGTH_CAP:
+        raise ResourceLimitError(f"word length {n} exceeds cap {LENGTH_CAP}")
+    m, i = divmod(n, 4)
     prefix = {0: (), 1: (1,), 2: (2, 1), 3: (3, 2, 1)}[i]
     return prefix + (4, 3, 2, 1) * m
 
@@ -259,10 +268,7 @@ def max_norm_at_length(
 
 def coxeter_element() -> Mat4:
     """The product of all four generators in descending order."""
-    m = IDENTITY
-    for i in (4, 3, 2, 1):
-        m = mat_mul(m, generator_matrix(i))
-    return m
+    return _word_matrix((4, 3, 2, 1))
 
 
 def char_poly(m: Mat4) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _require_int
+from .core import _rational, _require_int
 from .linalg import rational_det, rational_rank
 
 Entries = tuple[Fraction, ...]
@@ -35,8 +35,9 @@ class NegativeEntryWarning(UserWarning):
 
 
 def as_entries(values) -> Entries:
-    """Coerce a sequence of numbers or fraction strings to exact rationals."""
-    entries = tuple(Fraction(v) for v in values)
+    """Coerce a sequence of Fractions, ints or fraction strings to exact
+    rationals; any other entry raises ValueError."""
+    entries = tuple(_rational("entry", v) for v in values)
     if len(entries) < 4:
         raise ValueError("a tuple needs at least 4 entries (dimension >= 2)")
     return entries
@@ -122,8 +123,8 @@ class PointConfiguration:
 
     @classmethod
     def from_values(cls, vertices, point) -> "PointConfiguration":
-        vs = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-        p = tuple(Fraction(x) for x in point)
+        vs = tuple(tuple(_rational("coordinate", x) for x in v) for v in vertices)
+        p = tuple(_rational("coordinate", x) for x in point)
         return cls(vertices=vs, point=p)
 
     @property
@@ -200,12 +201,12 @@ def standard_configuration(
     the affine hull.
     """
     _require_int("dimension", n, 2)
-    scale = Fraction(scale)
+    scale = _rational("scale", scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
     if weights is None:
         weights = [Fraction(1, n + 1)] * (n + 1)
-    weights = [Fraction(w) for w in weights]
+    weights = [_rational("weight", w) for w in weights]
     if len(weights) != n + 1:
         raise ValueError(f"need {n + 1} weights, got {len(weights)}")
     if sum(weights) != 1:
@@ -232,14 +233,24 @@ def configuration_to_json(cfg: PointConfiguration) -> dict:
     }
 
 
+def _pair_to_fraction(pair) -> Fraction:
+    num, den = pair
+    return _rational("numerator", num) / _rational("denominator", den)
+
+
 def configuration_from_json(data) -> PointConfiguration:
-    """Inverse of configuration_to_json; accepts a dict or a JSON string."""
+    """Inverse of configuration_to_json; accepts a dict or a JSON string.
+
+    A missing key, a pair that is not [numerator, denominator] or an
+    entry that is not a rational raises ValueError.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    vertices = [
-        [Fraction(num, den) for num, den in vertex] for vertex in data["vertices"]
-    ]
-    point = [Fraction(num, den) for num, den in data["point"]]
+    try:
+        vertices = [[_pair_to_fraction(x) for x in vertex] for vertex in data["vertices"]]
+        point = [_pair_to_fraction(x) for x in data["point"]]
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed point configuration: {exc!r}") from None
     return PointConfiguration.from_values(vertices, point)
 
 

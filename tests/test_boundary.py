@@ -1,15 +1,19 @@
-"""One rule for int inputs at every public entry point.
+"""One rule for int inputs and one for rational inputs at every public
+entry point.
 
 Each public function that takes an int (directly, or as an entry of a
-quadruple or a word) is listed below with a small valid call and the
-positions of its int arguments.  The property replaces one of them by a
-float, a bool, a str, None or an out-of-range int: the call must raise
-ValueError (or ResourceLimitError), never TypeError or IndexError, and it
-may return only where the value is legal (None for an optional cap) or
-the function is a total predicate.
+quadruple or a word) or a rational (an entry of a simplex tuple, a scale
+or a weight) is listed below with a small valid call and the positions
+of those arguments.  The property replaces one of them by a float, a
+bool, a str that is not a number of the right kind, None or an
+out-of-range int: the call must raise ValueError (or
+ResourceLimitError), never TypeError or IndexError, and it may return
+only where the value is legal (None for an optional cap) or the
+function is a total predicate.
 """
 
 import inspect
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,17 +29,20 @@ ANY = (None, None)
 NONNEG = (0, None)
 POSITIVE = (1, None)
 GENERATOR = (1, 4)
+RATIONAL = "rational"  # a Fraction, an int or a fraction string, of any sign
+W = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))
 
 
-def _entries(arg, valid_range):
-    """Slots for the four entries of the quadruple at argument position arg."""
-    return {(arg, j): valid_range for j in range(4)}
+def _entries(arg, valid_range, count=4):
+    """Slots for the entries of the quadruple (or other tuple) at argument
+    position arg."""
+    return {(arg, j): valid_range for j in range(count)}
 
 
-# name -> (valid positional args, {path: (min, max) of the legal ints}).  A
-# path (i,) is argument i; (i, j) is entry j of argument i.  Functions
-# without an int parameter have no slots; they are listed so that the
-# coverage test sees every public function considered.
+# name -> (valid positional args, {path: (min, max) of the legal ints, or
+# RATIONAL}).  A path (i,) is argument i; (i, j) is entry j of argument i.
+# Functions without an int or rational parameter have no slots; they are
+# listed so that the coverage test sees every public function considered.
 CALLS = {
     # core
     "apply_generator": ((Q, 1), {**_entries(0, NONNEG), (1,): GENERATOR}),
@@ -96,17 +103,20 @@ CALLS = {
     "preserves_form_infinitesimally": ((), {}),
     "matrix_span_rank": ((), {}),
     "six_matrix_rank": ((), {}),
-    # simplex: entries are rationals, so only the index and dimension are ints
-    "as_entries": ((), {}),
+    # simplex: tuple entries, scale and weights are rationals
+    "as_entries": ((T,), _entries(0, RATIONAL, 5)),
     "dimension": ((), {}),
-    "identity_residual": ((), {}),
-    "reflect": ((T, 1), {(1,): (1, 4)}),
-    "gram_matrix": ((), {}),
-    "gram_det": ((), {}),
-    "gram_closed_form": ((), {}),
+    "identity_residual": ((T,), _entries(0, RATIONAL, 5)),
+    "reflect": ((T, 1), {**_entries(0, RATIONAL, 5), (1,): (1, 4)}),
+    "gram_matrix": ((T,), _entries(0, RATIONAL, 5)),
+    "gram_det": ((T,), _entries(0, RATIONAL, 5)),
+    "gram_closed_form": ((T,), _entries(0, RATIONAL, 5)),
     "tuple_from_configuration": ((), {}),
     "gram_residual": ((), {}),
-    "standard_configuration": ((3,), {(0,): (2, None)}),
+    "standard_configuration": (
+        (3, Fraction(1, 2), W),
+        {(0,): (2, None), (1,): RATIONAL, **_entries(2, RATIONAL)},
+    ),
     "configuration_to_json": ((), {}),
     "configuration_from_json": ((), {}),
     "load_configuration": ((), {}),
@@ -136,6 +146,28 @@ def test_every_public_function_is_listed():
     assert set(CALLS) == set(FUNCTIONS)
 
 
+def test_public_names():
+    assert set(trigroup.__all__) == {
+        "FORM_MATRIX", "IDENTITY", "ResourceLimitError", "apply_generator", "form_signature",
+        "generator_matrix", "is_triangle_quadruple", "norm_form_substitution", "quadratic_form",
+        "validate_quadruple", "verify_coxeter_relations",
+        "CensusReport", "canonicalize", "count_by_height", "count_by_max", "divisor_square_sum",
+        "enumerate_all", "height_sweep",
+        "divisor_character_sum", "factorize", "quadruples_with_pair", "representation_count",
+        "solve_norm_form",
+        "GrowthTable", "VectorOrbit", "bfs_elements", "coxeter_char_poly", "coxeter_element",
+        "extremal_word", "growth_recurrence", "max_norm_at_length", "orbit_vectors",
+        "prime_factor_count", "spectral_radius", "spectral_radius_closed_form",
+        "stabilizer_counts", "word_norm",
+        "ReductionTrace", "gcd_content", "is_primitive", "is_root", "reduce_step",
+        "reduce_to_root", "same_orbit",
+        "NegativeEntryWarning", "PointConfiguration", "gram_closed_form", "gram_det",
+        "gram_residual", "identity_residual", "reflect", "standard_configuration",
+        "tuple_from_configuration",
+    }
+    assert len(trigroup.__all__) == 53
+
+
 @pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))
 def test_valid_calls_return(name):
     args, _ = CALLS[name]
@@ -157,9 +189,13 @@ def _replace(args, path, value):
 
 @st.composite
 def _bad_calls(draw):
-    name, path, (low, high) = draw(st.sampled_from(SLOTS))
+    name, path, bounds = draw(st.sampled_from(SLOTS))
     args, _ = CALLS[name]
     valid = args[path[0]] if len(path) == 1 else args[path[0]][path[1]]
+    if bounds == RATIONAL:
+        bad = draw(st.sampled_from([True, False, None, float(valid), float(valid) + 0.5, f"{valid}?"]))
+        return name, path, bad
+    low, high = bounds
     wrong_type = st.sampled_from([True, False, None, str(valid), float(valid), float(valid) + 0.5])
     out_of_range = []
     if low is not None:
@@ -210,11 +246,46 @@ def test_bad_int_raises_value_error(case):
         lambda: simplex.reflect(T, True),
         lambda: orbit.spectral_radius(Fraction(0)),
         lambda: trigroup.quadratic_form((1.5, 1, 1, 0)),
+        lambda: simplex.as_entries((None, 1, 1, 1)),
+        lambda: simplex.as_entries((True, 1, 1, 1)),
+        lambda: simplex.as_entries((0.5, 1, 1, 1)),
+        lambda: simplex.as_entries(("1/0", 1, 1, 1)),
+        lambda: simplex.standard_configuration(2, scale=True),
+        lambda: simplex.standard_configuration(2, scale=0.5),
+        lambda: simplex.standard_configuration(2, weights=(0.5, 0.25, 0.25)),
+        lambda: simplex.PointConfiguration.from_values([(1, 0), (0, 1)], (0.5, 0.5)),
+        lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[0.5, 1]]}),
+        lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]]}),
+        lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[1, 0]]}),
+        lambda: simplex.configuration_from_json({"vertices": [[1]], "point": []}),
+        lambda: simplex.configuration_from_json({"vertices": [[[1, 2, 3]]], "point": []}),
+        lambda: simplex.configuration_from_json("[1, 2]"),
     ],
 )
 def test_motivating_probes_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lie.power_formula_report(lie.POWER_REPORT_CAP + 1),
+        lambda: orbit.growth_recurrence(orbit.LENGTH_CAP + 1),
+        lambda: orbit.extremal_word(orbit.LENGTH_CAP + 1),
+        lambda: orbit.extremal_word(10**100),
+    ],
+)
+def test_work_caps_raise_before_any_work(call):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_work_caps_admit_their_bound():
+    assert len(orbit.extremal_word(orbit.LENGTH_CAP)) == orbit.LENGTH_CAP
+    assert orbit.growth_recurrence(orbit.LENGTH_CAP) > 0
 
 
 @pytest.mark.parametrize("env", ["-5", "0", "2.5", "many"])

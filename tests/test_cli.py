@@ -315,6 +315,40 @@ def test_simplex_gram_from_config(capsys, tmp_path):
     assert payload["match"] is True
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]], "point": [[0.5, 1], [0, 1]]},
+        {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]]},
+    ],
+    ids=["float-in-pair", "no-point"],
+)
+def test_simplex_bad_config_exits_2(capsys, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simplex", "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "a1", "--max-n", "10001"),
+        ("growth", "--depth", "10001"),
+        ("extremal", "10001"),
+    ],
+)
+def test_work_caps_exit_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    assert out == ""
+    assert "exceeds cap 10000" in err
+
+
 def test_simplex_missing_entries_exits_2(capsys):
     code, _, err = run_cli(capsys, "simplex", "verify")
     assert code == 2

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigroup.core import is_triangle_quadruple
 from trigroup.eisenstein import (
+    _split_prime,
     divisor_character_sum,
     factorize,
     is_prime,
@@ -245,6 +246,17 @@ def test_quadruples_with_pair_large():
 def test_non_int_input_rejected(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+def test_split_prime_has_norm_p():
+    # every prime p = 1 mod 3 below 10^5, and those in a window above 10^13
+    # (10^13 = 1 mod 3, so the odd numbers 10^13 + 3 + 6j are all 1 mod 3)
+    small = [p for p in range(7, 10**5, 6) if is_prime(p)]
+    large = [p for p in range(10**13 + 3, 10**13 + 3000, 6) if is_prime(p)]
+    assert len(small) > 4000 and len(large) > 20
+    for p in small + large:
+        z, w = _split_prime(p)
+        assert z * z - z * w + w * w == p
 
 
 def test_pair_extensions_against_direct_scan():

@@ -291,14 +291,10 @@ def _cmd_verify(args) -> int:
         return 0 if signature == (3, 1, 0) else 1
     if args.target == "lie":
         displays = lie.display_comparison()
-        spanning = lie.six_spanning_matrices()
         infinitesimal = [
-            (name, lie.preserves_form_infinitesimally(m)) for name, m in spanning
+            (name, lie.preserves_form_infinitesimally(m))
+            for name, m in (("D1", lie.derivative_matrix()), *lie.six_spanning_matrices())
         ]
-        infinitesimal.insert(
-            0,
-            ("D1", lie.preserves_form_infinitesimally(lie.derivative_matrix())),
-        )
         rank = lie.six_matrix_rank()
         all_pass = (
             all(ok for _, ok in displays)
@@ -382,11 +378,7 @@ def _cmd_alpha(args) -> int:
                 "max_count": args.max_count,
                 "count": len(found),
                 "quadruples": [
-                    {
-                        "quadruple": list(q),
-                        "prime_factors": orbit.prime_factor_count(q),
-                    }
-                    for q in found
+                    {"quadruple": list(q), "prime_factors": count} for q, count in found
                 ],
             }
         )
@@ -394,12 +386,11 @@ def _cmd_alpha(args) -> int:
     if len(args.entries) != 4:
         raise ValueError("expected 4 integers")
     q = tuple(args.entries)
-    count = orbit.prime_factor_count(q)
     _emit(
         {
             "quadruple": list(q),
             "product": q[0] * q[1] * q[2] * q[3],
-            "prime_factors": count,
+            "prime_factors": orbit.prime_factor_count(q),
         }
     )
     return 0

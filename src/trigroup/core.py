@@ -102,6 +102,14 @@ def _rational(name: str, value) -> Fraction:
     raise ValueError(f"{name} must be a Fraction, an int or a fraction string, got {value!r}")
 
 
+def _as_tuple(name: str, value) -> tuple:
+    """value as a tuple; ValueError if it is not iterable (an int, None, a float)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+
+
 def generator_matrix(i: int) -> Mat4:
     """Return the reflection matrix S_i for i in {1, 2, 3, 4}."""
     return _GENERATORS[_require_int("generator index", i, 1, 4)]
@@ -118,6 +126,7 @@ def quadratic_form(x) -> int:
     Q vanishes exactly on the solutions of the quadruple equation, and
     equals x A x^T for the form matrix A.
     """
+    x = _as_tuple("form vector", x)
     for v in x:
         _require_int("form entry", v)
     return _form(x)
@@ -132,23 +141,21 @@ def _form(x) -> int:
 def is_triangle_quadruple(q) -> bool:
     """True iff q is a nonnegative, not-all-zero integer 4-tuple with Q(q) = 0.
 
-    Total over arbitrary 4-tuples: an entry that is a bool or not an int
-    makes the answer False.  The all-zero tuple satisfies the equation
-    but is rejected: it is fixed by every generator and has no geometric
-    reading.
+    Total over arbitrary values: a value that is not iterable, or an
+    entry that is a bool or not an int, makes the answer False.  The
+    all-zero tuple satisfies the equation but is rejected: it is fixed
+    by every generator and has no geometric reading.
     """
-    if len(q) != 4:
+    try:
+        q = tuple(q)
+    except TypeError:
         return False
-    if not all(_is_int(x) and x >= 0 for x in q):
-        return False
-    if not any(q):
-        return False
-    return _form(q) == 0
+    return len(q) == 4 and all(_is_int(x) and x >= 0 for x in q) and any(q) and _form(q) == 0
 
 
 def validate_quadruple(q) -> Quadruple:
     """Return q as a tuple, raising ValueError if it is not a valid quadruple."""
-    t = tuple(q)
+    t = _as_tuple("quadruple", q)
     if not is_triangle_quadruple(t):
         raise ValueError(f"not a triangle quadruple: {t!r}")
     return t
@@ -186,16 +193,12 @@ def verify_coxeter_relations() -> list[tuple[str, bool]]:
     Returns one (name, holds) record per identity, in a fixed order.
     Every check is an exact integer matrix computation.
     """
-    checks: list[tuple[str, bool]] = []
-    for i in GENERATOR_INDICES:
-        si = _GENERATORS[i]
-        checks.append((f"S{i}^2", mat_mul(si, si) == IDENTITY))
-    for i in GENERATOR_INDICES:
-        for j in GENERATOR_INDICES:
-            if i == j:
-                continue
-            p = mat_mul(_GENERATORS[i], _GENERATORS[j])
-            checks.append((f"(S{i}S{j})^3", mat_mul(mat_mul(p, p), p) == IDENTITY))
+    checks = [(f"S{i}^2", mat_mul(si, si) == IDENTITY) for i, si in _GENERATORS.items()]
+    for i, si in _GENERATORS.items():
+        for j, sj in _GENERATORS.items():
+            if i != j:
+                p = mat_mul(si, sj)
+                checks.append((f"(S{i}S{j})^3", mat_mul(mat_mul(p, p), p) == IDENTITY))
     return checks
 
 

@@ -19,6 +19,7 @@ import math
 from .core import Quadruple, ResourceLimitError, _require_int
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_DIVISORS = _SMALL_PRIMES + tuple(range(41, 1_000, 2))
 
 # Miller-Rabin with these witnesses is deterministic below 3.3e24.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -105,16 +106,12 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
     _require_int("factorize argument", k, 1)
     _require_int("max_iterations", max_iterations, 1)
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _TRIAL_DIVISORS:
+        if p * p > k:
+            break
         while k % p == 0:
             factors[p] = factors.get(p, 0) + 1
             k //= p
-    p = 41
-    while p * p <= k and p < 1_000:
-        while k % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            k //= p
-        p += 2
     stack = [k] if k > 1 else []
     while stack:
         m = stack.pop()

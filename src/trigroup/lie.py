@@ -13,6 +13,7 @@ either source is surfaced rather than inherited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import (
     FORM_MATRIX, IDENTITY, Mat4, ResourceLimitError, _require_int, _word_matrix, mat_mul, mat_transpose
@@ -149,22 +150,23 @@ def _bracket(x: Mat4, y: Mat4) -> Mat4:
     return tuple(tuple(xy[i][j] - yx[i][j] for j in range(4)) for i in range(4))
 
 
-def six_spanning_matrices() -> list[tuple[str, Mat4]]:
-    """The two conjugates and four brackets, recomputed from the generators."""
+@cache
+def six_spanning_matrices() -> tuple[tuple[str, Mat4], ...]:
+    """The two conjugates and four brackets, computed once from the generators."""
     d1 = DERIVATIVE_MATRIX
     c1 = _conjugate_by_word((1,), d1)
     c2 = _conjugate_by_word((2,), d1)
     c4 = _conjugate_by_word((4,), d1)
     c14 = _conjugate_by_word((1, 4), d1)
     c24 = _conjugate_by_word((2, 4), d1)
-    return [
+    return (
         ("S1 D1 S1^-1", c1),
         ("S2 D1 S2^-1", c2),
         ("[S1 D1 S1^-1, S4 D1 S4^-1]", _bracket(c1, c4)),
         ("[S2 D1 S2^-1, S4 D1 S4^-1]", _bracket(c2, c4)),
         ("[S1S4 D1 (S1S4)^-1, S4 D1 S4^-1]", _bracket(c14, c4)),
         ("[S2S4 D1 (S2S4)^-1, S4 D1 S4^-1]", _bracket(c24, c4)),
-    ]
+    )
 
 
 def display_comparison() -> list[tuple[str, bool]]:

@@ -6,10 +6,14 @@ nondegenerate and sends (1, 1, 1, 1) to its negative.  So -(1, 1, 1, 1)
 lies in an open chamber, and by Tits' theorem w -> w(1, 1, 1, 1) is
 injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.  One loop, _bfs,
-serves element growth, stabilizer growth and quadruple orbits; a BFS
-over exact 4x4 matrices in the tests is its oracle.  Layer sizes are
-computed independently of the closed recurrence, which is kept as a
-separate code path so the two can be reported side by side.
+serves element growth, stabilizer growth, quadruple orbits and the
+max-norm profile; a BFS over exact 4x4 matrices in the tests is its
+oracle.  The profile needs no search for parents, by the descent rule:
+for k = w(1, 1, 1, 1), the generator s_i shortens w exactly when
+3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
+(Humphreys, Reflection Groups and Coxeter Groups, 1990, 5.4 and 5.6).
+Layer sizes are computed independently of the closed recurrence, which
+is kept as a separate code path so the two can be reported side by side.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .core import (
     Quadruple,
     ResourceLimitError,
     Vector4,
+    _as_tuple,
     _is_int,
     _reflect,
     _require_int,
@@ -208,6 +213,7 @@ def extremal_word(n: int) -> Word:
 def word_norm(word: Word, root: Quadruple) -> int:
     """Maximum entry of the word applied to a quadruple, letters right to left."""
     v = validate_quadruple(root)
+    word = _as_tuple("word", word)
     for letter in word:
         _require_int("generator index", letter, 1, 4)
     for letter in reversed(word):
@@ -223,38 +229,31 @@ def max_norm_profile(
     """Exhaustive per-length maxima of the sup norm over the whole group.
 
     Entry n is (max over all length-n elements w of max(w r), list of
-    the words attaining it).  Each element, keyed by its image of
-    (1, 1, 1, 1), carries its lexicographically smallest reduced word and
-    its image of the root; a layer is grown by left multiplication, so
-    both images take one reflection.  Ties are recorded
-    deterministically.
+    the words attaining it).  The elements are the _bfs layers of
+    (1, 1, 1, 1), each keyed by its image k.  By the descent rule, the
+    smallest i with 3 k_i > sum(k) is the first letter of the element's
+    lexicographically smallest reduced word, and reflecting k at i gives
+    its parent one layer down; so word and image of the root each take
+    one step from the parent's.  Ties are recorded deterministically.
     """
     root = validate_quadruple(root)
-    _require_int("depth", max_n, 0)
-    cap = element_cap(max_elements)
     prev: dict[Vector4, tuple[Word, Vector4]] = {}
-    cur: dict[Vector4, tuple[Word, Vector4]] = {_CHAMBER_VECTOR: ((), root)}
-    total = 1
     profile: list[tuple[int, list[Word]]] = []
-    while True:
+    for layer in _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_n, element_cap(max_elements)):
+        cur = {}
+        for key in layer:
+            total = sum(key)
+            for i, x in zip(GENERATOR_INDICES, key):
+                if 3 * x > total:
+                    word, image = prev[_reflect(key, i)]
+                    cur[key] = ((i,) + word, _reflect(image, i))
+                    break
+            else:  # no descent: the identity
+                cur[key] = ((), root)
         best = max(max(image) for _, image in cur.values())
         profile.append((best, sorted(word for word, image in cur.values() if max(image) == best)))
-        if len(profile) > max_n:
-            return profile
-        nxt: dict[Vector4, tuple[Word, Vector4]] = {}
-        for key, (word, image) in cur.items():
-            for letter in GENERATOR_INDICES:
-                candidate = _reflect(key, letter)
-                if candidate in prev or candidate in cur:
-                    continue
-                cand_word = (letter,) + word
-                seen = nxt.get(candidate)
-                if seen is None or cand_word < seen[0]:
-                    nxt[candidate] = (cand_word, _reflect(image, letter))
-        total += len(nxt)
-        if total > cap:
-            raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
-        prev, cur = cur, nxt
+        prev = cur
+    return profile
 
 
 def max_norm_at_length(
@@ -356,15 +355,12 @@ def search_prime_factor_count(
     height_bound: int,
     max_count: int,
     max_bound: int | None = None,
-) -> list[Quadruple]:
-    """Canonical primitive quadruples of bounded height whose entry product
-    has at most max_count prime factors (zero-entry quadruples excluded)."""
+) -> list[tuple[Quadruple, int]]:
+    """(quadruple, prime factor count) for the canonical primitive
+    quadruples of bounded height whose entry product has at most
+    max_count prime factors (zero-entry quadruples excluded)."""
     _require_int("max_count", max_count, 0)
     kwargs = {} if max_bound is None else {"max_bound": max_bound}
     report = counting.enumerate_all(height_bound, mode="canonical", primitive=True, **kwargs)
-    found = []
-    for q in report.quadruples:
-        count = prime_factor_count(q)
-        if count is not None and count <= max_count:
-            found.append(q)
-    return found
+    counted = ((q, prime_factor_count(q)) for q in report.quadruples)
+    return [(q, count) for q, count in counted if count is not None and count <= max_count]

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _rational, _require_int
+from .core import _as_tuple, _rational, _require_int
 from .linalg import rational_det, rational_rank
 
 Entries = tuple[Fraction, ...]
@@ -37,7 +37,7 @@ class NegativeEntryWarning(UserWarning):
 def as_entries(values) -> Entries:
     """Coerce a sequence of Fractions, ints or fraction strings to exact
     rationals; any other entry raises ValueError."""
-    entries = tuple(_rational("entry", v) for v in values)
+    entries = tuple(_rational("entry", v) for v in _as_tuple("entries", values))
     if len(entries) < 4:
         raise ValueError("a tuple needs at least 4 entries (dimension >= 2)")
     return entries
@@ -110,7 +110,8 @@ def gram_closed_form(values) -> Fraction:
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """n+1 vertex vectors and a point, exact rational coordinates.
+    """n+1 vertex vectors and a point, exact rational coordinates; the
+    constructor applies the rational rule to every coordinate.
 
     The ambient dimension may exceed the simplex dimension n (it must,
     for a rational regular simplex in most n); validity then requires
@@ -121,11 +122,14 @@ class PointConfiguration:
     vertices: tuple[tuple[Fraction, ...], ...]
     point: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        vertices = tuple(map(_coordinates, _as_tuple("vertices", self.vertices)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "point", _coordinates(self.point))
+
     @classmethod
     def from_values(cls, vertices, point) -> "PointConfiguration":
-        vs = tuple(tuple(_rational("coordinate", x) for x in v) for v in vertices)
-        p = tuple(_rational("coordinate", x) for x in point)
-        return cls(vertices=vs, point=p)
+        return cls(vertices=vertices, point=point)
 
     @property
     def n(self) -> int:
@@ -161,6 +165,10 @@ class PointConfiguration:
             raise ValueError("vertices are affinely dependent")
         if rational_rank(edges + [_sub(self.point, base)]) != self.n:
             raise ValueError("point does not lie in the affine hull of the vertices")
+
+
+def _coordinates(values) -> tuple[Fraction, ...]:
+    return tuple(_rational("coordinate", x) for x in _as_tuple("coordinates", values))
 
 
 def _sub(u, v):
@@ -206,7 +214,7 @@ def standard_configuration(
         raise ValueError("scale must be positive")
     if weights is None:
         weights = [Fraction(1, n + 1)] * (n + 1)
-    weights = [_rational("weight", w) for w in weights]
+    weights = [_rational("weight", w) for w in _as_tuple("weights", weights)]
     if len(weights) != n + 1:
         raise ValueError(f"need {n + 1} weights, got {len(weights)}")
     if sum(weights) != 1:

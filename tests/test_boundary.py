@@ -2,14 +2,15 @@
 entry point.
 
 Each public function that takes an int (directly, or as an entry of a
-quadruple or a word) or a rational (an entry of a simplex tuple, a scale
-or a weight) is listed below with a small valid call and the positions
-of those arguments.  The property replaces one of them by a float, a
-bool, a str that is not a number of the right kind, None or an
-out-of-range int: the call must raise ValueError (or
-ResourceLimitError), never TypeError or IndexError, and it may return
-only where the value is legal (None for an optional cap) or the
-function is a total predicate.
+quadruple or a word) or a rational (an entry of a simplex tuple, a
+coordinate, a scale or a weight) is listed below with a small valid call
+and the positions of those arguments.  The property replaces one of them
+by a float, a bool, a str that is not a number of the right kind, None
+or an out-of-range int, or replaces a whole container of them (a
+quadruple, a word, a tuple) by an int, None or a float: the call must
+raise ValueError (or ResourceLimitError), never TypeError or IndexError,
+and it may return only where the value is legal (None for an optional
+cap) or the function is a total predicate.
 """
 
 import inspect
@@ -31,6 +32,9 @@ POSITIVE = (1, None)
 GENERATOR = (1, 4)
 RATIONAL = "rational"  # a Fraction, an int or a fraction string, of any sign
 W = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))
+# a regular triangle with vertices (3/2) e_i in R^3, and its centroid
+V3 = tuple(tuple(Fraction(3, 2) if j == i else 0 for j in range(3)) for i in range(3))
+P3 = (Fraction(1, 2),) * 3
 
 
 def _entries(arg, valid_range, count=4):
@@ -40,7 +44,9 @@ def _entries(arg, valid_range, count=4):
 
 
 # name -> (valid positional args, {path: (min, max) of the legal ints, or
-# RATIONAL}).  A path (i,) is argument i; (i, j) is entry j of argument i.
+# RATIONAL}).  A path (i,) is argument i; (i, j) is entry j of argument i,
+# (i, j, k) entry k of that entry.  Every proper prefix of a longer path
+# is a container slot, added to SLOTS below.
 # Functions without an int or rational parameter have no slots; they are
 # listed so that the coverage test sees every public function considered.
 CALLS = {
@@ -117,6 +123,10 @@ CALLS = {
         (3, Fraction(1, 2), W),
         {(0,): (2, None), (1,): RATIONAL, **_entries(2, RATIONAL)},
     ),
+    "PointConfiguration": (
+        (V3, P3),
+        {**{(0, i, j): RATIONAL for i in range(3) for j in range(3)}, **_entries(1, RATIONAL, 3)},
+    ),
     "configuration_to_json": ((), {}),
     "configuration_from_json": ((), {}),
     "load_configuration": ((), {}),
@@ -133,13 +143,23 @@ def _public_functions():
             found[name] = value
     for module in (eisenstein, lie, simplex):
         for name, value in vars(module).items():
-            if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_"):
+            if (
+                inspect.isfunction(inspect.unwrap(value))
+                and value.__module__ == module.__name__
+                and not name.startswith("_")
+            ):
                 found[name] = value
+    # the one public class built from caller input rather than returned
+    found["PointConfiguration"] = simplex.PointConfiguration
     return found
 
 
 FUNCTIONS = _public_functions()
-SLOTS = sorted((name, path, bounds) for name, (_, slots) in CALLS.items() for path, bounds in slots.items())
+CONTAINER = "container"  # a tuple of int or rational slots, as a whole
+SLOTS = sorted(
+    {(name, path, bounds) for name, (_, slots) in CALLS.items() for path, bounds in slots.items()}
+    | {(name, path[:k], CONTAINER) for name, (_, slots) in CALLS.items() for path in slots for k in range(1, len(path))}
+)
 
 
 def test_every_public_function_is_listed():
@@ -177,21 +197,21 @@ def test_valid_calls_return(name):
 
 
 def _replace(args, path, value):
+    if not path:
+        return value
     args = list(args)
-    if len(path) == 1:
-        args[path[0]] = value
-    else:
-        inner = list(args[path[0]])
-        inner[path[1]] = value
-        args[path[0]] = tuple(inner)
+    args[path[0]] = _replace(args[path[0]], path[1:], value)
     return tuple(args)
 
 
 @st.composite
 def _bad_calls(draw):
     name, path, bounds = draw(st.sampled_from(SLOTS))
-    args, _ = CALLS[name]
-    valid = args[path[0]] if len(path) == 1 else args[path[0]][path[1]]
+    if bounds == CONTAINER:
+        return name, path, draw(st.sampled_from([0, 5, None, 1.5]))
+    valid = CALLS[name][0]
+    for index in path:
+        valid = valid[index]
     if bounds == RATIONAL:
         bad = draw(st.sampled_from([True, False, None, float(valid), float(valid) + 0.5, f"{valid}?"]))
         return name, path, bad
@@ -254,6 +274,14 @@ def test_bad_int_raises_value_error(case):
         lambda: simplex.standard_configuration(2, scale=0.5),
         lambda: simplex.standard_configuration(2, weights=(0.5, 0.25, 0.25)),
         lambda: simplex.PointConfiguration.from_values([(1, 0), (0, 1)], (0.5, 0.5)),
+        lambda: simplex.PointConfiguration(vertices=((1.5, 0, 0), (0, 1.5, 0), (0, 0, 1.5)), point=(0.5, 0.5, 0.5)),
+        lambda: simplex.PointConfiguration(vertices=V3, point=None),
+        lambda: trigroup.validate_quadruple(5),
+        lambda: simplex.as_entries(5),
+        lambda: simplex.identity_residual(None),
+        lambda: orbit.word_norm(None, Q),
+        lambda: trigroup.quadratic_form(None),
+        lambda: simplex.standard_configuration(2, weights=5),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[0.5, 1]]}),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]]}),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[1, 0]]}),

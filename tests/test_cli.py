@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trigroup import cli, eisenstein
+from trigroup import cli, eisenstein, orbit
 from trigroup.cli import _BATCH, _json_safe, main
 from trigroup.counting import count_by_max, enumerate_all
 from trigroup.eisenstein import factorize
@@ -494,6 +494,24 @@ def test_normform_factorizes_once(capsys, monkeypatch):
     assert calls == [91]
     assert after == before
     assert json.loads(after)["character_sum"] == 4
+
+
+def test_alpha_search_factorizes_each_row_once(capsys, monkeypatch):
+    argv = ("alpha", "--search", "--height", "40", "--max-count", "7")
+    code, before, _ = run_cli(capsys, *argv)
+    calls = []
+
+    def counted(k, *args, **kwargs):
+        calls.append(k)
+        return factorize(k, *args, **kwargs)
+
+    monkeypatch.setattr(orbit, "factorize", counted)
+    code, after, _ = run_cli(capsys, *argv)
+    rows = [q for q in enumerate_all(40, mode="canonical", primitive=True).quadruples if all(q)]
+    assert code == 0
+    assert after == before
+    assert sorted(calls) == sorted(a * b * c * d for a, b, c, d in rows)
+    assert len(calls) == len(rows) > json.loads(after)["count"] > 0
 
 
 def test_divisor_sum_over_cap_exits_3(capsys):

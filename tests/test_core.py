@@ -212,3 +212,12 @@ def test_validate_quadruple_passthrough():
     assert validate_quadruple([0, 1, 1, 1]) == (0, 1, 1, 1)
     with pytest.raises(ValueError):
         validate_quadruple((1, 2, 3))
+
+
+@pytest.mark.parametrize("value", [None, 5, 1.5, True])
+def test_non_iterables_are_not_quadruples(value):
+    assert is_triangle_quadruple(value) is False
+    with pytest.raises(ValueError):
+        validate_quadruple(value)
+    with pytest.raises(ValueError):
+        quadratic_form(value)

@@ -6,6 +6,7 @@ import pytest
 from trigroup.core import (
     FORM_MATRIX,
     ResourceLimitError,
+    generator_matrix,
     is_triangle_quadruple,
     mat_mul,
     mat_transpose,
@@ -232,9 +233,9 @@ def test_prime_factor_count(q, expected):
 
 def test_search_prime_factor_count():
     found = search_prime_factor_count(10, 1)
-    assert found == [(3, 1, 1, 1)]
+    assert found == [((3, 1, 1, 1), 1)]
     # oracle: recount from the census by trial division
-    for q in search_prime_factor_count(25, 4):
+    for q, reported in search_prime_factor_count(25, 4):
         product = q[0] * q[1] * q[2] * q[3]
         assert product > 0
         count = 0
@@ -246,7 +247,7 @@ def test_search_prime_factor_count():
             p += 1
         if n > 1:
             count += 1
-        assert count <= 4
+        assert count == reported <= 4
 
 
 def test_element_bfs_is_the_orbit_of_the_chamber_vector():
@@ -273,9 +274,23 @@ def test_bfs_layer_sizes_against_coxeter_series():
     assert table.cumulative_sizes[-1] == sum(COXETER_SERIES)
 
 
-@pytest.mark.parametrize("root", [(0, 1, 1, 1), (0, 7, 7, 7), (3, 0, 3, 3)])
+@pytest.mark.parametrize("root", [(0, 1, 1, 1), (0, 7, 7, 7), (3, 0, 3, 3), (7, 4, 3, 1)])
 def test_max_norm_profile_against_matrix_oracle(root):
     assert max_norm_profile(8, root) == matrix_bfs.max_norm_profile(8, root)
+
+
+def test_descent_rule_against_matrix_oracle():
+    # S_i M is one layer shorter than M exactly when reflecting
+    # k = M (1,1,1,1) at i lowers its entry sum, i.e. 3 k_i > sum(k);
+    # only the identity has no such i
+    layers = element_layers(all_generators(), 7)
+    for n, layer in enumerate(layers):
+        shorter = set(layers[n - 1]) if n else set()
+        for m in layer:
+            k = mat_vec(m, (1, 1, 1, 1))
+            descents = {i for i in (1, 2, 3, 4) if 3 * k[i - 1] > sum(k)}
+            assert descents == {i for i in (1, 2, 3, 4) if mat_mul(generator_matrix(i), m) in shorter}
+            assert bool(descents) == (n > 0)
 
 
 def test_max_norm_profile_cap_counts_elements_through_length_n():

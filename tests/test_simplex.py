@@ -165,6 +165,20 @@ def test_configuration_rejects_degenerate_vertices():
         tuple_from_configuration(cfg)
 
 
+def test_constructor_applies_the_rational_rule():
+    # vertices (3/2) e_i in R^3 and the centroid; floats are rejected
+    # (tests/test_boundary.py), fraction strings become Fractions
+    strings = PointConfiguration(
+        vertices=(("3/2", 0, 0), (0, "3/2", 0), (0, 0, "3/2")), point=("1/2",) * 3
+    )
+    exact = PointConfiguration.from_values(
+        [(F(3, 2), 0, 0), (0, F(3, 2), 0), (0, 0, F(3, 2))], [F(1, 2)] * 3
+    )
+    assert strings == exact
+    assert all(type(x) is F for v in exact.vertices + (exact.point,) for x in v)
+    assert tuple_from_configuration(exact) == (F(9, 2), F(3, 2), F(3, 2), F(3, 2))
+
+
 def test_gram_residual_zero_for_configurations():
     rng = random.Random(16)
     for n in (2, 3, 4):

@@ -37,3 +37,20 @@ def test_int_rule_lives_only_in_core(path):
     else:
         assert tested.isdisjoint({"bool", "int"}), f"{path.name} tests isinstance against {tested}"
         assert checks == set(), f"{path.name} defines {checks}"
+
+
+def _calls_to(tree, name):
+    """Calls of name(...) or of module.name(...)."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_element_caps_feed_the_one_bfs_loop(path):
+    # _bfs is the one loop that counts elements against a cap: every
+    # element_cap(...) call is an argument of a _bfs(...) call, so no
+    # function keeps a cap for a loop of its own
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    fed = {id(arg) for call in _calls_to(tree, "_bfs") for arg in call.args + [k.value for k in call.keywords]}
+    lines = [call.lineno for call in _calls_to(tree, "element_cap") if id(call) not in fed]
+    assert lines == [], f"{path.name}: element_cap(...) outside _bfs(...) at lines {lines}"

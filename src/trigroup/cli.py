@@ -1,20 +1,23 @@
 """Command-line interface: every library operation as a subcommand.
 
-Single JSON documents go to stdout; list outputs are JSON lines (or
-CSV), written in batches after the first line.  Integers whose magnitude
-exceeds 53 bits are serialized as strings to survive double-precision
-JSON consumers.  Exit codes: 0 success, 2 invalid input, 3 resource cap
-exceeded.
+Each handler returns its output, a dict or preformatted lines, and
+main passes it to _emit, the one stdout writer.  A dict is one JSON
+document; list outputs are JSON lines (or CSV), written in batches after
+the first line.  Integers whose magnitude exceeds 53 bits are serialized
+as strings to survive double-precision JSON consumers.  Exit codes: 0
+success, 1 a verify ledger with a failing identity, 2 invalid input, 3
+resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
@@ -42,19 +45,20 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(payload) -> None:
-    print(json.dumps(_json_safe(payload), sort_keys=True))
+def _line(doc: dict) -> str:
+    return json.dumps(_json_safe(doc), sort_keys=True) + "\n"
 
 
 def _json_int(x: int) -> str:
-    """An integer as _emit writes it: a string beyond 53 bits."""
+    """An integer as _line writes it: a string beyond 53 bits."""
     return f'"{x}"' if x > _BIG or x < -_BIG else str(x)
 
 
-def _write_rows(lines) -> None:
-    """Write list rows, preformatted as _emit would write each, to stdout:
-    the first alone so that it leaves at once, the rest _BATCH at a time."""
-    lines = iter(lines)
+def _emit(out) -> None:
+    """The CLI's one stdout writer.  A dict is one sorted-key JSON line;
+    any other output is preformatted lines, the first written alone so
+    that it leaves at once and the rest _BATCH at a time."""
+    lines = iter([_line(out)] if isinstance(out, dict) else out)
     write = sys.stdout.write
     for line in lines:
         write(line)
@@ -63,60 +67,43 @@ def _write_rows(lines) -> None:
         write(batch)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     q = tuple(args.entries)
-    _emit(
-        {
-            "quadruple": list(q),
-            "valid": is_triangle_quadruple(q),
-            "form_value": quadratic_form(q),
-        }
-    )
-    return 0
+    return {
+        "quadruple": list(q), "valid": is_triangle_quadruple(q), "form_value": quadratic_form(q)
+    }
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     trace = reduction.reduce_to_root(tuple(args.entries))
-    _emit(
-        {
-            "start": list(trace.start),
-            "steps": [
-                {"generator": i, "result": list(q)} for i, q in trace.steps
-            ],
-            "root": list(trace.root),
-            "gcd": reduction.gcd_content(trace.start),
-            "primitive": reduction.is_primitive(trace.start),
-        }
-    )
-    return 0
+    return {
+        "start": list(trace.start),
+        "steps": [{"generator": i, "result": list(q)} for i, q in trace.steps],
+        "root": list(trace.root),
+        "gcd": reduction.gcd_content(trace.start),
+        "primitive": reduction.is_primitive(trace.start),
+    }
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     result = orbit.orbit_vectors(
-        tuple(args.root),
-        args.depth,
-        max_vectors=args.max_elements,
-        max_sum=args.max_sum,
+        tuple(args.root), args.depth, max_vectors=args.max_elements, max_sum=args.max_sum
     )
     if args.list:
-        _write_rows(
+        return (
             f'{{"depth": {depth}, "vector": [{", ".join(map(_json_int, v))}]}}\n'
             for depth, layer in enumerate(result.layers)
             for v in layer
         )
-    else:
-        _emit(
-            {
-                "root": list(result.root),
-                "depth": args.depth,
-                "cumulative_sizes": list(result.cumulative_sizes),
-                "total": result.cumulative_sizes[-1],
-            }
-        )
-    return 0
+    return {
+        "root": list(result.root),
+        "depth": args.depth,
+        "cumulative_sizes": list(result.cumulative_sizes),
+        "total": result.cumulative_sizes[-1],
+    }
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args):
     orbit.growth_recurrence(args.depth)  # its length cap fires before the BFS runs
     table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
     vec = orbit.orbit_vectors(
@@ -132,8 +119,7 @@ def _cmd_growth(args) -> int:
         }
         for n in range(args.depth + 1)
     ]
-    _emit({"root": list(args.root), "rows": rows})
-    return 0
+    return {"root": list(args.root), "rows": rows}
 
 
 def _census_args(parser: argparse.ArgumentParser) -> None:
@@ -150,75 +136,45 @@ def _census_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _stream_census(report, fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write("a,b,c,d\n")
-        _write_rows(f"{a},{b},{c},{d}\n" for a, b, c, d in report.quadruples)
-    else:
-        _write_rows(
-            f'{{"quadruple": [{", ".join(map(_json_int, q))}]}}\n'
-            for q in report.quadruples
+def _census(report, args):
+    """A census report as the count document or, under --list, its rows."""
+    if not args.list:
+        return dict(
+            bound=report.bound, mode=report.mode, primitive=args.primitive, count=report.count
         )
+    if args.format == "csv":
+        return chain(["a,b,c,d\n"], (f"{a},{b},{c},{d}\n" for a, b, c, d in report.quadruples))
+    return (f'{{"quadruple": [{", ".join(map(_json_int, q))}]}}\n' for q in report.quadruples)
 
 
-def _emit_count(report, primitive: bool) -> None:
-    _emit({"bound": report.bound, "mode": report.mode, "primitive": primitive, "count": report.count})
-
-
-def _cmd_census_height(args) -> int:
+def _cmd_census_height(args):
     if args.sweep:
-        for n, count, ratio in counting.height_sweep(
-            args.bound, mode=args.mode, max_bound=args.max_bound
-        ):
-            _emit({"bound": n, "count": count, "ratio": ratio})
-        return 0
-    if args.list:
-        report = counting.enumerate_all(
-            args.bound, mode=args.mode, primitive=args.primitive, max_bound=args.max_bound
-        )
-        _stream_census(report, args.format)
-        return 0
-    report = counting.count_by_height(
-        args.bound, mode=args.mode, primitive=args.primitive, max_bound=args.max_bound
-    )
-    _emit_count(report, args.primitive)
-    return 0
+        if args.primitive or args.list or args.format != "jsonl":
+            raise ValueError("--sweep takes no --primitive, --list or --format csv")
+        rows = counting.height_sweep(args.bound, mode=args.mode, max_bound=args.max_bound)
+        return (_line({"bound": n, "count": count, "ratio": ratio}) for n, count, ratio in rows)
+    census = counting.enumerate_all if args.list else counting.count_by_height
+    return _census(census(args.bound, args.mode, args.primitive, args.max_bound), args)
 
 
-def _cmd_census_max(args) -> int:
+def _cmd_census_max(args):
     report = counting.count_by_max(
-        args.bound,
-        mode=args.mode,
-        primitive=args.primitive,
-        max_bound=args.max_bound,
-        include_list=args.list,
+        args.bound, args.mode, args.primitive, args.max_bound, include_list=args.list
     )
-    if args.list:
-        _stream_census(report, args.format)
-    else:
-        _emit_count(report, args.primitive)
-    return 0
+    return _census(report, args)
 
 
-def _cmd_divisor_sum(args) -> int:
+def _cmd_divisor_sum(args):
     total, ratio = counting.divisor_square_sum(args.bound)
-    _emit({"bound": args.bound, "sum": total, "ratio": ratio})
-    return 0
+    return {"bound": args.bound, "sum": total, "ratio": ratio}
 
 
-def _cmd_pair(args) -> int:
-    extensions = eisenstein.quadruples_with_pair(args.p, args.q)
-    _emit(
-        {
-            "pair": [args.p, args.q],
-            "count": len(extensions),
-            "extensions": [list(q) for q in extensions],
-        }
-    )
-    return 0
+def _cmd_pair(args):
+    extensions = [list(q) for q in eisenstein.quadruples_with_pair(args.p, args.q)]
+    return {"pair": [args.p, args.q], "count": len(extensions), "extensions": extensions}
 
 
-def _cmd_normform(args) -> int:
+def _cmd_normform(args):
     payload = {"k": args.k}
     if args.k < 1:  # solve_norm_form answers k = 0 and rejects k < 0
         solutions = eisenstein.solve_norm_form(args.k)
@@ -227,42 +183,32 @@ def _cmd_normform(args) -> int:
         solutions = eisenstein._norm_form_solutions(factors)
         payload["character_sum"] = eisenstein._character_sum(factors)
     payload.update(count=len(solutions), solutions=[list(s) for s in solutions])
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_stabilizer(args) -> int:
+def _cmd_stabilizer(args):
     layers = orbit.stabilizer_counts(args.depth, max_elements=args.max_elements)
     expected = [1] + [3 * n for n in range(1, args.depth + 1)]
-    cumulative = []
-    for n in range(args.depth // 2 + 1):
-        cumulative.append(
-            {
-                "n": n,
-                "count": sum(layers[: 2 * n + 1]),
-                "closed_form": orbit.stabilizer_cumulative_closed_form(n),
-            }
-        )
-    _emit(
+    cumulative = [
         {
-            "layer_sizes": layers,
-            "expected_layers": expected,
-            "layers_match": layers == expected,
-            "cumulative_through_even_lengths": cumulative,
+            "n": n,
+            "count": sum(layers[: 2 * n + 1]),
+            "closed_form": orbit.stabilizer_cumulative_closed_form(n),
         }
-    )
-    return 0
+        for n in range(args.depth // 2 + 1)
+    ]
+    return {
+        "layer_sizes": layers,
+        "expected_layers": expected,
+        "layers_match": layers == expected,
+        "cumulative_through_even_lengths": cumulative,
+    }
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args):
     word = orbit.extremal_word(args.length)
     norm = orbit.word_norm(word, tuple(args.root))
-    payload = {
-        "length": args.length,
-        "word": list(word),
-        "norm": norm,
-        "root": list(args.root),
-    }
+    payload = {"length": args.length, "word": list(word), "norm": norm, "root": list(args.root)}
     if args.exhaustive:
         best, attaining = orbit.max_norm_at_length(
             args.length, tuple(args.root), max_elements=args.max_elements
@@ -270,25 +216,21 @@ def _cmd_extremal(args) -> int:
         payload["exhaustive_max"] = best
         payload["attaining_words"] = [list(w) for w in attaining]
         payload["extremal_attains_max"] = best == norm
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    """A ledger; main exits 1 when a coxeter, cartan or lie ledger has
+    all_pass false."""
     if args.target == "coxeter":
         checks = verify_coxeter_relations()
-        all_pass = all(ok for _, ok in checks)
-        _emit(
-            {
-                "checks": [{"relation": name, "holds": ok} for name, ok in checks],
-                "all_pass": all_pass,
-            }
-        )
-        return 0 if all_pass else 1
+        return {
+            "checks": [{"relation": name, "holds": ok} for name, ok in checks],
+            "all_pass": all(ok for _, ok in checks),
+        }
     if args.target == "cartan":
         signature = form_signature()
-        _emit({"signature": list(signature), "all_pass": signature == (3, 1, 0)})
-        return 0 if signature == (3, 1, 0) else 1
+        return {"signature": list(signature), "all_pass": signature == (3, 1, 0)}
     if args.target == "lie":
         displays = lie.display_comparison()
         infinitesimal = [
@@ -296,58 +238,34 @@ def _cmd_verify(args) -> int:
             for name, m in (("D1", lie.derivative_matrix()), *lie.six_spanning_matrices())
         ]
         rank = lie.six_matrix_rank()
-        all_pass = (
-            all(ok for _, ok in displays)
-            and all(ok for _, ok in infinitesimal)
-            and rank == 6
-        )
-        _emit(
-            {
-                "display_comparison": [
-                    {"matrix": name, "matches": ok} for name, ok in displays
-                ],
-                "infinitesimal_checks": [
-                    {"matrix": name, "holds": ok} for name, ok in infinitesimal
-                ],
-                "rank": rank,
-                "all_pass": all_pass,
-            }
-        )
-        return 0 if all_pass else 1
+        return {
+            "display_comparison": [{"matrix": name, "matches": ok} for name, ok in displays],
+            "infinitesimal_checks": [{"matrix": name, "holds": ok} for name, ok in infinitesimal],
+            "rank": rank,
+            "all_pass": all(ok for _, ok in displays + infinitesimal) and rank == 6,
+        }
     # target == "a1": the comparison ledger itself is the product, so a
     # recorded mismatch is reported, not treated as a failure;
     # power_formula_report raises if the translation matrix has changed.
     mismatches = lie.power_formula_report(args.max_n)
-    _emit(
-        {
-            "matrix_matches_display": True,
-            "derivative_matches": lie.formula_derivative_at_zero()
-            == lie.derivative_matrix(),
-            "max_n": args.max_n,
-            "mismatch_count": len(mismatches),
-            "mismatches": [
-                {
-                    "n": m.n,
-                    "row": m.row,
-                    "col": m.col,
-                    "computed": m.computed,
-                    "formula": m.formula,
-                }
-                for m in mismatches
-            ],
-        }
-    )
-    return 0
+    return {
+        "matrix_matches_display": True,
+        "derivative_matches": lie.formula_derivative_at_zero() == lie.derivative_matrix(),
+        "max_n": args.max_n,
+        "mismatch_count": len(mismatches),
+        "mismatches": [dataclasses.asdict(m) for m in mismatches],
+    }
 
 
-def _cmd_simplex(args) -> int:
+def _cmd_simplex(args):
     if args.config is not None:
-        cfg = simplex.load_configuration(args.config)
-        entries = simplex.tuple_from_configuration(cfg)
-    else:
-        if not args.entries:
-            raise ValueError("provide tuple entries or --config")
+        if args.entries:
+            raise ValueError("provide tuple entries or --config, not both")
+        entries = simplex.tuple_from_configuration(simplex.load_configuration(args.config))
+    elif args.entries:
         entries = simplex.as_entries(args.entries)
+    else:
+        raise ValueError("provide tuple entries or --config")
     payload = {"entries": [str(e) for e in entries]}
     if args.action == "verify":
         residual = simplex.identity_residual(entries)
@@ -363,37 +281,30 @@ def _cmd_simplex(args) -> int:
         det = simplex.gram_det(entries)
         closed = simplex.gram_closed_form(entries)
         payload.update(determinant=str(det), closed_form=str(closed), match=det == closed)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args):
     if args.search:
+        if args.entries:
+            raise ValueError("--search takes no entries")
         if args.height is None or args.max_count is None:
             raise ValueError("search needs --height and --max-count")
         found = orbit.search_prime_factor_count(args.height, args.max_count)
-        _emit(
-            {
-                "height_bound": args.height,
-                "max_count": args.max_count,
-                "count": len(found),
-                "quadruples": [
-                    {"quadruple": list(q), "prime_factors": count} for q, count in found
-                ],
-            }
-        )
-        return 0
+        return {
+            "height_bound": args.height,
+            "max_count": args.max_count,
+            "count": len(found),
+            "quadruples": [{"quadruple": list(q), "prime_factors": count} for q, count in found],
+        }
     if len(args.entries) != 4:
         raise ValueError("expected 4 integers")
     q = tuple(args.entries)
-    _emit(
-        {
-            "quadruple": list(q),
-            "product": q[0] * q[1] * q[2] * q[3],
-            "prime_factors": orbit.prime_factor_count(q),
-        }
-    )
-    return 0
+    return {
+        "quadruple": list(q),
+        "product": q[0] * q[1] * q[2] * q[3],
+        "prime_factors": orbit.prime_factor_count(q),
+    }
 
 
 @functools.cache
@@ -475,13 +386,15 @@ def main(argv=None) -> int:
     # looked up at call time, so a wrapped module-level handler is the one run
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        out = handler(args)
+        _emit(out)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return int(isinstance(out, dict) and out.get("all_pass") is False)
 
 
 if __name__ == "__main__":

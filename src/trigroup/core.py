@@ -71,11 +71,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+def _require_int(
+    name: str, value, minimum: int | None = None, maximum: int | None = None, cap: int | None = None
+) -> int:
     """Return value if it is an int (not a bool) in [minimum, maximum];
     otherwise raise ValueError.  Public entry points call this once on
     each int argument, so floats, bools, strings and None never reach the
-    arithmetic."""
+    arithmetic.  An int above cap raises ResourceLimitError, before any
+    work."""
     if not (
         _is_int(value)
         and (minimum is None or value >= minimum)
@@ -84,6 +87,8 @@ def _require_int(name: str, value, minimum: int | None = None, maximum: int | No
         low = "" if minimum is None else f" >= {minimum}"
         high = "" if maximum is None else f" <= {maximum}"
         raise ValueError(f"{name} must be an int{low}{high}, got {value!r}")
+    if cap is not None and value > cap:
+        raise ResourceLimitError(f"{name} {value} exceeds cap {cap}")
     return value
 
 

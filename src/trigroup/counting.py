@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 
-from .core import Quadruple, ResourceLimitError, _require_int, validate_quadruple
+from .core import Quadruple, _require_int, validate_quadruple
 
 DEFAULT_BOUND_CAP = 5000
 DIVISOR_SUM_CAP = 10**10  # divisor_square_sum takes ~n^(3/4) steps
@@ -85,11 +85,7 @@ def _walk(bound: int, key, primitive: bool) -> Iterator[Quadruple]:
 
 
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
-    _require_int("bound", bound, 1)
-    if _require_int("max_bound", max_bound, 1) < bound:
-        raise ResourceLimitError(
-            f"census bound {bound} exceeds configured cap {max_bound}"
-        )
+    _require_int("bound", bound, 1, cap=_require_int("max_bound", max_bound, 1))
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
@@ -192,8 +188,7 @@ def divisor_square_sum(n: int) -> tuple[int, float]:
     integer steps in O(sqrt n) memory; d and mu are sieved up to sqrt n.
     Above DIVISOR_SUM_CAP it raises ResourceLimitError before any work.
     """
-    if _require_int("n", n, 1) > DIVISOR_SUM_CAP:
-        raise ResourceLimitError(f"divisor sum bound {n} exceeds cap {DIVISOR_SUM_CAP}")
+    _require_int("n", n, 1, cap=DIVISOR_SUM_CAP)
     root = math.isqrt(n)
     d = [0] * (root + 1)
     for i in range(1, root + 1):

@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .core import (
-    FORM_MATRIX, IDENTITY, Mat4, ResourceLimitError, _require_int, _word_matrix, mat_mul, mat_transpose
-)
+from .core import FORM_MATRIX, IDENTITY, Mat4, _require_int, _word_matrix, mat_mul, mat_transpose
 from .linalg import bareiss_rank
 
 # power_formula_report multiplies max_n + 1 matrices with entries ~n^2.
@@ -112,8 +110,7 @@ def power_formula_report(max_n: int) -> list[EntryMismatch]:
     entry for every n >= 1; the report states it, the caller decides.
     Above POWER_REPORT_CAP it raises ResourceLimitError before any work.
     """
-    if _require_int("max_n", max_n, 0) > POWER_REPORT_CAP:
-        raise ResourceLimitError(f"power range {max_n} exceeds cap {POWER_REPORT_CAP}")
+    _require_int("max_n", max_n, 0, cap=POWER_REPORT_CAP)
     mismatches = []
     power = IDENTITY
     base = translation_matrix()

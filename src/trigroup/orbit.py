@@ -126,8 +126,7 @@ def growth_recurrence(n: int) -> int:
     the growth table machinery rather than reconciled here.  Above
     LENGTH_CAP it raises ResourceLimitError before any work.
     """
-    if _require_int("depth", n, 0) > LENGTH_CAP:
-        raise ResourceLimitError(f"recurrence depth {n} exceeds cap {LENGTH_CAP}")
+    _require_int("depth", n, 0, cap=LENGTH_CAP)
     if n < 3:
         return RECURRENCE_SEEDS[n]
     a, b, c = RECURRENCE_SEEDS
@@ -203,8 +202,7 @@ def extremal_word(n: int) -> Word:
     on vectors right to left.  Above LENGTH_CAP it raises
     ResourceLimitError.
     """
-    if _require_int("length", n, 0) > LENGTH_CAP:
-        raise ResourceLimitError(f"word length {n} exceeds cap {LENGTH_CAP}")
+    _require_int("length", n, 0, cap=LENGTH_CAP)
     m, i = divmod(n, 4)
     prefix = {0: (), 1: (1,), 2: (2, 1), 3: (3, 2, 1)}[i]
     return prefix + (4, 3, 2, 1) * m

@@ -169,9 +169,10 @@ def test_parser_built_once_and_handler_looked_up_per_call(capsys, monkeypatch):
     assert cli.build_parser.cache_info().misses == 1
     # a handler replaced in the module globals is the one main runs
     seen = []
-    monkeypatch.setattr(cli, "_cmd_check", lambda args: seen.append(args.entries) or 0)
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: seen.append(args.entries) or {})
     assert main(["check", "7", "4", "3", "1"]) == 0
     assert seen == [[7, 4, 3, 1]]
+    assert capsys.readouterr().out.splitlines()[-1] == "{}"
 
 
 def test_orbit_cap_exits_3(capsys):
@@ -472,7 +473,6 @@ def test_list_first_row_written_alone(monkeypatch, argv):
     writes = stream.writes
     if "csv" in argv:
         assert writes[0] == "a,b,c,d\n"
-        writes = writes[1:]
     lines = "".join(writes).splitlines(keepends=True)
     assert len(lines) > _BATCH
     assert writes[0] == lines[0]
@@ -521,3 +521,75 @@ def test_divisor_sum_over_cap_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census-height", "20", "--sweep", "--primitive"),
+        ("census-height", "20", "--sweep", "--list"),
+        ("census-height", "20", "--sweep", "--format", "csv"),
+        ("alpha", "7", "4", "3", "1", "--search", "--height", "10", "--max-count", "1"),
+        ("simplex", "gram", "1", "2", "3", "4", "--config", "CONFIG"),
+    ],
+)
+def test_dropped_flag_combinations_exit_2(capsys, tmp_path, argv):
+    # each of these once answered as if a flag or the entries were absent
+    from trigroup.simplex import configuration_to_json, standard_configuration
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(configuration_to_json(standard_configuration(3))))
+    code, out, err = run_cli(capsys, *(str(path) if a == "CONFIG" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+WRITER_ARGVS = [
+    ("check", "7", "4", "3", "1"),
+    ("reduce", "1", "1", "3", "4"),
+    ("orbit", "--depth", "3"),
+    ("orbit", "--depth", "7", "--list"),
+    ("growth", "--depth", "4"),
+    ("census-height", "20"),
+    ("census-height", "60", "--list"),
+    ("census-height", "60", "--list", "--format", "csv"),
+    ("census-height", "20", "--sweep"),
+    ("census-max", "20"),
+    ("census-max", "30", "--list", "--mode", "ordered", "--format", "csv"),
+    ("divisor-sum", "100"),
+    ("pair", "1", "1"),
+    ("normform", "91"),
+    ("stabilizer", "--depth", "4"),
+    ("extremal", "4", "--exhaustive"),
+    ("verify", "coxeter"),
+    ("verify", "cartan"),
+    ("verify", "lie"),
+    ("verify", "a1", "--max-n", "3"),
+    ("simplex", "gram", "7", "4", "3", "1"),
+    ("alpha", "7", "4", "3", "1"),
+    ("alpha", "--search", "--height", "10", "--max-count", "1"),
+]
+
+
+def test_writer_argvs_cover_every_subcommand():
+    handlers = {name[5:].replace("_", "-") for name in vars(cli) if name.startswith("_cmd_")}
+    assert {argv[0] for argv in WRITER_ARGVS} == handlers
+
+
+@pytest.mark.parametrize("argv", WRITER_ARGVS, ids=" ".join)
+def test_emit_is_the_one_writer(capsys, monkeypatch, argv):
+    emit, calls = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", lambda out: calls.append(out) or emit(out))
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, len(calls)) == (0, 1)
+    assert out.endswith("\n")
+    # with the writer stubbed out, nothing else reaches stdout
+    monkeypatch.setattr(cli, "_emit", lambda out: None)
+    assert run_cli(capsys, *argv) == (0, "", "")
+
+
+def test_failing_ledger_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "form_signature", lambda: (2, 2, 0))
+    code, out, _ = run_cli(capsys, "verify", "cartan")
+    assert code == 1
+    assert json.loads(out) == {"signature": [2, 2, 0], "all_pass": False}

@@ -5,6 +5,8 @@ from trigroup.core import (
     FORM_MATRIX,
     IDENTITY,
     SUBSTITUTION_MATRIX,
+    ResourceLimitError,
+    _require_int,
     apply_generator,
     form_signature,
     generator_matrix,
@@ -221,3 +223,13 @@ def test_non_iterables_are_not_quadruples(value):
         validate_quadruple(value)
     with pytest.raises(ValueError):
         quadratic_form(value)
+
+
+def test_require_int_cap_after_the_int_check():
+    assert _require_int("n", 10, 0, cap=10) == 10
+    with pytest.raises(ResourceLimitError, match="^n 11 exceeds cap 10$"):
+        _require_int("n", 11, 0, cap=10)
+    # a value that is not an int, or out of range, is invalid before it is too big
+    for value in (11.0, True, -1):
+        with pytest.raises(ValueError):
+            _require_int("n", value, 0, cap=0)

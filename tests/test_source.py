@@ -54,3 +54,19 @@ def test_element_caps_feed_the_one_bfs_loop(path):
     fed = {id(arg) for call in _calls_to(tree, "_bfs") for arg in call.args + [k.value for k in call.keywords]}
     lines = [call.lineno for call in _calls_to(tree, "element_cap") if id(call) not in fed]
     assert lines == [], f"{path.name}: element_cap(...) outside _bfs(...) at lines {lines}"
+
+
+def test_input_caps_go_through_require_int():
+    # an input cap is core._require_int(..., cap=...); the only other
+    # ResourceLimitError raises are the work caps of the BFS loop and of
+    # the factorization
+    raising = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Raise) and _calls_to(node, "ResourceLimitError")
+                for node in ast.walk(fn)
+            ):
+                raising.add(f"{path.stem}.{fn.name}")
+    assert raising == {"core._require_int", "orbit._bfs", "eisenstein._pollard_rho"}

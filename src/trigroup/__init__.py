@@ -24,7 +24,6 @@ from .counting import (
     count_by_height,
     count_by_max,
     divisor_square_sum,
-    enumerate_all,
     height_sweep,
 )
 from .eisenstein import (

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import json
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
@@ -36,11 +35,9 @@ _BATCH = 256
 def _json_safe(obj):
     if _is_int(obj):  # bools fall through unchanged
         return str(obj) if abs(obj) > _BIG else obj
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_json_safe(v) for v in obj]
     return obj
 
@@ -86,9 +83,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_orbit(args):
-    result = orbit.orbit_vectors(
-        tuple(args.root), args.depth, max_vectors=args.max_elements, max_sum=args.max_sum
-    )
+    result = orbit.orbit_vectors(tuple(args.root), args.depth, args.max_elements, args.max_sum)
     if args.list:
         return (
             f'{{"depth": {depth}, "vector": [{", ".join(map(_json_int, v))}]}}\n'
@@ -106,9 +101,7 @@ def _cmd_orbit(args):
 def _cmd_growth(args):
     orbit.growth_recurrence(args.depth)  # its length cap fires before the BFS runs
     table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
-    vec = orbit.orbit_vectors(
-        tuple(args.root), args.depth, max_vectors=args.max_elements, keep_layers=False
-    )
+    vec = orbit.orbit_vectors(tuple(args.root), args.depth, args.max_elements)
     rows = [
         {
             "depth": n,
@@ -136,8 +129,12 @@ def _census_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _census(report, args):
-    """A census report as the count document or, under --list, its rows."""
+def _census(census, args):
+    """Run census (count_by_height or count_by_max) and return its count
+    document or, under --list, its rows."""
+    if args.format != "jsonl" and not args.list:
+        raise ValueError("--format csv needs --list")
+    report = census(args.bound, args.mode, args.primitive, args.max_bound, include_list=args.list)
     if not args.list:
         return dict(
             bound=report.bound, mode=report.mode, primitive=args.primitive, count=report.count
@@ -153,15 +150,11 @@ def _cmd_census_height(args):
             raise ValueError("--sweep takes no --primitive, --list or --format csv")
         rows = counting.height_sweep(args.bound, mode=args.mode, max_bound=args.max_bound)
         return (_line({"bound": n, "count": count, "ratio": ratio}) for n, count, ratio in rows)
-    census = counting.enumerate_all if args.list else counting.count_by_height
-    return _census(census(args.bound, args.mode, args.primitive, args.max_bound), args)
+    return _census(counting.count_by_height, args)
 
 
 def _cmd_census_max(args):
-    report = counting.count_by_max(
-        args.bound, args.mode, args.primitive, args.max_bound, include_list=args.list
-    )
-    return _census(report, args)
+    return _census(counting.count_by_max, args)
 
 
 def _cmd_divisor_sum(args):
@@ -206,6 +199,8 @@ def _cmd_stabilizer(args):
 
 
 def _cmd_extremal(args):
+    if args.max_elements is not None and not args.exhaustive:
+        raise ValueError("--max-elements needs --exhaustive")
     word = orbit.extremal_word(args.length)
     norm = orbit.word_norm(word, tuple(args.root))
     payload = {"length": args.length, "word": list(word), "norm": norm, "root": list(args.root)}
@@ -222,6 +217,8 @@ def _cmd_extremal(args):
 def _cmd_verify(args):
     """A ledger; main exits 1 when a coxeter, cartan or lie ledger has
     all_pass false."""
+    if args.target != "a1" and args.max_n is not None:
+        raise ValueError("--max-n applies only to verify a1")
     if args.target == "coxeter":
         checks = verify_coxeter_relations()
         return {
@@ -247,11 +244,12 @@ def _cmd_verify(args):
     # target == "a1": the comparison ledger itself is the product, so a
     # recorded mismatch is reported, not treated as a failure;
     # power_formula_report raises if the translation matrix has changed.
-    mismatches = lie.power_formula_report(args.max_n)
+    max_n = 20 if args.max_n is None else args.max_n
+    mismatches = lie.power_formula_report(max_n)
     return {
         "matrix_matches_display": True,
         "derivative_matches": lie.formula_derivative_at_zero() == lie.derivative_matrix(),
-        "max_n": args.max_n,
+        "max_n": max_n,
         "mismatch_count": len(mismatches),
         "mismatches": [dataclasses.asdict(m) for m in mismatches],
     }
@@ -266,13 +264,13 @@ def _cmd_simplex(args):
         entries = simplex.as_entries(args.entries)
     else:
         raise ValueError("provide tuple entries or --config")
+    if (args.index is None) == (args.action == "reflect"):
+        raise ValueError("reflect requires --index, and only reflect takes it")
     payload = {"entries": [str(e) for e in entries]}
     if args.action == "verify":
         residual = simplex.identity_residual(entries)
         payload.update(residual=str(residual), valid=residual == 0)
     elif args.action == "reflect":
-        if args.index is None:
-            raise ValueError("reflect requires --index")
         result = simplex.reflect(entries, args.index)
         payload.update(
             index=args.index, result=[str(e) for e in result], negative=any(e < 0 for e in result)
@@ -297,6 +295,8 @@ def _cmd_alpha(args):
             "count": len(found),
             "quadruples": [{"quadruple": list(q), "prime_factors": count} for q, count in found],
         }
+    if args.height is not None or args.max_count is not None:
+        raise ValueError("--height and --max-count need --search")
     if len(args.entries) != 4:
         raise ValueError("expected 4 integers")
     q = tuple(args.entries)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="pass/fail ledgers for the exact matrix identities")
     p.add_argument("target", choices=("coxeter", "cartan", "lie", "a1"))
-    p.add_argument("--max-n", type=int, default=20, help="power range for the a1 ledger")
+    p.add_argument("--max-n", type=int, default=None, help="a1 ledger power range (default 20)")
 
     p = sub.add_parser("simplex", help="the n-dimensional identity, reflection, and Gram check")
     p.add_argument("action", choices=("verify", "reflect", "gram"))

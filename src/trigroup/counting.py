@@ -106,33 +106,22 @@ def _build_report(
     return CensusReport(bound=bound, mode=mode, count=len(listed), quadruples=listed)
 
 
-def enumerate_all(
-    height_bound: int,
-    mode: str = "canonical",
-    primitive: bool = False,
-    max_bound: int = DEFAULT_BOUND_CAP,
-) -> CensusReport:
-    """Census with list of all quadruples of height at most height_bound.
-
-    Height is the Euclidean norm sqrt(a^2 + b^2 + c^2 + d^2); membership
-    is decided on the exact squared comparison.  Canonical mode lists
-    nonincreasing multiset representatives; ordered mode lists every
-    distinct arrangement.
-    """
-    _check_args(height_bound, mode, max_bound)
-    walk = _walk(height_bound * height_bound, _norm_sq, primitive)
-    return _build_report(walk, height_bound, mode, True)
-
-
 def count_by_height(
     n: int,
     mode: str = "canonical",
     primitive: bool = False,
     max_bound: int = DEFAULT_BOUND_CAP,
+    include_list: bool = False,
 ) -> CensusReport:
-    """Count-only census by height."""
+    """Census of quadruples whose height is at most n.
+
+    Height is the Euclidean norm sqrt(a^2 + b^2 + c^2 + d^2); membership
+    is decided on the exact squared comparison.  Canonical mode counts
+    (and with include_list lists) nonincreasing multiset representatives;
+    ordered mode every distinct arrangement.
+    """
     _check_args(n, mode, max_bound)
-    return _build_report(_walk(n * n, _norm_sq, primitive), n, mode, False)
+    return _build_report(_walk(n * n, _norm_sq, primitive), n, mode, include_list)
 
 
 def count_by_max(

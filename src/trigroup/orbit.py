@@ -7,7 +7,8 @@ lies in an open chamber, and by Tits' theorem w -> w(1, 1, 1, 1) is
 injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.  One loop, _bfs,
 serves element growth, stabilizer growth, quadruple orbits and the
-max-norm profile; a BFS over exact 4x4 matrices in the tests is its
+max-norm profile, and owns their element cap: None means
+DEFAULT_MAX_ELEMENTS.  A BFS over exact 4x4 matrices in the tests is its
 oracle.  The profile needs no search for parents, by the descent rule:
 for k = w(1, 1, 1, 1), the generator s_i shortens w exactly when
 3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
@@ -19,7 +20,6 @@ is kept as a separate code path so the two can be reported side by side.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -41,7 +41,6 @@ from .core import (
 )
 from .eisenstein import factorize
 
-MAX_ELEMENTS_ENV = "TRIGROUP_MAX_ELEMENTS"
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
 RECURRENCE_SEEDS = (1, 4, 12)
@@ -53,16 +52,6 @@ LENGTH_CAP = 10_000
 # Its negative lies in the open fundamental chamber, so only the identity
 # fixes it and its orbit is a copy of the group.
 _CHAMBER_VECTOR = (1, 1, 1, 1)
-
-
-def element_cap(max_elements: int | None = None) -> int:
-    """Resolve the BFS element cap: argument, else environment, else default."""
-    if max_elements is None:
-        env = os.environ.get(MAX_ELEMENTS_ENV)
-        if env is None:
-            return DEFAULT_MAX_ELEMENTS
-        return _require_int(MAX_ELEMENTS_ENV, int(env), 1)
-    return _require_int("element cap", max_elements, 1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,7 @@ def _bfs(
     start: Vector4,
     letters: tuple[int, ...],
     max_depth: int,
-    cap: int,
+    max_elements: int | None = None,
     max_sum: int | None = None,
 ) -> list[list[Vector4]]:
     """Sorted BFS layers of start under the reflections in letters.
@@ -87,9 +76,13 @@ def _bfs(
     reflection is an involution, so a vector reached from layer n can
     only already lie in layer n - 1 or n, and only two layers are kept
     for deduplication.  Raises ResourceLimitError once the running total
-    exceeds cap after a layer.  Checks max_depth and max_sum, once.
+    exceeds max_elements (None: DEFAULT_MAX_ELEMENTS) after a layer.
+    Checks max_depth, max_elements and max_sum, once.
     """
     _require_int("depth", max_depth, 0)
+    cap = DEFAULT_MAX_ELEMENTS
+    if max_elements is not None:
+        cap = _require_int("element cap", max_elements, 1)
     if max_sum is not None:
         _require_int("max_sum", max_sum, 0)
     layers = [[start]]
@@ -113,7 +106,7 @@ def _bfs(
 
 def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable:
     """Growth table of the full group: layer sizes and cumulative counts."""
-    layers = _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, element_cap(max_elements))
+    layers = _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, max_elements)
     sizes = tuple(len(layer) for layer in layers)
     return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
 
@@ -141,20 +134,17 @@ class VectorOrbit:
 
     root: Quadruple
     cumulative_sizes: tuple[int, ...]
-    layers: tuple[tuple[Vector4, ...], ...] | None
+    layers: tuple[tuple[Vector4, ...], ...]
 
     def vectors(self) -> set[Vector4]:
-        if self.layers is None:
-            raise ValueError("orbit was computed without layer storage")
         return {v for layer in self.layers for v in layer}
 
 
 def orbit_vectors(
     root: Quadruple,
     max_depth: int,
-    max_vectors: int | None = None,
+    max_elements: int | None = None,
     max_sum: int | None = None,
-    keep_layers: bool = True,
 ) -> VectorOrbit:
     """BFS over quadruples under the four generator actions.
 
@@ -166,11 +156,11 @@ def orbit_vectors(
     dropped).
     """
     root = validate_quadruple(root)
-    layers = _bfs(root, GENERATOR_INDICES, max_depth, element_cap(max_vectors), max_sum)
+    layers = _bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum)
     return VectorOrbit(
         root=root,
         cumulative_sizes=tuple(accumulate(len(layer) for layer in layers)),
-        layers=tuple(tuple(layer) for layer in layers) if keep_layers else None,
+        layers=tuple(tuple(layer) for layer in layers),
     )
 
 
@@ -181,7 +171,7 @@ def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
     is linear, with 3n new elements at each length n >= 1, so the count
     of elements of length at most 2n is 6n^2 + 3n + 1.
     """
-    layers = _bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, element_cap(max_elements))
+    layers = _bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, max_elements)
     return [len(layer) for layer in layers]
 
 
@@ -219,6 +209,19 @@ def word_norm(word: Word, root: Quadruple) -> int:
     return max(v)
 
 
+def _descent(key: Vector4) -> int | None:
+    """The smallest i with 3 key_i > sum(key), or None for the identity.
+
+    For key = w(1, 1, 1, 1) this is the first letter of w's
+    lexicographically smallest reduced word, by the descent rule.
+    """
+    total = sum(key)
+    for i, x in zip(GENERATOR_INDICES, key):
+        if 3 * x > total:
+            return i
+    return None
+
+
 def max_norm_profile(
     max_n: int,
     root: Quadruple,
@@ -237,19 +240,18 @@ def max_norm_profile(
     root = validate_quadruple(root)
     prev: dict[Vector4, tuple[Word, Vector4]] = {}
     profile: list[tuple[int, list[Word]]] = []
-    for layer in _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_n, element_cap(max_elements)):
+    for layer in _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_n, max_elements):
         cur = {}
         for key in layer:
-            total = sum(key)
-            for i, x in zip(GENERATOR_INDICES, key):
-                if 3 * x > total:
-                    word, image = prev[_reflect(key, i)]
-                    cur[key] = ((i,) + word, _reflect(image, i))
-                    break
-            else:  # no descent: the identity
+            i = _descent(key)
+            if i is None:
                 cur[key] = ((), root)
-        best = max(max(image) for _, image in cur.values())
-        profile.append((best, sorted(word for word, image in cur.values() if max(image) == best)))
+            else:
+                word, image = prev[_reflect(key, i)]
+                cur[key] = ((i,) + word, _reflect(image, i))
+        norms = [(max(image), word) for word, image in cur.values()]
+        best = max(norm for norm, _ in norms)
+        profile.append((best, sorted(word for norm, word in norms if norm == best)))
         prev = cur
     return profile
 
@@ -352,13 +354,12 @@ def prime_factor_count(q: Quadruple) -> int | None:
 def search_prime_factor_count(
     height_bound: int,
     max_count: int,
-    max_bound: int | None = None,
+    max_bound: int = counting.DEFAULT_BOUND_CAP,
 ) -> list[tuple[Quadruple, int]]:
     """(quadruple, prime factor count) for the canonical primitive
     quadruples of bounded height whose entry product has at most
     max_count prime factors (zero-entry quadruples excluded)."""
     _require_int("max_count", max_count, 0)
-    kwargs = {} if max_bound is None else {"max_bound": max_bound}
-    report = counting.enumerate_all(height_bound, mode="canonical", primitive=True, **kwargs)
+    report = counting.count_by_height(height_bound, "canonical", True, max_bound, include_list=True)
     counted = ((q, prime_factor_count(q)) for q in report.quadruples)
     return [(q, count) for q, count in counted if count is not None and count <= max_count]

@@ -41,28 +41,40 @@ def word_matrix(word):
     return result
 
 
+def smallest_reduced_words(max_depth):
+    """Per length n, each group matrix of length n mapped to its
+    lexicographically smallest reduced word, letters in the written order.
+
+    Such a word ends in some letter l after the smallest word of m g_l,
+    so keeping the smallest extension of each parent's word suffices.
+    """
+    gens = [(i, generator_matrix(i)) for i in (1, 2, 3, 4)]
+    layers = [{IDENTITY: ()}]
+    prev = {}
+    for _ in range(max_depth):
+        cur, nxt = layers[-1], {}
+        for m, word in cur.items():
+            for letter, g in gens:
+                candidate = mat_mul(m, g)
+                if candidate in prev or candidate in cur:
+                    continue
+                cand_word = word + (letter,)
+                seen = nxt.get(candidate)
+                if seen is None or cand_word < seen:
+                    nxt[candidate] = cand_word
+        layers.append(nxt)
+        prev = cur
+    return layers
+
+
 def max_norm_profile(max_n, root):
     """Per-length (max entry of m r, sorted lexicographically smallest
     reduced words attaining it) over the matrices m of each length."""
-    gens = [(i, generator_matrix(i)) for i in (1, 2, 3, 4)]
-    prev, cur = {}, {IDENTITY: ()}
     profile = []
-    for n in range(max_n + 1):
-        if n:
-            nxt = {}
-            for m, word in cur.items():
-                for letter, g in gens:
-                    candidate = mat_mul(m, g)
-                    if candidate in prev or candidate in cur:
-                        continue
-                    cand_word = word + (letter,)
-                    seen = nxt.get(candidate)
-                    if seen is None or cand_word < seen:
-                        nxt[candidate] = cand_word
-            prev, cur = cur, nxt
-        norms = {m: max(mat_vec(m, root)) for m in cur}
+    for layer in smallest_reduced_words(max_n):
+        norms = {m: max(mat_vec(m, root)) for m in layer}
         best = max(norms.values())
-        profile.append((best, sorted(word for m, word in cur.items() if norms[m] == best)))
+        profile.append((best, sorted(word for m, word in layer.items() if norms[m] == best)))
     return profile
 
 

@@ -21,7 +21,6 @@ from trigroup.counting import (
     canonicalize,
     count_by_height,
     count_by_max,
-    enumerate_all,
     height_sweep,
     ordered_multiplicity,
 )
@@ -93,7 +92,7 @@ def test_criterion_02_reduction_of_all_small_quadruples():
 
 
 def test_criterion_03_orbit_completeness():
-    census = enumerate_all(40, primitive=True)
+    census = count_by_height(40, primitive=True, include_list=True)
     target = set(census.quadruples)
     # entry sums along reversed reduction paths never exceed twice the
     # final height, so the sum-pruned BFS walks genuine length-<=20 paths
@@ -207,7 +206,7 @@ def test_criterion_07_censuses_against_naive_oracle():
 
     for bound in (5, 20, 41, 60):
         by_height = naive(bound, "height")
-        report = enumerate_all(bound)
+        report = count_by_height(bound, include_list=True)
         assert set(report.quadruples) == by_height, bound
         assert count_by_height(bound, mode="ordered").count == sum(
             ordered_multiplicity(q) for q in by_height
@@ -238,7 +237,7 @@ def test_criterion_08_stabilizer_growth_and_coset_inequality():
     for n in range(1, 6):
         assert sum(layers[: 2 * n + 1]) == stabilizer_cumulative_closed_form(n)
     table = bfs_elements(10)
-    vec = orbit_vectors(ROOT, 10, keep_layers=False)
+    vec = orbit_vectors(ROOT, 10)
     for n in range(11):
         w_n = table.cumulative_sizes[n]
         orbit_n = vec.cumulative_sizes[n]

@@ -61,10 +61,9 @@ CALLS = {
     "verify_coxeter_relations": ((), {}),
     # counting
     "canonicalize": ((Q,), _entries(0, NONNEG)),
-    "count_by_height": ((10, "canonical", False, 100), {(0,): POSITIVE, (3,): POSITIVE}),
+    "count_by_height": ((10, "canonical", True, 100, True), {(0,): POSITIVE, (3,): POSITIVE}),
     "count_by_max": ((10, "ordered", False, 100, True), {(0,): POSITIVE, (3,): POSITIVE}),
     "divisor_square_sum": ((100,), {(0,): POSITIVE}),
-    "enumerate_all": ((10, "canonical", True, 100), {(0,): POSITIVE, (3,): POSITIVE}),
     "height_sweep": ((10, "canonical", 100), {(0,): POSITIVE, (2,): POSITIVE}),
     # eisenstein
     "divisor_character_sum": ((91,), {(0,): POSITIVE}),
@@ -172,7 +171,7 @@ def test_public_names():
         "generator_matrix", "is_triangle_quadruple", "norm_form_substitution", "quadratic_form",
         "validate_quadruple", "verify_coxeter_relations",
         "CensusReport", "canonicalize", "count_by_height", "count_by_max", "divisor_square_sum",
-        "enumerate_all", "height_sweep",
+        "height_sweep",
         "divisor_character_sum", "factorize", "quadruples_with_pair", "representation_count",
         "solve_norm_form",
         "GrowthTable", "VectorOrbit", "bfs_elements", "coxeter_char_poly", "coxeter_element",
@@ -185,7 +184,7 @@ def test_public_names():
         "gram_residual", "identity_residual", "reflect", "standard_configuration",
         "tuple_from_configuration",
     }
-    assert len(trigroup.__all__) == 53
+    assert len(trigroup.__all__) == 52
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))
@@ -255,7 +254,7 @@ def test_bad_int_raises_value_error(case):
         lambda: orbit.extremal_word(2.0),
         lambda: counting.count_by_height(True),
         lambda: counting.count_by_height(3.0),
-        lambda: counting.enumerate_all(2.5),
+        lambda: counting.count_by_height(2.5, include_list=True),
         lambda: counting.height_sweep(True),
         lambda: counting.count_by_height(10, max_bound=True),
         lambda: orbit.stabilizer_cumulative_closed_form(1.5),
@@ -314,10 +313,3 @@ def test_work_caps_raise_before_any_work(call):
 def test_work_caps_admit_their_bound():
     assert len(orbit.extremal_word(orbit.LENGTH_CAP)) == orbit.LENGTH_CAP
     assert orbit.growth_recurrence(orbit.LENGTH_CAP) > 0
-
-
-@pytest.mark.parametrize("env", ["-5", "0", "2.5", "many"])
-def test_element_cap_from_environment_is_checked(monkeypatch, env):
-    monkeypatch.setenv(orbit.MAX_ELEMENTS_ENV, env)
-    with pytest.raises(ValueError):
-        orbit.bfs_elements(2)

@@ -11,7 +11,7 @@ import pytest
 
 from trigroup import cli, eisenstein, orbit
 from trigroup.cli import _BATCH, _json_safe, main
-from trigroup.counting import count_by_max, enumerate_all
+from trigroup.counting import count_by_height, count_by_max
 from trigroup.eisenstein import factorize
 from trigroup.orbit import orbit_vectors
 
@@ -287,6 +287,11 @@ def test_verify_a1_documents_discrepancy(capsys):
     assert all(m["row"] == 2 and m["col"] == 3 for m in payload["mismatches"])
 
 
+def test_verify_a1_max_n_defaults_to_20(capsys):
+    payload = run_json(capsys, "verify", "a1")
+    assert (payload["max_n"], payload["mismatch_count"]) == (20, 20)
+
+
 def test_simplex_verify(capsys):
     payload = run_json(capsys, "simplex", "verify", "1", "3/8", "3/8", "3/8", "3/8")
     assert payload["valid"] is True
@@ -374,12 +379,6 @@ def test_output_deterministic(capsys):
     assert first == second
 
 
-def test_env_cap_respected(capsys, monkeypatch):
-    monkeypatch.setenv("TRIGROUP_MAX_ELEMENTS", "5")
-    code, _, err = run_cli(capsys, "orbit", "--depth", "8")
-    assert code == 3
-
-
 # --- list rows: the per-row json.dumps path kept as the oracle ---------------
 
 
@@ -427,7 +426,7 @@ def test_census_list_matches_emit_oracle(capsys, command, bound, mode, primitive
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     if command == "census-height":
-        report = enumerate_all(bound, mode=mode, primitive=primitive)
+        report = count_by_height(bound, mode=mode, primitive=primitive, include_list=True)
     else:
         report = count_by_max(bound, mode=mode, primitive=primitive, include_list=True)
     assert out == census_oracle(report, fmt)
@@ -507,7 +506,8 @@ def test_alpha_search_factorizes_each_row_once(capsys, monkeypatch):
 
     monkeypatch.setattr(orbit, "factorize", counted)
     code, after, _ = run_cli(capsys, *argv)
-    rows = [q for q in enumerate_all(40, mode="canonical", primitive=True).quadruples if all(q)]
+    report = count_by_height(40, mode="canonical", primitive=True, include_list=True)
+    rows = [q for q in report.quadruples if all(q)]
     assert code == 0
     assert after == before
     assert sorted(calls) == sorted(a * b * c * d for a, b, c, d in rows)
@@ -531,6 +531,15 @@ def test_divisor_sum_over_cap_exits_3(capsys):
         ("census-height", "20", "--sweep", "--format", "csv"),
         ("alpha", "7", "4", "3", "1", "--search", "--height", "10", "--max-count", "1"),
         ("simplex", "gram", "1", "2", "3", "4", "--config", "CONFIG"),
+        ("census-height", "20", "--format", "csv"),
+        ("census-max", "20", "--format", "csv"),
+        ("alpha", "7", "4", "3", "1", "--height", "10", "--max-count", "1"),
+        ("simplex", "verify", "1", "3/8", "3/8", "3/8", "3/8", "--index", "2"),
+        ("simplex", "gram", "1", "3/8", "3/8", "3/8", "3/8", "--index", "2"),
+        ("extremal", "8", "--max-elements", "5"),
+        ("verify", "coxeter", "--max-n", "5"),
+        ("verify", "cartan", "--max-n", "5"),
+        ("verify", "lie", "--max-n", "5"),
     ],
 )
 def test_dropped_flag_combinations_exit_2(capsys, tmp_path, argv):

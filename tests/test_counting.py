@@ -18,7 +18,6 @@ from trigroup.counting import (
     count_by_height,
     count_by_max,
     divisor_square_sum,
-    enumerate_all,
     height_sweep,
     ordered_multiplicity,
 )
@@ -95,14 +94,14 @@ def _expected_list(canonical, mode, primitive):
 
 
 def test_enumerate_all_bound_5():
-    report = enumerate_all(5)
+    report = count_by_height(5, include_list=True)
     assert report.count == 3
     assert set(report.quadruples) == {(1, 1, 1, 0), (2, 2, 2, 0), (3, 1, 1, 1)}
     assert (4, 3, 1, 1) not in report.quadruples  # height sqrt(27) > 5
 
 
 def test_enumerate_all_bound_2():
-    report = enumerate_all(2)
+    report = count_by_height(2, include_list=True)
     assert report.count == 1
     assert report.quadruples == ((1, 1, 1, 0),)
 
@@ -128,9 +127,9 @@ def test_count_by_max_values():
 @pytest.mark.parametrize("bound", [1, 2, 5, 10, 17, 25])
 def test_height_census_matches_naive_oracle(bound):
     oracle = naive_census(bound, by="height")
-    report = enumerate_all(bound)
+    report = count_by_height(bound, include_list=True)
     assert set(report.quadruples) == oracle
-    ordered = enumerate_all(bound, mode="ordered")
+    ordered = count_by_height(bound, mode="ordered", include_list=True)
     assert ordered.count == sum(ordered_multiplicity(q) for q in oracle)
     assert len(ordered.quadruples) == ordered.count
 
@@ -150,7 +149,7 @@ def test_max_census_matches_naive_oracle(bound):
 @pytest.mark.parametrize("bound", [100, 146, 200])
 def test_height_census_matches_scan_oracle(bound, primitive, mode):
     expected = _expected_list(scan_census(bound, "height"), mode, primitive)
-    report = enumerate_all(bound, mode=mode, primitive=primitive)
+    report = count_by_height(bound, mode=mode, primitive=primitive, include_list=True)
     assert report.quadruples == expected
     assert report.count == len(expected)
     assert count_by_height(bound, mode=mode, primitive=primitive).count == len(expected)
@@ -189,7 +188,7 @@ def test_gcd_decomposition_at_height_1000(mode):
     # squared height <= N is the sum over g of the primitive count with
     # squared height <= N // g^2 (scaling keeps the ordered multiplicity).
     bound_sq = 1000 * 1000
-    primitive = enumerate_all(1000, primitive=True).quadruples
+    primitive = count_by_height(1000, primitive=True, include_list=True).quadruples
     weighted = sorted(
         (sum(x * x for x in q), ordered_multiplicity(q) if mode == "ordered" else 1)
         for q in primitive
@@ -209,8 +208,8 @@ def test_census_properties_over_walk():
     # Every listed quadruple is valid (the walk does not re-check its
     # output) and obeys max(Q) <= H(Q) <= 2 max(Q), exactly on squares.
     for report in (
-        enumerate_all(200),
-        enumerate_all(60, mode="ordered"),
+        count_by_height(200, include_list=True),
+        count_by_height(60, mode="ordered", include_list=True),
         count_by_max(200, include_list=True),
         count_by_max(60, mode="ordered", include_list=True),
     ):
@@ -227,7 +226,7 @@ def test_mode_checked_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(counting, "_walk", no_walk)
     for call in (
-        lambda: enumerate_all(300, mode="bogus"),
+        lambda: count_by_height(300, mode="bogus", include_list=True),
         lambda: count_by_height(300, mode="bogus"),
         lambda: count_by_max(300, mode="bogus"),
         lambda: height_sweep(300, mode="bogus"),
@@ -247,7 +246,7 @@ def test_census_monotone_and_sandwiched():
 
 
 def test_census_primitives_reduce_to_unit_root():
-    report = enumerate_all(30, primitive=True)
+    report = count_by_height(30, primitive=True, include_list=True)
     assert report.count > 0
     for q in report.quadruples:
         assert is_primitive(q)
@@ -255,14 +254,14 @@ def test_census_primitives_reduce_to_unit_root():
 
 
 def test_census_substitution_consistency():
-    for q in enumerate_all(40).quadruples:
+    for q in count_by_height(40, include_list=True).quadruples:
         x, y, z, w = norm_form_substitution(q)
         assert z * z - z * w + w * w == 3 * x * y
 
 
 def test_primitive_filter():
-    full = enumerate_all(20)
-    prim = enumerate_all(20, primitive=True)
+    full = count_by_height(20, include_list=True)
+    prim = count_by_height(20, primitive=True, include_list=True)
     assert set(prim.quadruples) == {q for q in full.quadruples if is_primitive(q)}
 
 
@@ -363,7 +362,7 @@ def test_count_only_census_holds_no_list():
         finally:
             tracemalloc.stop()
 
-    listed = peak(lambda: enumerate_all(400))
+    listed = peak(lambda: count_by_height(400, include_list=True))
     for call in (
         lambda: count_by_height(400),
         lambda: count_by_height(400, mode="ordered"),

@@ -6,6 +6,7 @@ import pytest
 from trigroup.core import (
     FORM_MATRIX,
     ResourceLimitError,
+    _reflect,
     generator_matrix,
     is_triangle_quadruple,
     mat_mul,
@@ -14,6 +15,7 @@ from trigroup.core import (
 )
 from trigroup.orbit import (
     _bfs,
+    _descent,
     bfs_elements,
     char_poly,
     coxeter_char_poly,
@@ -111,7 +113,7 @@ def test_orbit_sum_prune_is_a_subset():
 
 def test_orbit_sizes_dominated_by_element_counts():
     table = bfs_elements(7)
-    vec = orbit_vectors(ROOT, 7, keep_layers=False)
+    vec = orbit_vectors(ROOT, 7)
     for n in range(8):
         w_n = table.cumulative_sizes[n]
         orbit_n = vec.cumulative_sizes[n]
@@ -291,6 +293,18 @@ def test_descent_rule_against_matrix_oracle():
             descents = {i for i in (1, 2, 3, 4) if 3 * k[i - 1] > sum(k)}
             assert descents == {i for i in (1, 2, 3, 4) if mat_mul(generator_matrix(i), m) in shorter}
             assert bool(descents) == (n > 0)
+
+
+def test_descent_reads_the_smallest_reduced_word():
+    # repeated _descent on k = M (1,1,1,1) spells M's lexicographically
+    # smallest reduced word, the word max_norm_profile records
+    for n, layer in enumerate(matrix_bfs.smallest_reduced_words(7)):
+        for m, smallest in layer.items():
+            k, word = mat_vec(m, (1, 1, 1, 1)), ()
+            while (i := _descent(k)) is not None:
+                word += (i,)
+                k = _reflect(k, i)
+            assert word == smallest, (n, m)
 
 
 def test_max_norm_profile_cap_counts_elements_through_length_n():

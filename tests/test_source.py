@@ -45,15 +45,27 @@ def _calls_to(tree, name):
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def _reads(tree, name):
+    """Loads of name or of module.name."""
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load) and name in (getattr(node, "id", None), getattr(node, "attr", None))]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_element_caps_feed_the_one_bfs_loop(path):
-    # _bfs is the one loop that counts elements against a cap: every
-    # element_cap(...) call is an argument of a _bfs(...) call, so no
-    # function keeps a cap for a loop of its own
+    # _bfs is the one loop that counts elements against a cap, and the one
+    # place that resolves it: the caller's argument, else the default.  No
+    # module reads the environment, and only _bfs reads the default.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    fed = {id(arg) for call in _calls_to(tree, "_bfs") for arg in call.args + [k.value for k in call.keywords]}
-    lines = [call.lineno for call in _calls_to(tree, "element_cap") if id(call) not in fed]
-    assert lines == [], f"{path.name}: element_cap(...) outside _bfs(...) at lines {lines}"
+    env = [node.lineno for node in _reads(tree, "environ") + _calls_to(tree, "getenv")]
+    assert env == [], f"{path.name}: environment read at lines {env}"
+    bfs = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_bfs"
+           and path.name == "orbit.py" for node in ast.walk(fn)}
+    default = _reads(tree, "DEFAULT_MAX_ELEMENTS")
+    lines = [node.lineno for node in default if id(node) not in bfs]
+    assert lines == [], f"{path.name}: DEFAULT_MAX_ELEMENTS read outside orbit._bfs at lines {lines}"
+    if path.name == "orbit.py":
+        assert default, "orbit._bfs no longer reads DEFAULT_MAX_ELEMENTS"
 
 
 def test_input_caps_go_through_require_int():

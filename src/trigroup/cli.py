@@ -83,32 +83,34 @@ def _cmd_reduce(args):
 
 
 def _cmd_orbit(args):
-    result = orbit.orbit_vectors(tuple(args.root), args.depth, args.max_elements, args.max_sum)
+    bounds = (tuple(args.root), args.depth, args.max_elements, args.max_sum)
     if args.list:
+        layers = orbit.orbit_vectors(*bounds).layers
         return (
             f'{{"depth": {depth}, "vector": [{", ".join(map(_json_int, v))}]}}\n'
-            for depth, layer in enumerate(result.layers)
+            for depth, layer in enumerate(layers)
             for v in layer
         )
+    sizes = orbit.orbit_sizes(*bounds).cumulative_sizes
     return {
-        "root": list(result.root),
+        "root": list(args.root),
         "depth": args.depth,
-        "cumulative_sizes": list(result.cumulative_sizes),
-        "total": result.cumulative_sizes[-1],
+        "cumulative_sizes": list(sizes),
+        "total": sizes[-1],
     }
 
 
 def _cmd_growth(args):
     orbit.growth_recurrence(args.depth)  # its length cap fires before the BFS runs
     table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
-    vec = orbit.orbit_vectors(tuple(args.root), args.depth, args.max_elements)
+    sizes = orbit.orbit_sizes(tuple(args.root), args.depth, args.max_elements).cumulative_sizes
     rows = [
         {
             "depth": n,
             "layer": table.layer_sizes[n],
             "recurrence": orbit.growth_recurrence(n),
             "cumulative": table.cumulative_sizes[n],
-            "orbit": vec.cumulative_sizes[n],
+            "orbit": sizes[n],
         }
         for n in range(args.depth + 1)
     ]

@@ -10,6 +10,10 @@ multiplicative divisor sum: A(k) = 6 * sum over d | k of chi(d), where
 chi is the nontrivial character mod 3.  Solving the form also counts the
 quadruples containing a fixed positive pair (p, q), via the unimodular
 substitution that sends the quadruple equation to z^2 - zw + w^2 = 3pq.
+
+_norm_form_solutions and _character_sum take a factorization in place of
+k, and are internal API for the CLI's normform, which factors k once for
+both the solutions and the character sum.
 """
 
 from __future__ import annotations

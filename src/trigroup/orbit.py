@@ -8,7 +8,10 @@ injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.  One loop, _bfs,
 serves element growth, stabilizer growth, quadruple orbits and the
 max-norm profile, and owns their element cap: None means
-DEFAULT_MAX_ELEMENTS.  A BFS over exact 4x4 matrices in the tests is its
+DEFAULT_MAX_ELEMENTS.  It yields each layer as an unordered set and
+keeps two layers at a time, so the counts (bfs_elements, orbit_sizes,
+stabilizer_counts) hold no vectors; only orbit_vectors sorts its layers,
+which it returns.  A BFS over exact 4x4 matrices in the tests is its
 oracle.  The profile needs no search for parents, by the descent rule:
 for k = w(1, 1, 1, 1), the generator s_i shortens w exactly when
 3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
@@ -20,6 +23,7 @@ is kept as a separate code path so the two can be reported side by side.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -68,16 +72,18 @@ def _bfs(
     max_depth: int,
     max_elements: int | None = None,
     max_sum: int | None = None,
-) -> list[list[Vector4]]:
-    """Sorted BFS layers of start under the reflections in letters.
+) -> Iterator[set[Vector4]]:
+    """Yield the BFS layers of start under the reflections in letters.
 
-    Layer n holds the vectors first reached by a word of length n; with
-    max_sum set, vectors whose entry sum exceeds it are dropped.  Every
-    reflection is an involution, so a vector reached from layer n can
-    only already lie in layer n - 1 or n, and only two layers are kept
-    for deduplication.  Raises ResourceLimitError once the running total
-    exceeds max_elements (None: DEFAULT_MAX_ELEMENTS) after a layer.
-    Checks max_depth, max_elements and max_sum, once.
+    Layer n is the unordered set of vectors first reached by a word of
+    length n, yielded once it is complete; with max_sum set, vectors
+    whose entry sum exceeds it are dropped.  Every reflection is an
+    involution, so a vector reached from layer n can only already lie in
+    layer n - 1 or n, and only those two layers are kept.  The caller
+    must not mutate a yielded set.  Raises ResourceLimitError once the
+    running total exceeds max_elements (None: DEFAULT_MAX_ELEMENTS)
+    after a layer.  Checks max_depth, max_elements and max_sum, once,
+    when iteration starts.
     """
     _require_int("depth", max_depth, 0)
     cap = DEFAULT_MAX_ELEMENTS
@@ -85,30 +91,44 @@ def _bfs(
         cap = _require_int("element cap", max_elements, 1)
     if max_sum is not None:
         _require_int("max_sum", max_sum, 0)
-    layers = [[start]]
+    r1, r2, r3, r4 = (i in letters for i in GENERATOR_INDICES)
     prev: set[Vector4] = set()
     cur: set[Vector4] = {start}
     total = 1
+    yield cur
     for _ in range(max_depth):
         nxt: set[Vector4] = set()
-        for v in cur:
-            for i in letters:
-                w = _reflect(v, i)
-                if w not in prev and w not in cur and (max_sum is None or sum(w) <= max_sum):
-                    nxt.add(w)
+        add = nxt.add
+        for a, b, c, d in cur:
+            # generator i replaces entry i by the sum of the others minus itself
+            s = a + b + c + d
+            if r1:
+                add((s - 2 * a, b, c, d))
+            if r2:
+                add((a, s - 2 * b, c, d))
+            if r3:
+                add((a, b, s - 2 * c, d))
+            if r4:
+                add((a, b, c, s - 2 * d))
+        nxt -= prev
+        nxt -= cur
+        if max_sum is not None:
+            nxt = {w for w in nxt if sum(w) <= max_sum}
         total += len(nxt)
         if total > cap:
             raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
-        layers.append(sorted(nxt))
         prev, cur = cur, nxt
-    return layers
+        yield cur
+
+
+def _growth_table(layers: Iterator[set[Vector4]]) -> GrowthTable:
+    sizes = tuple(len(layer) for layer in layers)
+    return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
 
 
 def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable:
     """Growth table of the full group: layer sizes and cumulative counts."""
-    layers = _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, max_elements)
-    sizes = tuple(len(layer) for layer in layers)
-    return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
+    return _growth_table(_bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, max_elements))
 
 
 def growth_recurrence(n: int) -> int:
@@ -153,15 +173,33 @@ def orbit_vectors(
     sum exceeds the limit are discarded: the result is then a subset of
     the unrestricted orbit, and every vector it reports at depth n is
     genuinely reachable within n steps (paths are never invented, only
-    dropped).
+    dropped).  Each of the layers is sorted.
     """
     root = validate_quadruple(root)
-    layers = _bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum)
+    layers = tuple(
+        tuple(sorted(layer))
+        for layer in _bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum)
+    )
     return VectorOrbit(
         root=root,
         cumulative_sizes=tuple(accumulate(len(layer) for layer in layers)),
-        layers=tuple(tuple(layer) for layer in layers),
+        layers=layers,
     )
+
+
+def orbit_sizes(
+    root: Quadruple,
+    max_depth: int,
+    max_elements: int | None = None,
+    max_sum: int | None = None,
+) -> GrowthTable:
+    """The sizes of orbit_vectors(root, ...) without its vectors.
+
+    Same arguments, checks and element cap; each layer is counted and
+    dropped, so no more than two layers are held at a time.
+    """
+    root = validate_quadruple(root)
+    return _growth_table(_bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum))
 
 
 def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
@@ -171,8 +209,7 @@ def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
     is linear, with 3n new elements at each length n >= 1, so the count
     of elements of length at most 2n is 6n^2 + 3n + 1.
     """
-    layers = _bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, max_elements)
-    return [len(layer) for layer in layers]
+    return [len(layer) for layer in _bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, max_elements)]
 
 
 def stabilizer_cumulative_closed_form(n: int) -> int:

@@ -83,6 +83,10 @@ CALLS = {
         (Q, 3, 1000, 50),
         {**_entries(0, NONNEG), (1,): NONNEG, (2,): POSITIVE, (3,): NONNEG},
     ),
+    "orbit_sizes": (
+        (Q, 3, 1000, 50),
+        {**_entries(0, NONNEG), (1,): NONNEG, (2,): POSITIVE, (3,): NONNEG},
+    ),
     "prime_factor_count": ((Q7,), _entries(0, NONNEG)),
     # error_bound is a rational, but it follows the int rule for its type
     "spectral_radius": ((Fraction(1, 10),), {(0,): (1, None)}),
@@ -175,8 +179,8 @@ def test_public_names():
         "divisor_character_sum", "factorize", "quadruples_with_pair", "representation_count",
         "solve_norm_form",
         "GrowthTable", "VectorOrbit", "bfs_elements", "coxeter_char_poly", "coxeter_element",
-        "extremal_word", "growth_recurrence", "max_norm_at_length", "orbit_vectors",
-        "prime_factor_count", "spectral_radius", "spectral_radius_closed_form",
+        "extremal_word", "growth_recurrence", "max_norm_at_length", "orbit_sizes",
+        "orbit_vectors", "prime_factor_count", "spectral_radius", "spectral_radius_closed_form",
         "stabilizer_counts", "word_norm",
         "ReductionTrace", "gcd_content", "is_primitive", "is_root", "reduce_step",
         "reduce_to_root", "same_orbit",
@@ -184,7 +188,7 @@ def test_public_names():
         "gram_residual", "identity_residual", "reflect", "standard_configuration",
         "tuple_from_configuration",
     }
-    assert len(trigroup.__all__) == 52
+    assert len(trigroup.__all__) == 53
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))

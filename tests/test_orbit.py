@@ -24,6 +24,7 @@ from trigroup.orbit import (
     growth_recurrence,
     max_norm_at_length,
     max_norm_profile,
+    orbit_sizes,
     orbit_vectors,
     prime_factor_count,
     search_prime_factor_count,
@@ -109,6 +110,23 @@ def test_orbit_sum_prune_is_a_subset():
     pruned = orbit_vectors(ROOT, 5, max_sum=30)
     assert pruned.vectors() <= full.vectors()
     assert all(sum(v) <= 30 for v in pruned.vectors())
+
+
+@pytest.mark.parametrize("max_sum", [None, 60])
+@pytest.mark.parametrize("root", [(0, 1, 1, 1), (8, 8, 0, 8), (7, 4, 3, 1)])
+def test_orbit_sizes_match_orbit_vectors(root, max_sum):
+    # orbit_sizes counts the layers orbit_vectors lists, under the same
+    # element cap; the listed layers are sorted, as orbit --list prints them
+    sizes = orbit_sizes(root, 6, None, max_sum)
+    vec = orbit_vectors(root, 6, None, max_sum)
+    assert sizes.cumulative_sizes == vec.cumulative_sizes
+    assert sizes.layer_sizes == tuple(len(layer) for layer in vec.layers)
+    assert all(list(layer) == sorted(layer) for layer in vec.layers)
+    total = vec.cumulative_sizes[-1]
+    assert orbit_sizes(root, 6, total, max_sum) == sizes
+    for call in (orbit_sizes, orbit_vectors):
+        with pytest.raises(ResourceLimitError):
+            call(root, 6, total - 1, max_sum)
 
 
 def test_orbit_sizes_dominated_by_element_counts():
@@ -260,7 +278,7 @@ def test_element_bfs_is_the_orbit_of_the_chamber_vector():
     for matrices, vectors in zip(element_layers(all_generators(), 9), vector_layers, strict=True):
         images = [mat_vec(m, ones) for m in matrices]
         assert len(set(images)) == len(matrices)
-        assert sorted(images) == vectors
+        assert sorted(images) == sorted(vectors)
 
 
 def test_bfs_layer_sizes_against_matrix_oracle():
@@ -323,12 +341,13 @@ def test_word_norm_rejects_bad_letters(word):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: _bfs((1, 1, 1, 1), (1, 2, 3, 4), -1, 100),
+        lambda: list(_bfs((1, 1, 1, 1), (1, 2, 3, 4), -1, 100)),
         lambda: bfs_elements(-1),
         lambda: orbit_vectors(ROOT, -2),
         lambda: stabilizer_counts(-1),
         lambda: max_norm_profile(-1, ROOT),
         lambda: max_norm_at_length(-1, ROOT),
+        lambda: orbit_sizes(ROOT, -2),
     ],
 )
 def test_negative_depth_rejected(call):

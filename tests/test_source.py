@@ -68,6 +68,16 @@ def test_element_caps_feed_the_one_bfs_loop(path):
         assert default, "orbit._bfs no longer reads DEFAULT_MAX_ELEMENTS"
 
 
+def test_bfs_loop_neither_sorts_nor_calls_reflect():
+    # the counts read unordered layers, and the loop reflects in place
+    # from one entry sum per vector; only orbit_vectors sorts
+    path = next(p for p in SOURCES if p.name == "orbit.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (bfs,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_bfs"]
+    for name in ("sorted", "_reflect"):
+        assert _calls_to(bfs, name) == [], f"orbit._bfs calls {name}"
+
+
 def test_input_caps_go_through_require_int():
     # an input cap is core._require_int(..., cap=...); the only other
     # ResourceLimitError raises are the work caps of the BFS loop and of

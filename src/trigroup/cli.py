@@ -12,7 +12,6 @@ resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -253,7 +252,7 @@ def _cmd_verify(args):
         "derivative_matches": lie.formula_derivative_at_zero() == lie.derivative_matrix(),
         "max_n": max_n,
         "mismatch_count": len(mismatches),
-        "mismatches": [dataclasses.asdict(m) for m in mismatches],
+        "mismatches": [dict(vars(m)) for m in mismatches],
     }
 
 

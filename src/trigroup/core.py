@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 Quadruple = tuple[int, int, int, int]
 Vector4 = tuple[int, int, int, int]
@@ -51,9 +52,10 @@ class ResourceLimitError(RuntimeError):
 
 
 def mat_mul(x: Mat4, y: Mat4) -> Mat4:
+    c1, c2, c3, c4 = zip(*y)
     return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
+        (sum(map(mul, r, c1)), sum(map(mul, r, c2)), sum(map(mul, r, c3)), sum(map(mul, r, c4)))
+        for r in x
     )
 
 

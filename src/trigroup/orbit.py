@@ -5,17 +5,24 @@ of the Coxeter group on K4 with every label 3, whose form FORM_MATRIX is
 nondegenerate and sends (1, 1, 1, 1) to its negative.  So -(1, 1, 1, 1)
 lies in an open chamber, and by Tits' theorem w -> w(1, 1, 1, 1) is
 injective: a group element is counted as its image of (1, 1, 1, 1), and
-the element BFS is the orbit BFS from that vector.  One loop, _bfs,
+the element BFS is the orbit BFS from that vector.  One function, _bfs,
 serves element growth, stabilizer growth, quadruple orbits and the
 max-norm profile, and owns their element cap: None means
-DEFAULT_MAX_ELEMENTS.  It yields each layer as an unordered set and
-keeps two layers at a time, so the counts (bfs_elements, orbit_sizes,
-stabilizer_counts) hold no vectors; only orbit_vectors sorts its layers,
-which it returns.  A BFS over exact 4x4 matrices in the tests is its
-oracle.  The profile needs no search for parents, by the descent rule:
-for k = w(1, 1, 1, 1), the generator s_i shortens w exactly when
-3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
+DEFAULT_MAX_ELEMENTS.  It yields each layer as an unordered collection
+without duplicates and holds two layers at a time, so the counts
+(bfs_elements, orbit_sizes, stabilizer_counts) hold no vectors; only
+orbit_vectors sorts its layers, which it returns.  The descent rule
+drives it: for k = w(1, 1, 1, 1), the generator s_i shortens w exactly
+when 3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
 (Humphreys, Reflection Groups and Coxeter Groups, 1990, 5.4 and 5.6).
+It holds as well for every start x in the closed chamber,
+3 x_i <= sum(x), with w the shortest element of its coset of x's
+stabilizer (5.13), such as (1, 1, 1, 1), a root (0, g, g, g) with the
+zero in any position, and (0, 0, 0, 0).  From such a start the orbit is a tree, each vector the child of the one
+its smallest descent leads to, and _bfs builds each layer from the last
+with no set.  Other starts, the non-root quadruples, take a set loop.
+The profile reads the same rule to find each element's parent.  A BFS
+over exact 4x4 matrices in the tests is the oracle of both loops.
 Layer sizes are computed independently of the closed recurrence, which
 is kept as a separate code path so the two can be reported side by side.
 """
@@ -23,10 +30,10 @@ is kept as a separate code path so the two can be reported side by side.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from . import counting
 from .core import (
@@ -72,17 +79,19 @@ def _bfs(
     max_depth: int,
     max_elements: int | None = None,
     max_sum: int | None = None,
-) -> Iterator[set[Vector4]]:
+) -> Iterator[Collection[Vector4]]:
     """Yield the BFS layers of start under the reflections in letters.
 
-    Layer n is the unordered set of vectors first reached by a word of
-    length n, yielded once it is complete; with max_sum set, vectors
-    whose entry sum exceeds it are dropped.  Every reflection is an
-    involution, so a vector reached from layer n can only already lie in
-    layer n - 1 or n, and only those two layers are kept.  The caller
-    must not mutate a yielded set.  Raises ResourceLimitError once the
-    running total exceeds max_elements (None: DEFAULT_MAX_ELEMENTS)
-    after a layer.  Checks max_depth, max_elements and max_sum, once,
+    Layer n is the unordered collection, without duplicates, of the
+    vectors first reached by a word of length n, yielded once it is
+    complete; with max_sum set, vectors whose entry sum exceeds it are
+    dropped.  Only two layers are held at a time, and the caller must not
+    mutate a yielded layer.  When start lies in the closed chamber of
+    the letters, 3 start_i <= sum(start) for each of them, the descent
+    rule applies (Humphreys 5.13) and the layers are the levels of a
+    tree (_tree_layers); only other starts take the set loop
+    (_set_layers).  Raises ResourceLimitError once the running total
+    exceeds max_elements (None: DEFAULT_MAX_ELEMENTS) after a layer.  Checks max_depth, max_elements and max_sum, once,
     when iteration starts.
     """
     _require_int("depth", max_depth, 0)
@@ -91,12 +100,77 @@ def _bfs(
         cap = _require_int("element cap", max_elements, 1)
     if max_sum is not None:
         _require_int("max_sum", max_sum, 0)
-    r1, r2, r3, r4 = (i in letters for i in GENERATOR_INDICES)
+    uses = tuple(i in letters for i in GENERATOR_INDICES)
+    in_chamber = all(3 * x <= sum(start) for x, used in zip(start, uses) if used)
+    layers = (_tree_layers if in_chamber else _set_layers)(start, uses, max_sum)
+    total = 0
+    for layer in islice(layers, max_depth + 1):
+        total += len(layer)
+        if total > cap:
+            raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
+        yield layer
+
+
+def _tree_layers(
+    start: Vector4,
+    uses: tuple[bool, ...],
+    max_sum: int | None,
+) -> Iterator[list[Vector4]]:
+    """The BFS layers of a start in the closed chamber, as tree levels.
+
+    Reflection i changes the entry sum s of v by s - 3 v_i.  For start
+    in the closed chamber, the orbit point v = w(start), with w shortest
+    in its coset of start's stabilizer, has a shorter such w exactly at
+    the letters i with 3 v_i > s, and reflection i fixes v when
+    3 v_i = s (Humphreys, Reflection Groups and Coxeter Groups, 1990,
+    5.13).  So the BFS depth of v is that length, and the sum grows
+    along every edge to the next layer.  The child s_i v is made by v
+    only when 3 v_i < s and i is its smallest descent: no letter j < i
+    in use has 3 v_j > 2s - 3 v_i.  Every vector then has one parent,
+    no layer needs a set, and a child over max_sum is skipped before it
+    is built, as is its subtree, whose sums are larger still.  Layer
+    n + 1 lists the children of layer n in its order.
+    """
+    r1, r2, r3, r4 = uses
+    cur = [start]
+    while True:
+        yield cur
+        nxt: list[Vector4] = []
+        add = nxt.append
+        for a, b, c, d in cur:
+            # generator i replaces entry i by s - 2 v_i; the child's sum is t - 3 v_i
+            s = a + b + c + d
+            t = s + s
+            a3, b3, c3, d3 = 3 * a, 3 * b, 3 * c, 3 * d
+            if r1 and a3 < s and (max_sum is None or t - a3 <= max_sum):
+                add((s - 2 * a, b, c, d))
+            if (r2 and b3 < s and not (r1 and a3 + b3 > t)
+                    and (max_sum is None or t - b3 <= max_sum)):
+                add((a, s - 2 * b, c, d))
+            if (r3 and c3 < s and not (r1 and a3 + c3 > t or r2 and b3 + c3 > t)
+                    and (max_sum is None or t - c3 <= max_sum)):
+                add((a, b, s - 2 * c, d))
+            if (r4 and d3 < s and not (r1 and a3 + d3 > t or r2 and b3 + d3 > t or r3 and c3 + d3 > t)
+                    and (max_sum is None or t - d3 <= max_sum)):
+                add((a, b, c, s - 2 * d))
+        cur = nxt
+
+
+def _set_layers(
+    start: Vector4,
+    uses: tuple[bool, ...],
+    max_sum: int | None,
+) -> Iterator[set[Vector4]]:
+    """The BFS layers of any start, as sets.
+
+    Every reflection is an involution, so a vector reached from layer n
+    can only already lie in layer n - 1 or n; those two are subtracted.
+    """
+    r1, r2, r3, r4 = uses
     prev: set[Vector4] = set()
     cur: set[Vector4] = {start}
-    total = 1
-    yield cur
-    for _ in range(max_depth):
+    while True:
+        yield cur
         nxt: set[Vector4] = set()
         add = nxt.add
         for a, b, c, d in cur:
@@ -114,14 +188,10 @@ def _bfs(
         nxt -= cur
         if max_sum is not None:
             nxt = {w for w in nxt if sum(w) <= max_sum}
-        total += len(nxt)
-        if total > cap:
-            raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
         prev, cur = cur, nxt
-        yield cur
 
 
-def _growth_table(layers: Iterator[set[Vector4]]) -> GrowthTable:
+def _growth_table(layers: Iterator[Collection[Vector4]]) -> GrowthTable:
     sizes = tuple(len(layer) for layer in layers)
     return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
 
@@ -196,7 +266,10 @@ def orbit_sizes(
     """The sizes of orbit_vectors(root, ...) without its vectors.
 
     Same arguments, checks and element cap; each layer is counted and
-    dropped, so no more than two layers are held at a time.
+    dropped, so no more than two layers are held at a time.  A root
+    (0, g, g, g) lies in the closed chamber, so its layers are built as
+    tree levels with no set (Humphreys 5.13); any other quadruple takes
+    the set loop.
     """
     root = validate_quadruple(root)
     return _growth_table(_bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum))

@@ -204,6 +204,30 @@ def test_gcd_decomposition_at_height_1000(mode):
     assert count_by_height(1000, mode=mode).count == total
 
 
+# Full census counts at n = 300 (by max entry, by height).
+CENSUS_300 = {"canonical": (5217, 3021), "ordered": (111244, 63352)}
+
+
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+@pytest.mark.parametrize("n", [50, 300])
+def test_gcd_identity_by_max_entry_and_height(n, mode):
+    # the gcd is invariant, so every quadruple is g times a primitive one:
+    # by max entry full(n) = sum_g prim(n // g), by squared height
+    # full(n^2) = sum_g prim(n^2 // g^2)
+    by_max = count_by_max(n, mode).count
+    assert by_max == sum(count_by_max(n // g, mode, True).count for g in range(1, n + 1))
+
+    def count(walk):
+        return sum(ordered_multiplicity(q) if mode == "ordered" else 1 for q in walk)
+
+    by_height = count(counting._walk(n * n, counting._norm_sq, False))
+    primitive = (counting._walk(n * n // (g * g), counting._norm_sq, True) for g in range(1, n + 1))
+    assert by_height == sum(map(count, primitive))
+    assert by_height == count_by_height(n, mode).count
+    if n == 300:
+        assert (by_max, by_height) == CENSUS_300[mode]
+
+
 def test_census_properties_over_walk():
     # Every listed quadruple is valid (the walk does not re-check its
     # output) and obeys max(Q) <= H(Q) <= 2 max(Q), exactly on squares.

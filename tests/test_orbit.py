@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,6 +42,13 @@ ROOT = (0, 1, 1, 1)
 
 # Coefficients of the Coxeter growth series (1+2t+2t^2+t^3)/(1-2t-2t^2+3t^3).
 COXETER_SERIES = (1, 4, 12, 30, 72, 168, 390, 900, 2076, 4782, 11016, 25368)
+
+# Coefficients of W(t)/W_J(t) = (1 - t^2)/(1 - t - 3t^2), J = {2, 3, 4}: the
+# orbit layers of a root (0, g, g, g), whose stabilizer is the affine W_J.
+ROOT_ORBIT_SERIES = (1, 1, 3, 6, 15, 33, 78, 177, 411, 942, 2175, 5001, 11526, 26529)
+
+# Roots (0, g, g, g) with the zero in each position: starts in the closed chamber.
+CHAMBER_ROOTS = [(0, 1, 1, 1), (3, 0, 3, 3), (5, 5, 0, 5), (2, 2, 2, 0)]
 
 
 def test_recurrence_values():
@@ -127,6 +135,65 @@ def test_orbit_sizes_match_orbit_vectors(root, max_sum):
     for call in (orbit_sizes, orbit_vectors):
         with pytest.raises(ResourceLimitError):
             call(root, 6, total - 1, max_sum)
+
+
+def test_zero_start_is_its_own_orbit():
+    # (0,0,0,0) is fixed by every generator and lies in the closed chamber
+    # of every letter set; it is no triangle quadruple, so only _bfs takes
+    # it.  Its orbit is itself, and a cap of 1, the total, returns.
+    zero = (0, 0, 0, 0)
+    for max_sum in (None, 60):
+        layers = [list(layer) for layer in _bfs(zero, (1, 2, 3, 4), 6, 1, max_sum)]
+        assert layers == [[zero]] + [[]] * 6
+    for call in (orbit_sizes, orbit_vectors):
+        with pytest.raises(ValueError):
+            call(zero, 6)
+
+
+@pytest.mark.parametrize("max_sum", [None, 60])
+@pytest.mark.parametrize("root", CHAMBER_ROOTS)
+def test_root_orbit_layers_against_matrix_oracle(root, max_sum):
+    # layer n of the orbit is the set of M r over the matrices M of length
+    # n, less the vectors that shorter matrices reach; the sum prune keeps
+    # those of sum <= max_sum
+    seen, oracle = set(), []
+    for matrices in element_layers(all_generators(), 7):
+        images = {mat_vec(m, root) for m in matrices} - seen
+        seen |= images
+        oracle.append(tuple(sorted(v for v in images if max_sum is None or sum(v) <= max_sum)))
+    assert orbit_vectors(root, 7, None, max_sum).layers == tuple(oracle)
+    if max_sum is not None:
+        assert 0 < sum(map(len, oracle)) < len(seen)
+
+
+@pytest.mark.parametrize(
+    "letters", [t for k in range(1, 5) for t in combinations((1, 2, 3, 4), k)], ids=str
+)
+def test_chamber_vector_layers_against_matrix_oracle_on_every_letter_set(letters):
+    generators = tuple(generator_matrix(i) for i in letters)
+    oracle = [len(layer) for layer in element_layers(generators, 7)]
+    assert [len(layer) for layer in _bfs((1, 1, 1, 1), letters, 7)] == oracle
+
+
+@pytest.mark.parametrize("start", [(1, 1, 1, 1), (0, 1, 1, 1), (5, 5, 0, 5)])
+def test_chamber_layers_are_levels_of_the_smallest_descent_tree(start):
+    # each vector of layer n + 1 is listed under the vector of layer n
+    # that its smallest descent (_descent) names, in the order of layer n
+    layers = [list(layer) for layer in _bfs(start, (1, 2, 3, 4), 8)]
+    for parents, children in zip(layers, layers[1:]):
+        index = {v: k for k, v in enumerate(parents)}
+        order = [index[_reflect(v, _descent(v))] for v in children]
+        assert order == sorted(order)
+
+
+def test_root_orbit_layer_sizes_at_depth_13():
+    # the BFS against the power series (1 - t^2)/(1 - t - 3t^2), whose
+    # coefficients obey c_n = c_{n-1} + 3 c_{n-2} from n = 3 on
+    series = [1, 1, 3]
+    while len(series) < 14:
+        series.append(series[-1] + 3 * series[-2])
+    assert tuple(series) == ROOT_ORBIT_SERIES
+    assert orbit_sizes(ROOT, 13).layer_sizes == ROOT_ORBIT_SERIES
 
 
 def test_orbit_sizes_dominated_by_element_counts():

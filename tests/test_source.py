@@ -69,13 +69,16 @@ def test_element_caps_feed_the_one_bfs_loop(path):
 
 
 def test_bfs_loop_neither_sorts_nor_calls_reflect():
-    # the counts read unordered layers, and the loop reflects in place
-    # from one entry sum per vector; only orbit_vectors sorts
+    # the counts read unordered layers, and the loops reflect in place
+    # from one entry sum per vector; only orbit_vectors sorts.  The loops
+    # are _bfs and every orbit.py function that _bfs names.
     path = next(p for p in SOURCES if p.name == "orbit.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    (bfs,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_bfs"]
-    for name in ("sorted", "_reflect"):
-        assert _calls_to(bfs, name) == [], f"orbit._bfs calls {name}"
+    defs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    named = {node.id for node in ast.walk(defs["_bfs"]) if isinstance(node, ast.Name)}
+    for fn in [defs["_bfs"]] + [defs[n] for n in sorted(named & defs.keys())]:
+        for name in ("sorted", "_reflect"):
+            assert _calls_to(fn, name) == [], f"orbit.{fn.name} calls {name}"
 
 
 def test_input_caps_go_through_require_int():

@@ -9,34 +9,45 @@ the element BFS is the orbit BFS from that vector.  One function, _bfs,
 serves element growth, stabilizer growth, quadruple orbits and the
 max-norm profile, and owns their element cap: None means
 DEFAULT_MAX_ELEMENTS.  It yields each layer as an unordered collection
-without duplicates and holds two layers at a time, so the counts
-(bfs_elements, orbit_sizes, stabilizer_counts) hold no vectors; only
-orbit_vectors sorts its layers, which it returns.  The descent rule
-drives it: for k = w(1, 1, 1, 1), the generator s_i shortens w exactly
-when 3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
+without duplicates and holds two layers at a time; only orbit_vectors
+sorts its layers, which it returns.  The descent rule drives it: for
+k = w(1, 1, 1, 1), the generator s_i shortens w exactly when
+3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
 (Humphreys, Reflection Groups and Coxeter Groups, 1990, 5.4 and 5.6).
 It holds as well for every start x in the closed chamber,
 3 x_i <= sum(x), with w the shortest element of its coset of x's
 stabilizer (5.13), such as (1, 1, 1, 1), a root (0, g, g, g) with the
-zero in any position, and (0, 0, 0, 0).  From such a start the orbit is a tree, each vector the child of the one
-its smallest descent leads to, and _bfs builds each layer from the last
-with no set.  Other starts, the non-root quadruples, take a set loop.
-The profile reads the same rule to find each element's parent.  A BFS
-over exact 4x4 matrices in the tests is the oracle of both loops.
-Layer sizes are computed independently of the closed recurrence, which
-is kept as a separate code path so the two can be reported side by side.
+zero in any position, and (0, 0, 0, 0).  From such a start the orbit is
+a tree, each vector the child of the one its smallest descent leads to,
+and _bfs builds each layer from the last with no set.  Other starts,
+the non-root quadruples, take a set loop.  The profile reads the same
+rule to find each element's parent.
+
+The counts (bfs_elements, orbit_sizes, stabilizer_counts) build no
+vectors for a start in the closed chamber when no max_sum is set: _bfs
+then yields the layer sizes as the coefficients of the orbit's growth
+series, which Steinberg's formula reads off the finite parabolic
+subgroups (Humphreys 5.12), under the same element cap.  The BFS loops
+are their oracle in the tests, and a BFS over exact 4x4 matrices is the
+oracle of both loops.  Layer sizes are computed independently of the
+closed recurrence, which is kept as a separate code path so the two can
+be reported side by side.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from functools import cache
+from itertools import accumulate, combinations, compress, count, islice
+from operator import mul
 
 from . import counting
 from .core import (
+    FORM_MATRIX,
     GENERATOR_INDICES,
     Mat4,
     Quadruple,
@@ -51,6 +62,7 @@ from .core import (
     validate_quadruple,
 )
 from .eisenstein import factorize
+from .linalg import bareiss_det
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -63,6 +75,9 @@ LENGTH_CAP = 10_000
 # Its negative lies in the open fundamental chamber, so only the identity
 # fixes it and its orbit is a copy of the group.
 _CHAMBER_VECTOR = (1, 1, 1, 1)
+
+# An integer polynomial, coefficients from the constant term up.
+Poly = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,9 @@ def _bfs(
     max_depth: int,
     max_elements: int | None = None,
     max_sum: int | None = None,
-) -> Iterator[Collection[Vector4]]:
+    *,
+    sizes: bool = False,
+) -> Iterator[Collection[Vector4]] | Iterator[int]:
     """Yield the BFS layers of start under the reflections in letters.
 
     Layer n is the unordered collection, without duplicates, of the
@@ -90,9 +107,12 @@ def _bfs(
     the letters, 3 start_i <= sum(start) for each of them, the descent
     rule applies (Humphreys 5.13) and the layers are the levels of a
     tree (_tree_layers); only other starts take the set loop
-    (_set_layers).  Raises ResourceLimitError once the running total
-    exceeds max_elements (None: DEFAULT_MAX_ELEMENTS) after a layer.  Checks max_depth, max_elements and max_sum, once,
-    when iteration starts.
+    (_set_layers).  With sizes set, the layer sizes are yielded as ints
+    instead: for a chamber start with no max_sum they are the
+    coefficients of its growth series (_series_sizes) and no vector is
+    built.  Raises ResourceLimitError once the running total exceeds
+    max_elements (None: DEFAULT_MAX_ELEMENTS) after a layer.  Checks
+    max_depth, max_elements and max_sum, once, when iteration starts.
     """
     _require_int("depth", max_depth, 0)
     cap = DEFAULT_MAX_ELEMENTS
@@ -102,13 +122,101 @@ def _bfs(
         _require_int("max_sum", max_sum, 0)
     uses = tuple(i in letters for i in GENERATOR_INDICES)
     in_chamber = all(3 * x <= sum(start) for x, used in zip(start, uses) if used)
-    layers = (_tree_layers if in_chamber else _set_layers)(start, uses, max_sum)
+    if sizes and in_chamber and max_sum is None:
+        layers = _series_sizes(start, uses)
+    else:
+        layers = (_tree_layers if in_chamber else _set_layers)(start, uses, max_sum)
+        if sizes:
+            layers = map(len, layers)
     total = 0
     for layer in islice(layers, max_depth + 1):
-        total += len(layer)
+        total += layer if sizes else len(layer)
         if total > cap:
             raise ResourceLimitError(f"BFS exceeded cap of {cap} elements")
         yield layer
+
+
+def _poly_mul(p: Poly, q: Poly) -> Poly:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _poly_div(p: Poly, q: Poly) -> Poly:
+    """p / q for integer polynomials, lowest degree first, with q(0) = 1;
+    the division must be exact."""
+    rest, out = list(p), []
+    for k in range(len(p) - len(q) + 1):
+        out.append(rest[k])
+        for j, b in enumerate(q):
+            rest[k + j] -= out[k] * b
+    if any(rest):
+        raise AssertionError("inexact polynomial division")
+    return tuple(out)
+
+
+def _is_finite(subset: tuple[int, ...]) -> bool:
+    """Whether W_subset is finite: FORM_MATRIX is twice the Gram matrix
+    (-cos pi/m_ij), so exactly when its principal submatrix on subset is
+    positive definite, which its leading minors decide."""
+    return all(
+        bareiss_det([[FORM_MATRIX[i - 1][j - 1] for j in subset[:k]] for i in subset[:k]]) > 0
+        for k in range(1, len(subset) + 1)
+    )
+
+
+def _poincare(subset: tuple[int, ...]) -> Poly:
+    """Poincare polynomial of a finite W_subset of rank at most 2: 1, 1 + t,
+    or the dihedral (1 + t)(1 + t + ... + t^(m-1)), where the form entry
+    -2 cos(pi/m) is 0 for m = 2 and -1 for m = 3."""
+    if len(subset) < 2:
+        return (1, 1)[: len(subset) + 1]
+    i, j = subset
+    return _poly_mul((1, 1), (1,) * (2 - FORM_MATRIX[i - 1][j - 1]))
+
+
+@cache
+def _growth_series(letters: tuple[int, ...]) -> tuple[Poly, Poly]:
+    """W_letters(t) as (num, den), integer polynomials with den(0) = 1.
+
+    Steinberg's formula (Mem. AMS 80, 1968; Humphreys 5.12): 1/W(t) is
+    the sum over the subsets T whose W_T is finite of
+    (-1)^|T| t^N_T / W_T(t), N_T = deg W_T the length of W_T's longest
+    element.  Each W_T(t) divides the largest, num, so
+    den = num / W(t) is that sum times num.
+    """
+    subsets = (T for k in range(len(letters) + 1) for T in combinations(letters, k))
+    polys = [(len(T), _poincare(T)) for T in subsets if _is_finite(T)]
+    num = max((q for _, q in polys), key=len)
+    den = [0] * len(num)
+    for rank, q in polys:
+        for k, c in enumerate(_poly_div(num, q)):
+            den[len(q) - 1 + k] += (-1) ** rank * c
+    return num, tuple(den)
+
+
+def _series_sizes(start: Vector4, uses: tuple[bool, ...]) -> Iterator[int]:
+    """The BFS layer sizes of a start in the closed chamber, from its series.
+
+    The stabilizer of start in W_L, L the letters in use, is the
+    parabolic W_K, K the letters i with 3 start_i = sum(start)
+    (Humphreys 5.13), and layer n counts the cosets wW_K whose shortest
+    element has length n.  So the sizes are the coefficients of
+    W_L(t) / W_K(t), yielded by the linear recurrence of its denominator;
+    the numerator of W_K divides that of W_L, since K is a subset of L.
+    """
+    letters = tuple(compress(GENERATOR_INDICES, uses))
+    fixing = tuple(i for i in letters if 3 * start[i - 1] == sum(start))
+    num_l, den = _growth_series(letters)
+    num_k, den_k = _growth_series(fixing)
+    num = _poly_mul(_poly_div(num_l, num_k), den_k)
+    past: deque[int] = deque([0] * (len(den) - 1), maxlen=len(den) - 1)
+    for n in count():
+        c = (num[n] if n < len(num) else 0) - sum(map(mul, den[1:], past))
+        past.appendleft(c)
+        yield c
 
 
 def _tree_layers(
@@ -191,14 +299,19 @@ def _set_layers(
         prev, cur = cur, nxt
 
 
-def _growth_table(layers: Iterator[Collection[Vector4]]) -> GrowthTable:
-    sizes = tuple(len(layer) for layer in layers)
+def _growth_table(layer_sizes: Iterator[int]) -> GrowthTable:
+    sizes = tuple(layer_sizes)
     return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
 
 
 def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable:
-    """Growth table of the full group: layer sizes and cumulative counts."""
-    return _growth_table(_bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, max_elements))
+    """Growth table of the full group: layer sizes and cumulative counts.
+
+    The sizes are the coefficients of the growth series
+    (1 + t)(1 + t + t^2) / ((1 - t)(1 - t - 3t^2)), under the element cap.
+    """
+    sizes = _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, max_elements, sizes=True)
+    return _growth_table(sizes)
 
 
 def growth_recurrence(n: int) -> int:
@@ -265,24 +378,29 @@ def orbit_sizes(
 ) -> GrowthTable:
     """The sizes of orbit_vectors(root, ...) without its vectors.
 
-    Same arguments, checks and element cap; each layer is counted and
-    dropped, so no more than two layers are held at a time.  A root
-    (0, g, g, g) lies in the closed chamber, so its layers are built as
-    tree levels with no set (Humphreys 5.13); any other quadruple takes
-    the set loop.
+    Same arguments, checks and element cap.  A root (0, g, g, g) lies in
+    the closed chamber: with no max_sum its sizes are the coefficients of
+    (1 - t^2)/(1 - t - 3t^2), the growth series over that of its
+    stabilizer (Humphreys 5.12, 5.13), and no vector is built; with
+    max_sum they count the tree levels.  Any other quadruple takes the
+    set loop.  Each layer is counted and dropped, so no more than two
+    layers are held at a time.
     """
     root = validate_quadruple(root)
-    return _growth_table(_bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum))
+    sizes = _bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum, sizes=True)
+    return _growth_table(sizes)
 
 
 def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
     """Layer sizes of the subgroup generated by the last three reflections.
 
-    That subgroup fixes every root quadruple (0, x, x, x); its growth
-    is linear, with 3n new elements at each length n >= 1, so the count
-    of elements of length at most 2n is 6n^2 + 3n + 1.
+    That subgroup fixes every root quadruple (0, x, x, x); it is the
+    affine group of type A2~, with growth series (1 + t + t^2)/(1 - t)^2,
+    whose coefficients the sizes are: 3n new elements at each length
+    n >= 1, so the count of elements of length at most 2n is
+    6n^2 + 3n + 1.
     """
-    return [len(layer) for layer in _bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, max_elements)]
+    return list(_bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, max_elements, sizes=True))
 
 
 def stabilizer_cumulative_closed_form(n: int) -> int:

@@ -320,3 +320,17 @@ def test_criterion_10_simplex_identity_and_gram_paths():
         f" Gram determinant equals its closed form on {checked} configurations"
         " (and perturbations) PASS"
     )
+
+
+def test_criterion_11_primitive_census_grows_like_c_n_squared():
+    # primitive quadruples are an orbit on the light cone of a form of
+    # signature (3, 1), so their count by max entry grows like C n^2
+    # (Duke-Rudnick-Sarnak, Eskin-McMullen 1993), not like n^2 ln^3 n
+    start = time.monotonic()
+    ratios = [count_by_max(n, primitive=True).count / n**2 for n in (1600, 3200)]
+    elapsed = time.monotonic() - start
+    assert abs(ratios[1] / ratios[0] - 1) < 0.001
+    print(
+        f"\nACCEPTANCE 11: primitive count by max entry over n^2 is"
+        f" {ratios[0]:.7f} at n = 1600 and {ratios[1]:.7f} at n = 3200 ({elapsed:.1f}s) PASS"
+    )

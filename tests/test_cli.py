@@ -85,6 +85,20 @@ def test_growth_rows(capsys):
     assert rows[4]["cumulative"] == 119
 
 
+def test_growth_at_depth_200_under_a_large_cap(capsys):
+    # the counts come from the growth series, so depth 200 builds no
+    # vectors; the default element cap still counts every element
+    payload = run_json(capsys, "growth", "--depth", "200", "--max-elements", str(10**100))
+    table = orbit.bfs_elements(200, 10**100)
+    sizes = orbit.orbit_sizes((0, 1, 1, 1), 200, 10**100)
+    assert [int(r["cumulative"]) for r in payload["rows"]] == list(table.cumulative_sizes)
+    assert [int(r["orbit"]) for r in payload["rows"]] == list(sizes.cumulative_sizes)
+    assert len(str(table.layer_sizes[200])) == 73
+    code, out, err = run_cli(capsys, "growth", "--depth", "200")
+    assert (code, out) == (3, "")
+    assert "BFS exceeded cap of 2000000 elements" in err
+
+
 def test_census_height_report_and_list(capsys):
     payload = run_json(capsys, "census-height", "5")
     assert payload["count"] == 3

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from trigroup import orbit
 from trigroup.core import (
     FORM_MATRIX,
     ResourceLimitError,
@@ -14,9 +15,14 @@ from trigroup.core import (
     mat_transpose,
     mat_vec,
 )
+from trigroup.linalg import bareiss_det
 from trigroup.orbit import (
     _bfs,
     _descent,
+    _growth_series,
+    _is_finite,
+    _poincare,
+    _poly_mul,
     bfs_elements,
     char_poly,
     coxeter_char_poly,
@@ -41,7 +47,7 @@ from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matri
 ROOT = (0, 1, 1, 1)
 
 # Coefficients of the Coxeter growth series (1+2t+2t^2+t^3)/(1-2t-2t^2+3t^3).
-COXETER_SERIES = (1, 4, 12, 30, 72, 168, 390, 900, 2076, 4782, 11016, 25368)
+COXETER_SERIES = (1, 4, 12, 30, 72, 168, 390, 900, 2076, 4782, 11016, 25368, 58422, 134532)
 
 # Coefficients of W(t)/W_J(t) = (1 - t^2)/(1 - t - 3t^2), J = {2, 3, 4}: the
 # orbit layers of a root (0, g, g, g), whose stabilizer is the affine W_J.
@@ -49,6 +55,8 @@ ROOT_ORBIT_SERIES = (1, 1, 3, 6, 15, 33, 78, 177, 411, 942, 2175, 5001, 11526, 2
 
 # Roots (0, g, g, g) with the zero in each position: starts in the closed chamber.
 CHAMBER_ROOTS = [(0, 1, 1, 1), (3, 0, 3, 3), (5, 5, 0, 5), (2, 2, 2, 0)]
+
+LETTER_SETS = [t for k in range(1, 5) for t in combinations((1, 2, 3, 4), k)]
 
 
 def test_recurrence_values():
@@ -166,9 +174,7 @@ def test_root_orbit_layers_against_matrix_oracle(root, max_sum):
         assert 0 < sum(map(len, oracle)) < len(seen)
 
 
-@pytest.mark.parametrize(
-    "letters", [t for k in range(1, 5) for t in combinations((1, 2, 3, 4), k)], ids=str
-)
+@pytest.mark.parametrize("letters", LETTER_SETS, ids=str)
 def test_chamber_vector_layers_against_matrix_oracle_on_every_letter_set(letters):
     generators = tuple(generator_matrix(i) for i in letters)
     oracle = [len(layer) for layer in element_layers(generators, 7)]
@@ -356,7 +362,7 @@ def test_bfs_layer_sizes_against_matrix_oracle():
 
 
 def test_bfs_layer_sizes_against_coxeter_series():
-    table = bfs_elements(11)
+    table = bfs_elements(len(COXETER_SERIES) - 1)
     assert table.layer_sizes == COXETER_SERIES
     assert table.cumulative_sizes[-1] == sum(COXETER_SERIES)
 
@@ -420,3 +426,112 @@ def test_word_norm_rejects_bad_letters(word):
 def test_negative_depth_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _series_and_bfs(start, letters, depth):
+    """The layer sizes _bfs yields from the growth series, and the sizes
+    of the layers its BFS loops build."""
+    series = list(_bfs(start, letters, depth, sizes=True))
+    return series, [len(layer) for layer in _bfs(start, letters, depth)]
+
+
+def test_series_against_bfs_for_the_chamber_vector():
+    series, bfs = _series_and_bfs((1, 1, 1, 1), (1, 2, 3, 4), 13)
+    assert series == bfs == list(COXETER_SERIES)
+
+
+def test_series_against_bfs_for_the_affine_stabilizer():
+    series, bfs = _series_and_bfs((1, 1, 1, 1), (2, 3, 4), 40)
+    assert series == bfs == [1] + [3 * n for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("root", CHAMBER_ROOTS)
+def test_series_against_bfs_for_root_orbits(root):
+    series, bfs = _series_and_bfs(root, (1, 2, 3, 4), 13)
+    assert series == bfs == list(ROOT_ORBIT_SERIES)
+
+
+@pytest.mark.parametrize("start", [(1, 1, 1, 1), (0, 1, 1, 1)])
+@pytest.mark.parametrize("letters", LETTER_SETS, ids=str)
+def test_series_against_bfs_on_every_letter_set(letters, start):
+    series, bfs = _series_and_bfs(start, letters, 8)
+    assert series == bfs
+
+
+def test_series_of_the_zero_start():
+    # every letter fixes (0,0,0,0), so its stabilizer is the whole group
+    series, bfs = _series_and_bfs((0, 0, 0, 0), (1, 2, 3, 4), 6)
+    assert series == bfs == [1] + [0] * 6
+
+
+def test_counts_of_chamber_starts_build_no_vectors(monkeypatch):
+    # with no max_sum the counts take the series; a max_sum count still
+    # walks the tree, and orbit_vectors always does
+    def no_tree(*args):
+        raise AssertionError("_tree_layers called")
+
+    monkeypatch.setattr(orbit, "_tree_layers", no_tree)
+    assert bfs_elements(13).layer_sizes == COXETER_SERIES
+    assert orbit_sizes(ROOT, 13).layer_sizes == ROOT_ORBIT_SERIES
+    assert stabilizer_counts(40) == [1] + [3 * n for n in range(1, 41)]
+    for call in (lambda: orbit_sizes(ROOT, 3, None, 60), lambda: orbit_vectors(ROOT, 3)):
+        with pytest.raises(AssertionError, match="_tree_layers"):
+            call()
+
+
+def test_growth_series_in_closed_form():
+    # cross-multiplied, so that a fraction need not be in lowest terms
+    def equal(a, b):
+        return _poly_mul(a[0], b[1]) == _poly_mul(b[0], a[1])
+
+    group, affine = _growth_series((1, 2, 3, 4)), _growth_series((2, 3, 4))
+    assert equal(group, (_poly_mul((1, 1), (1, 1, 1)), _poly_mul((1, -1), (1, -1, -3))))
+    assert equal(affine, ((1, 1, 1), (1, -2, 1)))
+    # the root orbit: W(t) = W_{2,3,4}(t) (1 - t^2)/(1 - t - 3t^2)
+    assert equal(group, (_poly_mul(affine[0], (1, 0, -1)), _poly_mul(affine[1], (1, -1, -3))))
+
+
+def test_finite_parabolics_are_the_positive_definite_minors():
+    # FORM_MATRIX's principal minors: positive up to rank 2, zero for the
+    # affine A2~ on three letters, -27 for the hyperbolic whole
+    minors = {0: 1, 1: 2, 2: 3, 3: 0, 4: -27}
+    for k, expected in minors.items():
+        for subset in combinations((1, 2, 3, 4), k):
+            rows = [[FORM_MATRIX[i - 1][j - 1] for j in subset] for i in subset]
+            assert bareiss_det(rows) == expected
+            assert _is_finite(subset) == (k <= 2)
+
+
+@pytest.mark.parametrize("subset", [(), (3,), (1, 4), (2, 3)], ids=str)
+def test_poincare_polynomials_against_matrix_oracle(subset):
+    generators = tuple(generator_matrix(i) for i in subset)
+    layers = [len(layer) for layer in element_layers(generators, 4)]
+    poly = _poincare(subset)
+    assert layers == list(poly) + [0] * (5 - len(poly))
+
+
+@pytest.mark.parametrize(
+    "call,total",
+    [
+        (lambda cap: bfs_elements(13, cap), sum(COXETER_SERIES)),
+        (lambda cap: stabilizer_counts(13, cap), 1 + 3 * 13 * 14 // 2),
+        (lambda cap: orbit_sizes(ROOT, 13, cap), sum(ROOT_ORBIT_SERIES)),
+    ],
+    ids=["bfs_elements", "stabilizer_counts", "orbit_sizes"],
+)
+def test_series_counts_keep_the_element_cap(call, total):
+    call(total)
+    with pytest.raises(ResourceLimitError):
+        call(total - 1)
+
+
+def test_recurrence_gap_is_the_numerators_cubic_term():
+    # the recurrence is the series' denominator 1 - 2t - 2t^2 + 3t^3 with
+    # seeds 1, 4, 12 that leave out the numerator's t^3 term, so the BFS
+    # count minus the recurrence is the coefficient of t^n in
+    # t^3/(1 - 2t - 2t^2 + 3t^3): 0, 0, 0, 1, 2, 6, ...
+    layers = bfs_elements(200, max_elements=10**100).layer_sizes
+    gap = [0, 0, 0, 1]
+    while len(gap) < 201:
+        gap.append(2 * gap[-1] + 2 * gap[-2] - 3 * gap[-3])
+    assert [layers[n] - growth_recurrence(n) for n in range(201)] == gap

@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
@@ -183,10 +183,11 @@ def _cmd_normform(args):
 def _cmd_stabilizer(args):
     layers = orbit.stabilizer_counts(args.depth, max_elements=args.max_elements)
     expected = [1] + [3 * n for n in range(1, args.depth + 1)]
+    totals = list(accumulate(layers))
     cumulative = [
         {
             "n": n,
-            "count": sum(layers[: 2 * n + 1]),
+            "count": totals[2 * n],
             "closed_form": orbit.stabilizer_cumulative_closed_form(n),
         }
         for n in range(args.depth // 2 + 1)

@@ -227,16 +227,6 @@ def form_signature() -> tuple[int, int, int]:
     return (positive, 1, 0)
 
 
-# Change of variables (a,b,c,d) -> (a, b, a+b-c, a+b-d); unimodular, and
-# it carries Q to -6xy + 2z^2 - 2zw + 2w^2.
-SUBSTITUTION_MATRIX: Mat4 = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (1, 1, -1, 0),
-    (1, 1, 0, -1),
-)
-
-
 def norm_form_substitution(q: Quadruple) -> tuple[int, int, int, int]:
     """Map a nonincreasing valid quadruple (a,b,c,d) to (a, b, a+b-c, a+b-d).
 

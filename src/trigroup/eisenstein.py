@@ -67,8 +67,6 @@ def _is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int, max_iterations: int) -> int:
     """Brent-cycle rho; returns a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     spent = 0
     for c in range(1, 1000):
         y, m = 2, 128
@@ -119,8 +117,6 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
     stack = [k] if k > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

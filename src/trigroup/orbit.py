@@ -5,33 +5,36 @@ of the Coxeter group on K4 with every label 3, whose form FORM_MATRIX is
 nondegenerate and sends (1, 1, 1, 1) to its negative.  So -(1, 1, 1, 1)
 lies in an open chamber, and by Tits' theorem w -> w(1, 1, 1, 1) is
 injective: a group element is counted as its image of (1, 1, 1, 1), and
-the element BFS is the orbit BFS from that vector.  One function, _bfs,
-serves element growth, stabilizer growth, quadruple orbits and the
-max-norm profile, and owns their element cap: None means
-DEFAULT_MAX_ELEMENTS.  It yields each layer as an unordered collection
-without duplicates and holds two layers at a time; only orbit_vectors
-sorts its layers, which it returns.  The descent rule drives it: for
-k = w(1, 1, 1, 1), the generator s_i shortens w exactly when
-3 k_i > sum(k), since s_i changes the entry sum by sum(k) - 3 k_i
-(Humphreys, Reflection Groups and Coxeter Groups, 1990, 5.4 and 5.6).
-It holds as well for every start x in the closed chamber,
-3 x_i <= sum(x), with w the shortest element of its coset of x's
-stabilizer (5.13), such as (1, 1, 1, 1), a root (0, g, g, g) with the
-zero in any position, and (0, 0, 0, 0).  From such a start the orbit is
-a tree, each vector the child of the one its smallest descent leads to,
-and _bfs builds each layer from the last with no set.  Other starts,
-the non-root quadruples, take a set loop.  The profile reads the same
+the element BFS is the orbit BFS from that vector.
+
+One function, _bfs, serves element growth, stabilizer growth, quadruple
+orbits and the max-norm profile, and owns their element cap.  Layer n
+holds the vectors first reached by a word of length n, as an unordered
+collection without duplicates, and only two layers are held at a time;
+only orbit_vectors sorts its layers, which it returns.
+
+The descent rule: s_i changes the entry sum of v by sum(v) - 3 v_i, and
+for v = w(x), x in the closed chamber (3 x_i <= sum(x), such as
+(1, 1, 1, 1), a root (0, g, g, g) with the zero in any position, and
+(0, 0, 0, 0)) and w shortest in its coset of x's stabilizer, s_i
+shortens w exactly when 3 v_i > sum(v), and fixes v when
+3 v_i = sum(v) (Humphreys, Reflection Groups and Coxeter Groups, 1990,
+5.4, 5.6 and 5.13).  So the orbit of such a start is a tree, each vector
+the child of the one its smallest descent leads to, and _bfs builds its
+layers with no set (_tree_layers); other starts, the non-root
+quadruples, take a set loop (_set_layers).  The profile reads the same
 rule to find each element's parent.
 
-The counts (bfs_elements, orbit_sizes, stabilizer_counts) build no
-vectors for a start in the closed chamber when no max_sum is set: _bfs
-then yields the layer sizes as the coefficients of the orbit's growth
-series, which Steinberg's formula reads off the finite parabolic
-subgroups (Humphreys 5.12), under the same element cap.  The BFS loops
-are their oracle in the tests, and a BFS over exact 4x4 matrices is the
-oracle of both loops.  Layer sizes are computed independently of the
-closed recurrence, which is kept as a separate code path so the two can
-be reported side by side.
+The series: the stabilizer of a chamber start x in W_L is the parabolic
+W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer
+sizes are the coefficients of W_L(t) / W_K(t), each growth series read
+off the finite parabolic subgroups by Steinberg's formula (5.12).  The
+counts (bfs_elements, orbit_sizes, stabilizer_counts) of a chamber start
+with no max_sum take them and build no vectors.  On all four letters the
+BFS loops are their oracle in the tests, on a letter subset a BFS over
+exact 4x4 matrices is, and that matrix BFS is the oracle of both loops.
+Layer sizes are computed independently of the closed recurrence, which
+is kept as a separate code path so the two can be reported side by side.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, compress, count, islice
+from itertools import accumulate, combinations, count, islice
 from operator import mul
 
 from . import counting
@@ -69,7 +72,8 @@ DEFAULT_MAX_ELEMENTS = 2_000_000
 RECURRENCE_SEEDS = (1, 4, 12)
 
 # Work cap on the word length n of growth_recurrence (n steps on numbers
-# of ~n digits) and extremal_word (a word of n letters to apply).
+# of ~n digits), extremal_word (a word of n letters to apply) and
+# stabilizer_counts (n series steps, and the CLI's n + 1 layers).
 LENGTH_CAP = 10_000
 
 # Its negative lies in the open fundamental chamber, so only the identity
@@ -90,29 +94,22 @@ class GrowthTable:
 
 def _bfs(
     start: Vector4,
-    letters: tuple[int, ...],
     max_depth: int,
     max_elements: int | None = None,
     max_sum: int | None = None,
     *,
+    letters: tuple[int, ...] = GENERATOR_INDICES,
     sizes: bool = False,
 ) -> Iterator[Collection[Vector4]] | Iterator[int]:
-    """Yield the BFS layers of start under the reflections in letters.
+    """Yield the BFS layers of start: vectors, or with sizes set their sizes.
 
-    Layer n is the unordered collection, without duplicates, of the
-    vectors first reached by a word of length n, yielded once it is
-    complete; with max_sum set, vectors whose entry sum exceeds it are
-    dropped.  Only two layers are held at a time, and the caller must not
-    mutate a yielded layer.  When start lies in the closed chamber of
-    the letters, 3 start_i <= sum(start) for each of them, the descent
-    rule applies (Humphreys 5.13) and the layers are the levels of a
-    tree (_tree_layers); only other starts take the set loop
-    (_set_layers).  With sizes set, the layer sizes are yielded as ints
-    instead: for a chamber start with no max_sum they are the
-    coefficients of its growth series (_series_sizes) and no vector is
-    built.  Raises ResourceLimitError once the running total exceeds
-    max_elements (None: DEFAULT_MAX_ELEMENTS) after a layer.  Checks
-    max_depth, max_elements and max_sum, once, when iteration starts.
+    With max_sum set, vectors whose entry sum exceeds it are dropped.
+    The caller must not mutate a yielded layer.  letters narrows the
+    series only: a subset raises ValueError unless the layers are the
+    sizes of a chamber start with no max_sum.  Raises ResourceLimitError
+    once the running total exceeds max_elements (None:
+    DEFAULT_MAX_ELEMENTS) after a layer.  The arguments are checked
+    once, when iteration starts.
     """
     _require_int("depth", max_depth, 0)
     cap = DEFAULT_MAX_ELEMENTS
@@ -120,12 +117,13 @@ def _bfs(
         cap = _require_int("element cap", max_elements, 1)
     if max_sum is not None:
         _require_int("max_sum", max_sum, 0)
-    uses = tuple(i in letters for i in GENERATOR_INDICES)
-    in_chamber = all(3 * x <= sum(start) for x, used in zip(start, uses) if used)
+    in_chamber = all(3 * start[i - 1] <= sum(start) for i in letters)
     if sizes and in_chamber and max_sum is None:
-        layers = _series_sizes(start, uses)
+        layers = _series_sizes(start, letters)
+    elif letters != GENERATOR_INDICES:
+        raise ValueError(f"letters {letters} are counted from their series only")
     else:
-        layers = (_tree_layers if in_chamber else _set_layers)(start, uses, max_sum)
+        layers = (_tree_layers if in_chamber else _set_layers)(start, max_sum)
         if sizes:
             layers = map(len, layers)
     total = 0
@@ -197,17 +195,12 @@ def _growth_series(letters: tuple[int, ...]) -> tuple[Poly, Poly]:
     return num, tuple(den)
 
 
-def _series_sizes(start: Vector4, uses: tuple[bool, ...]) -> Iterator[int]:
-    """The BFS layer sizes of a start in the closed chamber, from its series.
-
-    The stabilizer of start in W_L, L the letters in use, is the
-    parabolic W_K, K the letters i with 3 start_i = sum(start)
-    (Humphreys 5.13), and layer n counts the cosets wW_K whose shortest
-    element has length n.  So the sizes are the coefficients of
-    W_L(t) / W_K(t), yielded by the linear recurrence of its denominator;
-    the numerator of W_K divides that of W_L, since K is a subset of L.
+def _series_sizes(start: Vector4, letters: tuple[int, ...]) -> Iterator[int]:
+    """The layer sizes of a start in the closed chamber of letters: the
+    coefficients of W_letters(t) / W_K(t), K the letters that fix start,
+    yielded by the linear recurrence of the denominator.  The numerator
+    of W_K divides that of W_letters, since K is a subset of letters.
     """
-    letters = tuple(compress(GENERATOR_INDICES, uses))
     fixing = tuple(i for i in letters if 3 * start[i - 1] == sum(start))
     num_l, den = _growth_series(letters)
     num_k, den_k = _growth_series(fixing)
@@ -219,27 +212,15 @@ def _series_sizes(start: Vector4, uses: tuple[bool, ...]) -> Iterator[int]:
         yield c
 
 
-def _tree_layers(
-    start: Vector4,
-    uses: tuple[bool, ...],
-    max_sum: int | None,
-) -> Iterator[list[Vector4]]:
-    """The BFS layers of a start in the closed chamber, as tree levels.
+def _tree_layers(start: Vector4, max_sum: int | None) -> Iterator[list[Vector4]]:
+    """The layers of a start in the closed chamber, as tree levels.
 
-    Reflection i changes the entry sum s of v by s - 3 v_i.  For start
-    in the closed chamber, the orbit point v = w(start), with w shortest
-    in its coset of start's stabilizer, has a shorter such w exactly at
-    the letters i with 3 v_i > s, and reflection i fixes v when
-    3 v_i = s (Humphreys, Reflection Groups and Coxeter Groups, 1990,
-    5.13).  So the BFS depth of v is that length, and the sum grows
-    along every edge to the next layer.  The child s_i v is made by v
-    only when 3 v_i < s and i is its smallest descent: no letter j < i
-    in use has 3 v_j > 2s - 3 v_i.  Every vector then has one parent,
-    no layer needs a set, and a child over max_sum is skipped before it
-    is built, as is its subtree, whose sums are larger still.  Layer
-    n + 1 lists the children of layer n in its order.
+    The child s_i v is made by v only when 3 v_i < s = sum(v) and i is
+    its smallest descent: no j < i has 3 v_j > 2s - 3 v_i.  A child over
+    max_sum is skipped before it is built, and so is its subtree, whose
+    sums are larger still.  Layer n + 1 lists the children of layer n in
+    its order.
     """
-    r1, r2, r3, r4 = uses
     cur = [start]
     while True:
         yield cur
@@ -250,31 +231,25 @@ def _tree_layers(
             s = a + b + c + d
             t = s + s
             a3, b3, c3, d3 = 3 * a, 3 * b, 3 * c, 3 * d
-            if r1 and a3 < s and (max_sum is None or t - a3 <= max_sum):
+            if a3 < s and (max_sum is None or t - a3 <= max_sum):
                 add((s - 2 * a, b, c, d))
-            if (r2 and b3 < s and not (r1 and a3 + b3 > t)
-                    and (max_sum is None or t - b3 <= max_sum)):
+            if b3 < s and a3 + b3 <= t and (max_sum is None or t - b3 <= max_sum):
                 add((a, s - 2 * b, c, d))
-            if (r3 and c3 < s and not (r1 and a3 + c3 > t or r2 and b3 + c3 > t)
+            if (c3 < s and a3 + c3 <= t and b3 + c3 <= t
                     and (max_sum is None or t - c3 <= max_sum)):
                 add((a, b, s - 2 * c, d))
-            if (r4 and d3 < s and not (r1 and a3 + d3 > t or r2 and b3 + d3 > t or r3 and c3 + d3 > t)
+            if (d3 < s and a3 + d3 <= t and b3 + d3 <= t and c3 + d3 <= t
                     and (max_sum is None or t - d3 <= max_sum)):
                 add((a, b, c, s - 2 * d))
         cur = nxt
 
 
-def _set_layers(
-    start: Vector4,
-    uses: tuple[bool, ...],
-    max_sum: int | None,
-) -> Iterator[set[Vector4]]:
-    """The BFS layers of any start, as sets.
+def _set_layers(start: Vector4, max_sum: int | None) -> Iterator[set[Vector4]]:
+    """The layers of any start, as sets.
 
     Every reflection is an involution, so a vector reached from layer n
     can only already lie in layer n - 1 or n; those two are subtracted.
     """
-    r1, r2, r3, r4 = uses
     prev: set[Vector4] = set()
     cur: set[Vector4] = {start}
     while True:
@@ -284,14 +259,10 @@ def _set_layers(
         for a, b, c, d in cur:
             # generator i replaces entry i by the sum of the others minus itself
             s = a + b + c + d
-            if r1:
-                add((s - 2 * a, b, c, d))
-            if r2:
-                add((a, s - 2 * b, c, d))
-            if r3:
-                add((a, b, s - 2 * c, d))
-            if r4:
-                add((a, b, c, s - 2 * d))
+            add((s - 2 * a, b, c, d))
+            add((a, s - 2 * b, c, d))
+            add((a, b, s - 2 * c, d))
+            add((a, b, c, s - 2 * d))
         nxt -= prev
         nxt -= cur
         if max_sum is not None:
@@ -310,7 +281,7 @@ def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable
     The sizes are the coefficients of the growth series
     (1 + t)(1 + t + t^2) / ((1 - t)(1 - t - 3t^2)), under the element cap.
     """
-    sizes = _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_depth, max_elements, sizes=True)
+    sizes = _bfs(_CHAMBER_VECTOR, max_depth, max_elements, sizes=True)
     return _growth_table(sizes)
 
 
@@ -361,7 +332,7 @@ def orbit_vectors(
     root = validate_quadruple(root)
     layers = tuple(
         tuple(sorted(layer))
-        for layer in _bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum)
+        for layer in _bfs(root, max_depth, max_elements, max_sum)
     )
     return VectorOrbit(
         root=root,
@@ -378,16 +349,12 @@ def orbit_sizes(
 ) -> GrowthTable:
     """The sizes of orbit_vectors(root, ...) without its vectors.
 
-    Same arguments, checks and element cap.  A root (0, g, g, g) lies in
-    the closed chamber: with no max_sum its sizes are the coefficients of
-    (1 - t^2)/(1 - t - 3t^2), the growth series over that of its
-    stabilizer (Humphreys 5.12, 5.13), and no vector is built; with
-    max_sum they count the tree levels.  Any other quadruple takes the
-    set loop.  Each layer is counted and dropped, so no more than two
-    layers are held at a time.
+    Same arguments, checks and element cap.  A root (0, g, g, g) with no
+    max_sum has the sizes of (1 - t^2)/(1 - t - 3t^2), its series, and
+    builds no vector; otherwise each layer is counted and dropped.
     """
     root = validate_quadruple(root)
-    sizes = _bfs(root, GENERATOR_INDICES, max_depth, max_elements, max_sum, sizes=True)
+    sizes = _bfs(root, max_depth, max_elements, max_sum, sizes=True)
     return _growth_table(sizes)
 
 
@@ -398,9 +365,11 @@ def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
     affine group of type A2~, with growth series (1 + t + t^2)/(1 - t)^2,
     whose coefficients the sizes are: 3n new elements at each length
     n >= 1, so the count of elements of length at most 2n is
-    6n^2 + 3n + 1.
+    6n^2 + 3n + 1.  Above LENGTH_CAP it raises ResourceLimitError before
+    any work.
     """
-    return list(_bfs(_CHAMBER_VECTOR, (2, 3, 4), max_n, max_elements, sizes=True))
+    _require_int("depth", max_n, 0, cap=LENGTH_CAP)
+    return list(_bfs(_CHAMBER_VECTOR, max_n, max_elements, letters=(2, 3, 4), sizes=True))
 
 
 def stabilizer_cumulative_closed_form(n: int) -> int:
@@ -468,7 +437,7 @@ def max_norm_profile(
     root = validate_quadruple(root)
     prev: dict[Vector4, tuple[Word, Vector4]] = {}
     profile: list[tuple[int, list[Word]]] = []
-    for layer in _bfs(_CHAMBER_VECTOR, GENERATOR_INDICES, max_n, max_elements):
+    for layer in _bfs(_CHAMBER_VECTOR, max_n, max_elements):
         cur = {}
         for key in layer:
             i = _descent(key)

@@ -305,6 +305,7 @@ def test_motivating_probes_raise_value_error(call):
         lambda: orbit.growth_recurrence(orbit.LENGTH_CAP + 1),
         lambda: orbit.extremal_word(orbit.LENGTH_CAP + 1),
         lambda: orbit.extremal_word(10**100),
+        lambda: orbit.stabilizer_counts(orbit.LENGTH_CAP + 1, 10**100),
     ],
 )
 def test_work_caps_raise_before_any_work(call):
@@ -317,3 +318,4 @@ def test_work_caps_raise_before_any_work(call):
 def test_work_caps_admit_their_bound():
     assert len(orbit.extremal_word(orbit.LENGTH_CAP)) == orbit.LENGTH_CAP
     assert orbit.growth_recurrence(orbit.LENGTH_CAP) > 0
+    assert orbit.stabilizer_counts(orbit.LENGTH_CAP, 10**100)[-1] == 3 * orbit.LENGTH_CAP

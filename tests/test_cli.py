@@ -260,6 +260,37 @@ def test_stabilizer(capsys):
     }
 
 
+def test_stabilizer_rows_at_depth_2000_and_over_the_length_cap(capsys):
+    payload = run_json(capsys, "stabilizer", "--depth", "2000", "--max-elements", str(10**100))
+    rows = payload["cumulative_through_even_lengths"]
+    assert [row["count"] for row in rows] == [6 * n * n + 3 * n + 1 for n in range(1001)]
+    assert all(row["count"] == row["closed_form"] for row in rows)
+    depth = str(orbit.LENGTH_CAP + 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stabilizer", "--depth", depth, "--max-elements", str(10**100))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "resource limit" in err
+
+
+def test_normform_of_zero_and_of_a_negative(capsys):
+    # 0 = N(0, 0) only, and no divisor sum is defined for it
+    assert run_json(capsys, "normform", "0") == {"k": 0, "count": 1, "solutions": [[0, 0]]}
+    code, out, err = run_cli(capsys, "normform", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("alpha", "--search", "--height", "10"), ("alpha", "1", "2", "3")],
+)
+def test_alpha_incomplete_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_extremal(capsys):
     payload = run_json(capsys, "extremal", "4")
     assert payload["word"] == [4, 3, 2, 1]

@@ -151,7 +151,7 @@ def test_zero_start_is_its_own_orbit():
     # it.  Its orbit is itself, and a cap of 1, the total, returns.
     zero = (0, 0, 0, 0)
     for max_sum in (None, 60):
-        layers = [list(layer) for layer in _bfs(zero, (1, 2, 3, 4), 6, 1, max_sum)]
+        layers = [list(layer) for layer in _bfs(zero, 6, 1, max_sum)]
         assert layers == [[zero]] + [[]] * 6
     for call in (orbit_sizes, orbit_vectors):
         with pytest.raises(ValueError):
@@ -178,14 +178,14 @@ def test_root_orbit_layers_against_matrix_oracle(root, max_sum):
 def test_chamber_vector_layers_against_matrix_oracle_on_every_letter_set(letters):
     generators = tuple(generator_matrix(i) for i in letters)
     oracle = [len(layer) for layer in element_layers(generators, 7)]
-    assert [len(layer) for layer in _bfs((1, 1, 1, 1), letters, 7)] == oracle
+    assert list(_bfs((1, 1, 1, 1), 7, letters=letters, sizes=True)) == oracle
 
 
 @pytest.mark.parametrize("start", [(1, 1, 1, 1), (0, 1, 1, 1), (5, 5, 0, 5)])
 def test_chamber_layers_are_levels_of_the_smallest_descent_tree(start):
     # each vector of layer n + 1 is listed under the vector of layer n
     # that its smallest descent (_descent) names, in the order of layer n
-    layers = [list(layer) for layer in _bfs(start, (1, 2, 3, 4), 8)]
+    layers = [list(layer) for layer in _bfs(start, 8)]
     for parents, children in zip(layers, layers[1:]):
         index = {v: k for k, v in enumerate(parents)}
         order = [index[_reflect(v, _descent(v))] for v in children]
@@ -347,7 +347,7 @@ def test_element_bfs_is_the_orbit_of_the_chamber_vector():
     # Tits: w -> w(1,1,1,1) is injective, so each matrix layer maps onto
     # the vector layer of the same depth, one to one
     ones = (1, 1, 1, 1)
-    vector_layers = _bfs(ones, (1, 2, 3, 4), 9, 10**6)
+    vector_layers = _bfs(ones, 9, 10**6)
     for matrices, vectors in zip(element_layers(all_generators(), 9), vector_layers, strict=True):
         images = [mat_vec(m, ones) for m in matrices]
         assert len(set(images)) == len(matrices)
@@ -414,7 +414,7 @@ def test_word_norm_rejects_bad_letters(word):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: list(_bfs((1, 1, 1, 1), (1, 2, 3, 4), -1, 100)),
+        lambda: list(_bfs((1, 1, 1, 1), -1, 100)),
         lambda: bfs_elements(-1),
         lambda: orbit_vectors(ROOT, -2),
         lambda: stabilizer_counts(-1),
@@ -428,11 +428,25 @@ def test_negative_depth_rejected(call):
         call()
 
 
+def _matrix_orbit_sizes(start, letters, depth):
+    """The orbit layer sizes of start under the letters' generators by
+    the exact matrix BFS: the distinct M start by first reach."""
+    seen, sizes = set(), []
+    for matrices in element_layers(tuple(generator_matrix(i) for i in letters), depth):
+        images = {mat_vec(m, start) for m in matrices} - seen
+        seen |= images
+        sizes.append(len(images))
+    return sizes
+
+
 def _series_and_bfs(start, letters, depth):
     """The layer sizes _bfs yields from the growth series, and the sizes
-    of the layers its BFS loops build."""
-    series = list(_bfs(start, letters, depth, sizes=True))
-    return series, [len(layer) for layer in _bfs(start, letters, depth)]
+    of a BFS's layers: those of _bfs's loops on all four letters, and of
+    the matrix BFS on a subset, which the loops do not walk."""
+    series = list(_bfs(start, depth, letters=letters, sizes=True))
+    if letters == (1, 2, 3, 4):
+        return series, [len(layer) for layer in _bfs(start, depth)]
+    return series, _matrix_orbit_sizes(start, letters, depth)
 
 
 def test_series_against_bfs_for_the_chamber_vector():
@@ -456,6 +470,22 @@ def test_series_against_bfs_for_root_orbits(root):
 def test_series_against_bfs_on_every_letter_set(letters, start):
     series, bfs = _series_and_bfs(start, letters, 8)
     assert series == bfs
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _bfs((1, 1, 1, 1), 3, letters=(2, 3, 4)),
+        lambda: _bfs((1, 1, 1, 1), 3, None, 60, letters=(2, 3, 4), sizes=True),
+        lambda: _bfs((1, 7, 4, 3), 3, letters=(2, 3, 4), sizes=True),
+    ],
+    ids=["vectors", "max_sum", "outside_the_chamber"],
+)
+def test_bfs_narrows_letters_only_for_the_series(call):
+    # the loops walk all four generators; a letter subset that would
+    # need them is refused
+    with pytest.raises(ValueError, match="series"):
+        next(call())
 
 
 def test_series_of_the_zero_start():

@@ -165,6 +165,31 @@ def test_configuration_rejects_degenerate_vertices():
         tuple_from_configuration(cfg)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: as_entries((1, 2, 3)), "at least 4 entries"),
+        (
+            lambda: tuple_from_configuration(PointConfiguration(vertices=((1, 0), (0, 1)), point=(0, 0))),
+            "at least 3 vertices",
+        ),
+        (
+            lambda: tuple_from_configuration(
+                PointConfiguration(vertices=((1, 0, 0), (0, 1, 0), (0, 0)), point=(0, 0, 0))
+            ),
+            "inconsistent coordinate dimensions",
+        ),
+        (lambda: standard_configuration(3, scale=0), "scale must be positive"),
+        (lambda: standard_configuration(3, weights=[F(1, 3)] * 3), "need 4 weights"),
+        (lambda: standard_configuration(3, weights=[F(1, 4)] * 3 + [F(1, 2)]), "sum to 1"),
+    ],
+    ids=["three_entries", "two_vertices", "mixed_lengths", "zero_scale", "n_weights", "weight_sum"],
+)
+def test_malformed_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_constructor_applies_the_rational_rule():
     # vertices (3/2) e_i in R^3 and the centroid; floats are rejected
     # (tests/test_boundary.py), fraction strings become Fractions

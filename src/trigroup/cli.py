@@ -4,9 +4,12 @@ Each handler returns its output, a dict or preformatted lines, and
 main passes it to _emit, the one stdout writer.  A dict is one JSON
 document; list outputs are JSON lines (or CSV), written in batches after
 the first line.  Integers whose magnitude exceeds 53 bits are serialized
-as strings to survive double-precision JSON consumers.  Exit codes: 0
-success, 1 a verify ledger with a failing identity, 2 invalid input, 3
-resource cap exceeded.
+as strings to survive double-precision JSON consumers.  A --list row is
+one %-template applied to a quadruple (_rows); whether to quote is
+decided once per census from its bound and once per orbit layer from
+the layer's largest entry, with the bytes json.dumps gives.  Exit
+codes: 0 success, 1 a verify ledger with a failing identity, 2 invalid
+input, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ def _json_int(x: int) -> str:
     return f'"{x}"' if x > _BIG or x < -_BIG else str(x)
 
 
+def _rows(template: str, rows, top: int):
+    """The lines template % row for rows of nonnegative ints at most top.
+    Each %s is the entry as _line writes it: only when top exceeds 53
+    bits is each entry put through _json_int."""
+    if top <= _BIG:
+        return map(template.__mod__, rows)
+    return (template % tuple(map(_json_int, row)) for row in rows)
+
+
 def _emit(out) -> None:
     """The CLI's one stdout writer.  A dict is one sorted-key JSON line;
     any other output is preformatted lines, the first written alone so
@@ -85,10 +97,12 @@ def _cmd_orbit(args):
     bounds = (tuple(args.root), args.depth, args.max_elements, args.max_sum)
     if args.list:
         layers = orbit.orbit_vectors(*bounds).layers
-        return (
-            f'{{"depth": {depth}, "vector": [{", ".join(map(_json_int, v))}]}}\n'
+        # a layer's largest entry is taken when the layer is reached, so
+        # the first row leaves before the later layers are scanned
+        return chain.from_iterable(
+            _rows(f'{{"depth": {depth}, "vector": [%s, %s, %s, %s]}}\n', layer,
+                  max(map(max, layer), default=0))
             for depth, layer in enumerate(layers)
-            for v in layer
         )
     sizes = orbit.orbit_sizes(*bounds).cumulative_sizes
     return {
@@ -141,8 +155,9 @@ def _census(census, args):
             bound=report.bound, mode=report.mode, primitive=args.primitive, count=report.count
         )
     if args.format == "csv":
-        return chain(["a,b,c,d\n"], (f"{a},{b},{c},{d}\n" for a, b, c, d in report.quadruples))
-    return (f'{{"quadruple": [{", ".join(map(_json_int, q))}]}}\n' for q in report.quadruples)
+        return chain(["a,b,c,d\n"], map("%s,%s,%s,%s\n".__mod__, report.quadruples))
+    # by height or by largest entry, no entry exceeds the bound
+    return _rows('{"quadruple": [%s, %s, %s, %s]}\n', report.quadruples, report.bound)
 
 
 def _cmd_census_height(args):

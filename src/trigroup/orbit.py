@@ -323,11 +323,12 @@ def orbit_vectors(
     """BFS over quadruples under the four generator actions.
 
     cumulative_sizes[n] is the number of distinct vectors reachable by
-    words of length at most n.  With max_sum set, vectors whose entry
-    sum exceeds the limit are discarded: the result is then a subset of
-    the unrestricted orbit, and every vector it reports at depth n is
-    genuinely reachable within n steps (paths are never invented, only
-    dropped).  Each of the layers is sorted.
+    words of length at most n.  With max_sum set, vectors reached from
+    the root whose entry sum exceeds the limit are discarded: the result
+    is then a subset of the unrestricted orbit, and every vector it
+    reports at depth n is genuinely reachable within n steps (paths are
+    never invented, only dropped).  The root is always layer 0, even
+    when its own sum exceeds max_sum.  Each of the layers is sorted.
     """
     root = validate_quadruple(root)
     layers = tuple(
@@ -349,9 +350,10 @@ def orbit_sizes(
 ) -> GrowthTable:
     """The sizes of orbit_vectors(root, ...) without its vectors.
 
-    Same arguments, checks and element cap.  A root (0, g, g, g) with no
-    max_sum has the sizes of (1 - t^2)/(1 - t - 3t^2), its series, and
-    builds no vector; otherwise each layer is counted and dropped.
+    Same arguments, checks and element cap; layer 0 is always the root,
+    even over max_sum.  A root (0, g, g, g) with no max_sum has the sizes
+    of (1 - t^2)/(1 - t - 3t^2), its series, and builds no vector;
+    otherwise each layer is counted and dropped.
     """
     root = validate_quadruple(root)
     sizes = _bfs(root, max_depth, max_elements, max_sum, sizes=True)

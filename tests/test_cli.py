@@ -487,6 +487,42 @@ def test_orbit_list_53_bit_boundary(capsys):
     assert {"depth": 1, "vector": [str(3 * g), g, g, g]} in rows
 
 
+def test_orbit_list_quoting_switches_between_layers(capsys):
+    # quoting is decided per layer from its largest entry: layer 1 stays
+    # below 2**53, layer 2 reaches exactly 2**53 = 4g (unquoted), and
+    # layer 3 mixes a quoted 7g with an unquoted g in one row
+    g = 2**51
+    code, out, _ = run_cli(capsys, "orbit", "--depth", "3", "--list", "--root", "0", *[str(g)] * 3)
+    assert code == 0
+    assert out == orbit_oracle((0, g, g, g), 3)
+    layers = orbit_vectors((0, g, g, g), 3).layers
+    assert max(map(max, layers[1])) < 2**53
+    assert max(map(max, layers[2])) == 2**53
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert {"depth": 2, "vector": [3 * g, g, g, 2**53]} in rows
+    assert {"depth": 3, "vector": [3 * g, g, 4 * g, str(7 * g)]} in rows
+
+
+@pytest.mark.parametrize("top", [2**53, 2**53 + 1])
+def test_rows_quote_only_past_53_bits(top):
+    template = '{"depth": 5, "vector": [%s, %s, %s, %s]}\n'
+    rows = [(top, 0, 1, 2**53), (2**53 - 1, top, 7, 1)]
+    assert list(cli._rows(template, rows, top)) == [
+        emit_oracle({"depth": 5, "vector": list(row)}) for row in rows
+    ]
+
+
+def test_orbit_start_is_always_layer_0(capsys):
+    # max_sum drops every vector reached from the start, never the start
+    code, out, _ = run_cli(capsys, "orbit", "--depth", "3", "--list", "--max-sum", "1")
+    assert code == 0
+    assert out == '{"depth": 0, "vector": [0, 1, 1, 1]}\n'
+    payload = run_json(capsys, "orbit", "--depth", "3", "--max-sum", "1")
+    assert payload["cumulative_sizes"] == [1, 1, 1, 1]
+    assert orbit_vectors((0, 1, 1, 1), 3, max_sum=1).layers == (((0, 1, 1, 1),), (), (), ())
+    assert orbit.orbit_sizes((0, 1, 1, 1), 3, max_sum=1).layer_sizes == (1, 0, 0, 0)
+
+
 class RecordingStdout(io.TextIOBase):
     """Stand-in for sys.stdout that keeps every write call apart."""
 
@@ -508,6 +544,10 @@ class RecordingStdout(io.TextIOBase):
         ("census-height", "101", "--list"),
         ("census-height", "60", "--mode", "ordered", "--list", "--format", "csv"),
         ("census-max", "60", "--list", "--mode", "ordered", "--primitive"),
+        # entries past 53 bits, which take the quoting path
+        ("orbit", "--depth", "7", "--list", "--root", "0", *[str(2**53)] * 3),
+        ("orbit", "--depth", "12", "--list", "--root", "0", *[str(2**53)] * 3,
+         "--max-sum", str(100 * 2**53)),
     ],
 )
 def test_list_first_row_written_alone(monkeypatch, argv):

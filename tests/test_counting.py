@@ -244,6 +244,16 @@ def test_census_properties_over_walk():
             assert top * top <= sum(x * x for x in q) <= 4 * top * top, q
 
 
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+@pytest.mark.parametrize("census", [count_by_height, count_by_max])
+def test_listed_entries_are_at_most_the_bound(census, mode):
+    # the CLI decides 53-bit quoting of a census list from its bound alone
+    for bound in range(1, 61):
+        report = census(bound, mode=mode, include_list=True)
+        assert report.bound == bound
+        assert all(0 <= x <= bound for q in report.quadruples for x in q), bound
+
+
 def test_mode_checked_before_enumerating(monkeypatch):
     def no_walk(*args):
         raise AssertionError("census walked before the mode was checked")

@@ -87,6 +87,25 @@ def test_bfs_loop_neither_sorts_nor_calls_reflect():
             assert _calls_to(fn, name) == [], f"orbit.{fn.name} calls {name}"
 
 
+def test_list_rows_quote_entries_only_past_53_bits():
+    # _cmd_orbit and _census write list rows through _rows, which puts
+    # each entry through _json_int only after its test of the caller's
+    # bound against 2**53 has failed
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    for name in ("_cmd_orbit", "_census"):
+        assert _calls_to(defs[name], "_rows"), f"cli.{name} does not call _rows"
+    readers = {name for name, fn in defs.items() if _reads(fn, "_json_int")}
+    assert readers == {"_rows"}, f"cli functions reading _json_int: {readers}"
+    body = defs["_rows"].body
+    guard = next(i for i, node in enumerate(body) if isinstance(node, ast.If))
+    assert ast.unparse(body[guard].test) == "top <= _BIG"
+    assert isinstance(body[guard].body[-1], ast.Return)
+    quoting = [i for i, node in enumerate(body) if _reads(node, "_json_int")]
+    assert quoting and min(quoting) > guard, f"_rows reads _json_int in statements {quoting}"
+
+
 def test_input_caps_go_through_require_int():
     # an input cap is core._require_int(..., cap=...); the only other
     # ResourceLimitError raises are the work caps of the BFS loop and of

@@ -8,9 +8,11 @@ injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.
 
 One function, _bfs, serves element growth, stabilizer growth, quadruple
-orbits and the max-norm profile, and owns their element cap.  Layer n
+orbits and the max-norm profile, and owns their element cap; the
+profile walks the orbit of its start, not the group.  Layer n
 holds the vectors first reached by a word of length n, as an unordered
-collection without duplicates, and only two layers are held at a time;
+collection without duplicates, and _bfs holds only two layers at a time
+(the profile of a start outside the closed chamber keeps them all);
 only orbit_vectors sorts its layers, which it returns.
 
 The descent rule: s_i changes the entry sum of v by sum(v) - 3 v_i, and
@@ -22,8 +24,8 @@ shortens w exactly when 3 v_i > sum(v), and fixes v when
 5.4, 5.6 and 5.13).  So the orbit of such a start is a tree, each vector
 the child of the one its smallest descent leads to, and _bfs builds its
 layers with no set (_tree_layers); other starts, the non-root
-quadruples, take a set loop (_set_layers).  The profile reads the same
-rule to find each element's parent.
+quadruples, take a set loop (_set_layers).  The profile follows the
+same rule back from each maximizer of a chamber start to spell its word.
 
 The series: the stabilizer of a chamber start x in W_L is the parabolic
 W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer
@@ -408,17 +410,54 @@ def word_norm(word: Word, root: Quadruple) -> int:
     return max(v)
 
 
-def _descent(key: Vector4) -> int | None:
-    """The smallest i with 3 key_i > sum(key), or None for the identity.
+def _descent(v: Vector4) -> int | None:
+    """The smallest i with 3 v_i > sum(v), or None in the closed chamber.
 
-    For key = w(1, 1, 1, 1) this is the first letter of w's
-    lexicographically smallest reduced word, by the descent rule.
+    For v = w(x), x in the closed chamber and w shortest in its coset of
+    x's stabilizer, this is the first letter of w's lexicographically
+    smallest reduced word, by the descent rule, and None when w is the
+    identity.
     """
-    total = sum(key)
-    for i, x in zip(GENERATOR_INDICES, key):
+    total = sum(v)
+    for i, x in zip(GENERATOR_INDICES, v):
         if 3 * x > total:
             return i
     return None
+
+
+def _descent_word(v: Vector4) -> Word:
+    """The lexicographically smallest reduced word of the shortest w with
+    v = w(x), x the chamber start of v's orbit: v's descents in turn."""
+    word: Word = ()
+    while (i := _descent(v)) is not None:
+        word += (i,)
+        v = _reflect(v, i)
+    return word
+
+
+def _geodesic_words(layers: list[set[Vector4]], tops: list[Vector4]) -> Collection[Word]:
+    """The least word of each element w with w(start) in tops, where
+    tops lies in the last of the layers and the start is the first.
+
+    Such a w has length n, the last layer's depth, so every reduced word
+    of w is a path back from w(start) down one layer per letter, and
+    every such path spells a reduced word.  A state is the vector
+    reached and the inverse of the letters read so far applied to
+    (1, 1, 1, 1), which tells elements apart.  States are met in the
+    order of their least word, since each step extends the words in
+    order by letters in order; so the first word kept for a state is
+    its least.
+    """
+    paths = {(v, _CHAMBER_VECTOR): () for v in tops}
+    for below in reversed(layers[:-1]):
+        nxt: dict[tuple[Vector4, Vector4], Word] = {}
+        for (v, key), word in paths.items():
+            for i in GENERATOR_INDICES:
+                u = _reflect(v, i)
+                if u in below:
+                    nxt.setdefault((u, _reflect(key, i)), word + (i,))
+        paths = nxt
+    return paths.values()
 
 
 def max_norm_profile(
@@ -428,30 +467,43 @@ def max_norm_profile(
 ) -> list[tuple[int, list[Word]]]:
     """Exhaustive per-length maxima of the sup norm over the whole group.
 
-    Entry n is (max over all length-n elements w of max(w r), list of
-    the words attaining it).  The elements are the _bfs layers of
-    (1, 1, 1, 1), each keyed by its image k.  By the descent rule, the
-    smallest i with 3 k_i > sum(k) is the first letter of the element's
-    lexicographically smallest reduced word, and reflecting k at i gives
-    its parent one layer down; so word and image of the root each take
-    one step from the parent's.  Ties are recorded deterministically.
+    Entry n is (max over all length-n elements w of max(w r), sorted
+    list of the lexicographically smallest reduced words of the w
+    attaining it).  The elements through length n are counted from the
+    growth series against the element cap before any vector is built.
+
+    The answer lies in layer n of the orbit of r.  A length-n element
+    sends r into a layer of depth at most n, and each vector of layer n
+    is the image of one.  Let M_k be the largest entry of layer k; then
+    M_0 < M_1 < ... (strict growth).  For a quadruple v with sorted
+    entries a <= b <= c <= d, c > 0 (no valid quadruple has three
+    zeros), so reflecting at a gives the entry b + c + d - a > d.  By
+    induction, let M_0 < ... < M_k and take v in layer k with
+    max(v) = M_k.  Its reflection at a is a neighbour of v with a
+    larger maximum, so it is not v and lies in neither layer k - 1 nor
+    layer k: it lies in layer k + 1, and M_{k+1} > M_k.  So the
+    maximizers are the vectors of layer n with largest entry M_n.
+
+    For a start in the closed chamber, such as a root, each maximizer is
+    the image of exactly one length-n element, its shortest coset
+    representative, whose smallest word its descents spell.  For other
+    starts, the words are read off the paths back through the layers
+    (_geodesic_words).  Ties are recorded deterministically.
     """
     root = validate_quadruple(root)
-    prev: dict[Vector4, tuple[Word, Vector4]] = {}
+    deque(_bfs(_CHAMBER_VECTOR, max_n, max_elements, sizes=True), maxlen=0)
+    in_chamber = all(3 * x <= sum(root) for x in root)
+    layers: list[set[Vector4]] = []
     profile: list[tuple[int, list[Word]]] = []
-    for layer in _bfs(_CHAMBER_VECTOR, max_n, max_elements):
-        cur = {}
-        for key in layer:
-            i = _descent(key)
-            if i is None:
-                cur[key] = ((), root)
-            else:
-                word, image = prev[_reflect(key, i)]
-                cur[key] = ((i,) + word, _reflect(image, i))
-        norms = [(max(image), word) for word, image in cur.values()]
-        best = max(norm for norm, _ in norms)
-        profile.append((best, sorted(word for norm, word in norms if norm == best)))
-        prev = cur
+    for layer in _bfs(root, max_n, max_elements):
+        best = max(map(max, layer))
+        tops = [v for v in layer if best in v]
+        if in_chamber:
+            words = map(_descent_word, tops)
+        else:
+            layers.append(layer)
+            words = _geodesic_words(layers, tops)
+        profile.append((best, sorted(words)))
     return profile
 
 

@@ -87,6 +87,11 @@ def same_orbit(q1: Quadruple, q2: Quadruple) -> bool:
     Equal gcd content is a complete invariant once permutations of the
     root are identified.  The group action itself never permutes
     positions, so this is orbit equality up to entry permutation; the
-    ordered orbits of differently-positioned roots are disjoint.
+    ordered orbits of differently-positioned roots are disjoint.  The
+    group acts trivially mod 3: on the cone s^2 = 3 (sum of squares), so
+    3 divides the entry sum s, and reflection i changes entry i by
+    s - 3 v_i, which is 0 mod 3.  So the ordered orbit of q is that of
+    (0, g, g, g), g = gcd(q), with the zero at the one entry of q / g
+    that is 0 mod 3.
     """
     return gcd_content(q1) == gcd_content(q2)

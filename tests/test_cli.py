@@ -300,6 +300,23 @@ def test_extremal(capsys):
     assert payload["extremal_attains_max"] is True
 
 
+def test_extremal_exhaustive_cap_counts_elements_through_length_n(capsys):
+    # 3653 group elements have length at most 8
+    code, out, err = run_cli(capsys, "extremal", "8", "--exhaustive", "--max-elements", "3652")
+    assert (code, out) == (3, "")
+    assert "BFS exceeded cap of 3652 elements" in err
+    payload = run_json(capsys, "extremal", "8", "--exhaustive", "--max-elements", "3653")
+    assert payload["exhaustive_max"] == 109
+
+
+def test_extremal_exhaustive_over_default_cap_exits_3_before_any_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "extremal", "10000", "--exhaustive")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "BFS exceeded cap of 2000000 elements" in err
+
+
 def test_extremal_big_int_serialized_as_string(capsys):
     payload = run_json(capsys, "extremal", "80")
     assert isinstance(payload["norm"], str)

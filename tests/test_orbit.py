@@ -14,11 +14,14 @@ from trigroup.core import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    validate_quadruple,
 )
 from trigroup.linalg import bareiss_det
 from trigroup.orbit import (
+    _CHAMBER_VECTOR,
     _bfs,
     _descent,
+    _geodesic_words,
     _growth_series,
     _is_finite,
     _poincare,
@@ -42,6 +45,7 @@ from trigroup.orbit import (
     word_norm,
 )
 import matrix_bfs
+from conftest import random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)
@@ -260,12 +264,14 @@ def test_max_norm_exhaustive_small():
 
 
 def test_extremal_words_attain_exhaustive_max():
-    profile = max_norm_profile(8, ROOT)
+    profile = max_norm_profile(13, ROOT)
     for n, (norm, attaining) in enumerate(profile):
         rn = word_norm(extremal_word(n), ROOT)
         assert norm <= rn
         assert norm == rn  # the staircase words do attain the maximum
         assert attaining  # ties recorded
+    assert profile[13][0] == 1659
+    assert len(profile[13][1]) == 6
 
 
 @pytest.mark.parametrize("bound", [Fraction(0), Fraction(-1, 3), 0, -1, True, 0.5, 1e-13, "1/10", None])
@@ -396,6 +402,66 @@ def test_descent_reads_the_smallest_reduced_word():
                 word += (i,)
                 k = _reflect(k, i)
             assert word == smallest, (n, m)
+
+
+def element_walk(max_n, root, max_elements=None):
+    """Per length through max_n, every group element as (its smallest
+    reduced word, its image of root), by a walk over the elements keyed
+    by their images of (1, 1, 1, 1): the smallest descent of the key is
+    the first letter of the element's smallest reduced word, and
+    reflecting the key there gives its parent."""
+    root = validate_quadruple(root)
+    prev = {}
+    for layer in _bfs(_CHAMBER_VECTOR, max_n, max_elements):
+        cur = {}
+        for key in layer:
+            i = _descent(key)
+            if i is None:
+                cur[key] = ((), root)
+            else:
+                word, image = prev[_reflect(key, i)]
+                cur[key] = ((i,) + word, _reflect(image, i))
+        yield cur.values()
+        prev = cur
+
+
+def element_walk_profile(max_n, root, max_elements=None):
+    """max_norm_profile by the element walk."""
+    profile = []
+    for elements in element_walk(max_n, root, max_elements):
+        norms = [(max(image), word) for word, image in elements]
+        best = max(norm for norm, _ in norms)
+        profile.append((best, sorted(word for norm, word in norms if norm == best)))
+    return profile
+
+
+@pytest.mark.parametrize("root", [(0, 1, 1, 1), (1, 0, 1, 1), (3, 3, 0, 3), (7, 7, 7, 0)])
+def test_max_norm_profile_of_roots_against_element_walk(root):
+    assert max_norm_profile(10, root) == element_walk_profile(10, root)
+
+
+# seed 13 draws five starts outside the closed chamber
+@pytest.mark.parametrize("root", [(7, 4, 3, 1), (4, 1, 1, 3)] + random_quadruples(5, seed=13), ids=str)
+def test_max_norm_profile_of_other_starts_against_element_walk(root):
+    assert max_norm_profile(9, root) == element_walk_profile(9, root)
+
+
+@pytest.mark.parametrize("start", [(7, 4, 3, 1), (4, 1, 1, 3)])
+def test_geodesic_words_are_the_smallest_words_of_every_element(start):
+    # with all of layer n as tops, paths that spell two reduced words of
+    # one element (a braid move) meet in one state
+    layers = list(_bfs(start, 6))
+    *_, elements = element_walk(6, start)
+    oracle = sorted(word for word, image in elements if image in layers[-1])
+    assert sorted(_geodesic_words(layers, list(layers[-1]))) == oracle
+
+
+@pytest.mark.parametrize("start", [(0, 1, 1, 1), (2, 0, 2, 2), (7, 4, 3, 1), (4, 1, 1, 3), (1, 1, 3, 4)])
+def test_largest_entry_grows_strictly_by_layer(start):
+    # the lemma in max_norm_profile: the largest entry over layers 0..n
+    # lies in layer n alone
+    tops = [max(map(max, layer)) for layer in _bfs(start, 10)]
+    assert all(a < b for a, b in zip(tops, tops[1:]))
 
 
 def test_max_norm_profile_cap_counts_elements_through_length_n():

@@ -4,6 +4,8 @@ import pytest
 
 from trigroup import core, reduction
 from trigroup.core import apply_generator
+from trigroup.counting import count_by_height
+from trigroup.orbit import orbit_vectors
 from trigroup.reduction import (
     gcd_content,
     is_primitive,
@@ -113,6 +115,31 @@ def test_primitivity_and_orbit_classification():
     assert not same_orbit((0, 2, 2, 2), (0, 1, 1, 1))
     for q in random_quadruples(30, seed=8):
         assert same_orbit(q, tuple(sorted(q)))
+
+
+def _root_mod_3(q):
+    """The ordered root of q read off mod 3: (0, g, g, g), g = gcd(q),
+    with the zero at the one entry of q / g that is 0 mod 3."""
+    g = math.gcd(*q)
+    zeros = [x // g % 3 == 0 for x in q]
+    assert zeros.count(True) == 1, q
+    return tuple(0 if zero else g for zero in zeros)
+
+
+def test_ordered_root_is_read_off_mod_3():
+    # reflection i changes entry i by s - 3 v_i, and 3 divides s, so q is
+    # congruent mod 3 to its root
+    census = count_by_height(120, "ordered", include_list=True).quadruples
+    assert len(census) == 10192
+    for q in census + tuple(random_quadruples(200, seed=12, max_scale=9, max_steps=40)):
+        assert _root_mod_3(q) == reduce_to_root(q).root, q
+
+
+@pytest.mark.parametrize("start", [(0, 1, 1, 1), (2, 2, 0, 2), (7, 4, 3, 1)] + random_quadruples(3, seed=14), ids=str)
+def test_orbit_vectors_keep_their_start_mod_3(start):
+    for layer in orbit_vectors(start, 7).layers:
+        for v in layer:
+            assert all((x - y) % 3 == 0 for x, y in zip(v, start)), v
 
 
 def test_root_pattern_equivalence():

@@ -87,6 +87,18 @@ def test_bfs_loop_neither_sorts_nor_calls_reflect():
             assert _calls_to(fn, name) == [], f"orbit.{fn.name} calls {name}"
 
 
+def test_no_group_element_walk_left():
+    # the group's elements are counted from the growth series only: every
+    # _bfs from the chamber vector (1, 1, 1, 1) asks for sizes
+    calls = [node for path in SOURCES
+             for node in _calls_to(ast.parse(path.read_text(encoding="utf-8")), "_bfs")
+             if node.args and ast.unparse(node.args[0]) in ("_CHAMBER_VECTOR", "(1, 1, 1, 1)")]
+    assert calls
+    for node in calls:
+        sizes = [ast.unparse(k.value) for k in node.keywords if k.arg == "sizes"]
+        assert sizes == ["True"], f"element walk: {ast.unparse(node)}"
+
+
 def test_list_rows_quote_entries_only_past_53_bits():
     # _cmd_orbit and _census write list rows through _rows, which puts
     # each entry through _json_int only after its test of the caller's

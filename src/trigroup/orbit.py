@@ -12,8 +12,8 @@ orbits and the max-norm profile, and owns their element cap; the
 profile walks the orbit of its start, not the group.  Layer n
 holds the vectors first reached by a word of length n, as an unordered
 collection without duplicates, and _bfs holds only two layers at a time
-(the profile of a start outside the closed chamber keeps them all);
-only orbit_vectors sorts its layers, which it returns.
+(the profile keeps them all); only orbit_vectors sorts its layers,
+which it returns.
 
 The descent rule: s_i changes the entry sum of v by sum(v) - 3 v_i, and
 for v = w(x), x in the closed chamber (3 x_i <= sum(x), such as
@@ -24,8 +24,7 @@ shortens w exactly when 3 v_i > sum(v), and fixes v when
 5.4, 5.6 and 5.13).  So the orbit of such a start is a tree, each vector
 the child of the one its smallest descent leads to, and _bfs builds its
 layers with no set (_tree_layers); other starts, the non-root
-quadruples, take a set loop (_set_layers).  The profile follows the
-same rule back from each maximizer of a chamber start to spell its word.
+quadruples, take a set loop (_set_layers).
 
 The series: the stabilizer of a chamber start x in W_L is the parabolic
 W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer
@@ -410,31 +409,6 @@ def word_norm(word: Word, root: Quadruple) -> int:
     return max(v)
 
 
-def _descent(v: Vector4) -> int | None:
-    """The smallest i with 3 v_i > sum(v), or None in the closed chamber.
-
-    For v = w(x), x in the closed chamber and w shortest in its coset of
-    x's stabilizer, this is the first letter of w's lexicographically
-    smallest reduced word, by the descent rule, and None when w is the
-    identity.
-    """
-    total = sum(v)
-    for i, x in zip(GENERATOR_INDICES, v):
-        if 3 * x > total:
-            return i
-    return None
-
-
-def _descent_word(v: Vector4) -> Word:
-    """The lexicographically smallest reduced word of the shortest w with
-    v = w(x), x the chamber start of v's orbit: v's descents in turn."""
-    word: Word = ()
-    while (i := _descent(v)) is not None:
-        word += (i,)
-        v = _reflect(v, i)
-    return word
-
-
 def _geodesic_words(layers: list[set[Vector4]], tops: list[Vector4]) -> Collection[Word]:
     """The least word of each element w with w(start) in tops, where
     tops lies in the last of the layers and the start is the first.
@@ -484,26 +458,19 @@ def max_norm_profile(
     layer k: it lies in layer k + 1, and M_{k+1} > M_k.  So the
     maximizers are the vectors of layer n with largest entry M_n.
 
-    For a start in the closed chamber, such as a root, each maximizer is
-    the image of exactly one length-n element, its shortest coset
-    representative, whose smallest word its descents spell.  For other
-    starts, the words are read off the paths back through the layers
-    (_geodesic_words).  Ties are recorded deterministically.
+    The words are read off the paths back from the maximizers through
+    the layers, the least one per element (_geodesic_words).  Ties are
+    recorded deterministically.
     """
     root = validate_quadruple(root)
-    deque(_bfs(_CHAMBER_VECTOR, max_n, max_elements, sizes=True), maxlen=0)
-    in_chamber = all(3 * x <= sum(root) for x in root)
+    bfs_elements(max_n, max_elements)
     layers: list[set[Vector4]] = []
     profile: list[tuple[int, list[Word]]] = []
     for layer in _bfs(root, max_n, max_elements):
         best = max(map(max, layer))
         tops = [v for v in layer if best in v]
-        if in_chamber:
-            words = map(_descent_word, tops)
-        else:
-            layers.append(layer)
-            words = _geodesic_words(layers, tops)
-        profile.append((best, sorted(words)))
+        layers.append(set(layer))
+        profile.append((best, sorted(_geodesic_words(layers, tops))))
     return profile
 
 

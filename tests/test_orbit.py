@@ -20,7 +20,6 @@ from trigroup.linalg import bareiss_det
 from trigroup.orbit import (
     _CHAMBER_VECTOR,
     _bfs,
-    _descent,
     _geodesic_words,
     _growth_series,
     _is_finite,
@@ -49,6 +48,22 @@ from conftest import random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)
+
+
+def _descent(v):
+    """The smallest i with 3 v_i > sum(v), or None in the closed chamber.
+
+    For v = w(x), x in the closed chamber and w shortest in its coset of
+    x's stabilizer, this is the first letter of w's lexicographically
+    smallest reduced word, by the descent rule, and None when w is the
+    identity.
+    """
+    total = sum(v)
+    for i, x in enumerate(v, 1):
+        if 3 * x > total:
+            return i
+    return None
+
 
 # Coefficients of the Coxeter growth series (1+2t+2t^2+t^3)/(1-2t-2t^2+3t^3).
 COXETER_SERIES = (1, 4, 12, 30, 72, 168, 390, 900, 2076, 4782, 11016, 25368, 58422, 134532)
@@ -394,7 +409,7 @@ def test_descent_rule_against_matrix_oracle():
 
 def test_descent_reads_the_smallest_reduced_word():
     # repeated _descent on k = M (1,1,1,1) spells M's lexicographically
-    # smallest reduced word, the word max_norm_profile records
+    # smallest reduced word, the word element_walk records
     for n, layer in enumerate(matrix_bfs.smallest_reduced_words(7)):
         for m, smallest in layer.items():
             k, word = mat_vec(m, (1, 1, 1, 1)), ()

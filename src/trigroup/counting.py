@@ -26,12 +26,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
+from operator import floordiv, mul
 
 from .core import Quadruple, _require_int, validate_quadruple
 
 DEFAULT_BOUND_CAP = 5000
-DIVISOR_SUM_CAP = 10**10  # divisor_square_sum takes ~n^(3/4) steps
+# divisor_square_sum takes ~n^(2/3) steps up to n = 2^30, where its table
+# reaches DIVISOR_TABLE_CAP, and 2 n / 2^10 past it: 2e7 at DIVISOR_SUM_CAP.
+DIVISOR_SUM_CAP = 10**10
+# Entries of divisor_square_sum's divisor-count table, 1 MB.  Below
+# 1081080 every d(k) is at most 240 (at 720720), so a byte holds it.
+DIVISOR_TABLE_CAP = 2**20
+_PLUS_TWO = bytes((b + 2) & 255 for b in range(256))
 
 MODES = ("canonical", "ordered")
 
@@ -176,7 +183,7 @@ def _pair_count(y: int) -> int:
     """Number of pairs of positive integers with product at most y, i.e. the
     sum of d(k) for k <= y, by the hyperbola method in isqrt(y) steps."""
     r = math.isqrt(y)
-    return 2 * sum(y // i for i in range(1, r + 1)) - r * r
+    return 2 * sum(map(floordiv, repeat(y, r), range(1, r + 1))) - r * r
 
 
 def divisor_square_sum(n: int) -> tuple[int, float]:
@@ -187,30 +194,59 @@ def divisor_square_sum(n: int) -> tuple[int, float]:
     sum_{m^2<=n} mu(m) D4(n // m^2), where D4(x) counts the 4-tuples of
     positive integers with product at most x.  As d4 is d convolved with
     itself, the hyperbola method gives D4(x) = 2 sum_{a<=r} d(a) D(x // a)
-    - D(r)^2 with r = isqrt(x) and D = _pair_count.  That is about n^(3/4)
-    integer steps in O(sqrt n) memory; d and mu are sieved up to sqrt n.
-    Above DIVISOR_SUM_CAP it raises ResourceLimitError before any work.
+    - D(r)^2 with r = isqrt(x) and D(y) = sum_{k<=y} d(k).  The m with
+    equal n // m^2 share one D4, weighted by a difference of Mertens sums.
+
+    Every D argument is n // k for some k, so the n^(2/3) split of
+    Deleglise and Rivat (Experimental Math. 5, 1996) applies: d is
+    sieved into a byte table up to L = n^(2/3), at most
+    DIVISOR_TABLE_CAP entries, and D(n // k) is kept per k once
+    n // k > sqrt n: running sums of the table up to L, _pair_count
+    above it, each value once.  That is about n^(2/3) steps up to
+    n = 2^30, where L reaches the cap, and 2 n / sqrt(DIVISOR_TABLE_CAP)
+    past it, in O(L) bytes.  Above DIVISOR_SUM_CAP it raises
+    ResourceLimitError before any work.
     """
     _require_int("n", n, 1, cap=DIVISOR_SUM_CAP)
     root = math.isqrt(n)
-    d = [0] * (root + 1)
-    for i in range(1, root + 1):
-        for j in range(i, root + 1, i):
-            d[j] += 1
-    mu = [1] * (root + 1)
+    size = max(root, min(round(n ** (2 / 3)), DIVISOR_TABLE_CAP))
+    # Each i <= sqrt(size) divides i*i once and pairs with j > i at i*j.
+    d = bytearray(size + 1)
+    for i in range(1, math.isqrt(size) + 1):
+        d[i * i] += 1
+        d[i * i + i :: i] = d[i * i + i :: i].translate(_PLUS_TWO)
+    mu = [0] + [1] * root
     for p in range(2, root + 1):
         if d[p] == 2:  # p is prime
             for j in range(p, root + 1, p):
                 mu[j] = -mu[j]
             for j in range(p * p, root + 1, p * p):
                 mu[j] = 0
+    mertens = list(accumulate(mu))
+    small = list(accumulate(d[: root + 1]))  # D(y) for y <= sqrt n
+    top_k = n // (root + 1)  # n // k > sqrt n exactly for k <= top_k
+    edge = n // (size + 1)  # n // k > size exactly for k <= edge
+    big = [0] * (top_k + 1)  # big[k] = D(n // k)
+    for k in range(1, edge + 1):
+        big[k] = _pair_count(n // k)
+    y, acc = root, small[root]
+    for k in range(top_k, edge, -1):
+        acc += sum(d[y + 1 : n // k + 1])
+        y = n // k
+        big[k] = acc
     total = 0
-    for m in range(1, root + 1):
-        if mu[m]:
-            x = n // (m * m)
-            r = math.isqrt(x)
-            d4 = 2 * sum(d[a] * _pair_count(x // a) for a in range(1, r + 1)) - _pair_count(r) ** 2
-            total += mu[m] * d4
+    m = 1
+    while m <= root:
+        m2 = m * m
+        x = n // m2
+        last = math.isqrt(n // x)  # the last m with n // m^2 == x
+        r = math.isqrt(x)
+        a = min(r, top_k // m2)  # x // b = n // (m2 b) for b <= a is in big
+        s = sum(map(mul, d[1 : a + 1], big[m2 : m2 * a + 1 : m2]))
+        quotients = map(floordiv, repeat(x), range(a + 1, r + 1))
+        s += sum(map(mul, d[a + 1 : r + 1], map(small.__getitem__, quotients)))
+        total += (mertens[last] - mertens[m - 1]) * (2 * s - small[r] ** 2)
+        m = last + 1
     if n == 1:
         return total, 0.0
     return total, total / (n * math.log(n) ** 3)

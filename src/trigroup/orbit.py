@@ -462,16 +462,10 @@ def max_norm_profile(
     the layers, the least one per element (_geodesic_words).  Ties are
     recorded deterministically.
     """
-    root = validate_quadruple(root)
-    bfs_elements(max_n, max_elements)
-    layers: list[set[Vector4]] = []
-    profile: list[tuple[int, list[Word]]] = []
-    for layer in _bfs(root, max_n, max_elements):
-        best = max(map(max, layer))
-        tops = [v for v in layer if best in v]
-        layers.append(set(layer))
-        profile.append((best, sorted(_geodesic_words(layers, tops))))
-    return profile
+    return [
+        (best, sorted(_geodesic_words(layers, tops)))
+        for best, tops, layers in _layer_maxima(max_n, root, max_elements)
+    ]
 
 
 def max_norm_at_length(
@@ -479,8 +473,26 @@ def max_norm_at_length(
     root: Quadruple,
     max_elements: int | None = None,
 ) -> tuple[int, list[Word]]:
-    """Exhaustive maximum of the sup norm over length-n elements applied to root."""
-    return max_norm_profile(n, root, max_elements)[n]
+    """Exhaustive maximum of the sup norm over length-n elements applied to
+    root: entry n of max_norm_profile, with the words of layer n alone."""
+    *_, (best, tops, layers) = _layer_maxima(n, root, max_elements)
+    return best, sorted(_geodesic_words(layers, tops))
+
+
+def _layer_maxima(
+    max_n: int, root: Quadruple, max_elements: int | None
+) -> Iterator[tuple[int, list[Vector4], list[set[Vector4]]]]:
+    """Per layer k of the orbit of root through max_n: its largest entry,
+    the vectors holding it, and the layers 0..k so far (the list grows
+    as iteration goes on).  The elements through length max_n are
+    counted against the element cap first."""
+    root = validate_quadruple(root)
+    bfs_elements(max_n, max_elements)
+    layers: list[set[Vector4]] = []
+    for layer in _bfs(root, max_n, max_elements):
+        best = max(map(max, layer))
+        layers.append(set(layer))
+        yield best, [v for v in layer if best in v], layers
 
 
 def coxeter_element() -> Mat4:

@@ -2,6 +2,7 @@ import bisect
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -383,6 +384,93 @@ def test_divisor_square_sum_cap_raises_before_work():
     with pytest.raises(ResourceLimitError):
         divisor_square_sum(10**10 + 1)
     assert time.perf_counter() - start < 0.1
+
+
+def _pair_count(y):
+    r = math.isqrt(y)
+    return 2 * sum(y // i for i in range(1, r + 1)) - r * r
+
+
+def hyperbola_divisor_square_sum(n):
+    """Second path: Ramanujan's identity with every D(y) computed from
+    scratch by the hyperbola method, about 4.3 n^(3/4) steps."""
+    root = math.isqrt(n)
+    d = [0] * (root + 1)
+    for i in range(1, root + 1):
+        for j in range(i, root + 1, i):
+            d[j] += 1
+    mu = [1] * (root + 1)
+    for p in range(2, root + 1):
+        if d[p] == 2:
+            for j in range(p, root + 1, p):
+                mu[j] = -mu[j]
+            for j in range(p * p, root + 1, p * p):
+                mu[j] = 0
+    total = 0
+    for m in range(1, root + 1):
+        if mu[m]:
+            x = n // (m * m)
+            r = math.isqrt(x)
+            d4 = 2 * sum(d[a] * _pair_count(x // a) for a in range(1, r + 1)) - _pair_count(r) ** 2
+            total += mu[m] * d4
+    return total
+
+
+def test_divisor_square_sum_against_hyperbola_oracle():
+    for n in range(1, 3001):
+        assert divisor_square_sum(n)[0] == hyperbola_divisor_square_sum(n), n
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64, counting.DIVISOR_TABLE_CAP])
+def test_divisor_square_sum_at_table_boundaries(monkeypatch, cap):
+    # The table holds d(k) for k <= L = min(round(n^(2/3)), cap), or
+    # isqrt(n) if that is larger; D(y) for y > L comes from _pair_count.
+    # Near n = c^3 (L = c^2) the quotient n // c runs through L and L + 1,
+    # and near n = cap^(3/2) the cap starts to bind (2^30 for the default
+    # cap, too far for the oracle).
+    monkeypatch.setattr(counting, "DIVISOR_TABLE_CAP", cap)
+    ns = {c**3 + j for c in (2, 3, 10, 37) for j in range(-2, 2 * c + 2)}
+    if 1 < cap < 100:
+        ns |= {math.isqrt(cap**3) + j for j in range(-3, 4)}
+    for n in sorted(ns):
+        assert divisor_square_sum(n)[0] == hyperbola_divisor_square_sum(n), n
+
+
+def test_divisor_square_sum_against_hyperbola_oracle_at_random():
+    rng = random.Random(17)
+    for n in sorted(rng.randint(1, 10**7) for _ in range(20)):
+        assert divisor_square_sum(n)[0] == hyperbola_divisor_square_sum(n), n
+
+
+def test_divisor_square_sum_work_and_memory_at_10_8(monkeypatch):
+    n = 10**8
+    table = round(n ** (2 / 3))  # 215443 entries, under DIVISOR_TABLE_CAP
+    args = []
+    hyperbola = counting._pair_count
+    monkeypatch.setattr(counting, "_pair_count", lambda y: args.append(y) or hyperbola(y))
+    tracemalloc.start()
+    try:
+        total, _ = divisor_square_sum(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == hyperbola_divisor_square_sum(n)
+    # Each D(y) above the table is computed once, and only there.
+    assert len(args) == len(set(args)) <= n // table + 1
+    assert min(args) > table
+    # Measured 1.3 MiB.  An 8-byte prefix sum per table entry would add
+    # 1.6 MiB on its own.
+    assert peak < 2 * 2**20
+
+
+def test_divisor_table_fits_in_bytes():
+    # Ramanujan's highly composite numbers (1915): 720720 has 240
+    # divisors, the most below 1081080, which has 256.
+    def d(k):
+        return sum(2 - (i * i == k) for i in range(1, math.isqrt(k) + 1) if k % i == 0)
+
+    assert (d(720720), d(1081080)) == (240, 256)
+    assert counting.DIVISOR_TABLE_CAP < 1081080
 
 
 def test_count_only_census_holds_no_list():

@@ -486,6 +486,22 @@ def test_max_norm_profile_cap_counts_elements_through_length_n():
         max_norm_profile(5, ROOT, max_elements=through_5 - 1)
 
 
+@pytest.mark.parametrize("start", [(0, 1, 1, 1), (7, 4, 3, 1)])
+def test_max_norm_at_length_reads_the_words_of_layer_n_alone(monkeypatch, start):
+    expected = max_norm_profile(9, start)[9]
+    calls = []
+    words = orbit._geodesic_words
+    monkeypatch.setattr(
+        orbit, "_geodesic_words", lambda layers, tops: calls.append(len(layers)) or words(layers, tops)
+    )
+    assert max_norm_at_length(9, start) == expected
+    assert calls == [10]
+    through_9 = sum(COXETER_SERIES[:10])
+    with pytest.raises(ResourceLimitError):
+        max_norm_at_length(9, start, max_elements=through_9 - 1)
+    assert calls == [10]
+
+
 @pytest.mark.parametrize("word", [(5,), (0, 0), (1, True), (2.0,)])
 def test_word_norm_rejects_bad_letters(word):
     with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.
 
 One function, _bfs, serves element growth, stabilizer growth, quadruple
-orbits and the max-norm profile, and owns their element cap; the
-profile walks the orbit of its start, not the group.  Layer n
+orbits and the norm maxima, and owns their element cap; the norm
+maxima walk the orbit of their start, not the group.  Layer n
 holds the vectors first reached by a word of length n, as an unordered
 collection without duplicates, and _bfs holds only two layers at a time
-(the profile keeps them all); only orbit_vectors sorts its layers,
-which it returns.
+(max_norm_at_length keeps them all); only orbit_vectors sorts its
+layers, which it returns.
 
 The descent rule: s_i changes the entry sum of v by sum(v) - 3 v_i, and
 for v = w(x), x in the closed chamber (3 x_i <= sum(x), such as
@@ -27,9 +27,10 @@ layers with no set (_tree_layers); other starts, the non-root
 quadruples, take a set loop (_set_layers).
 
 The series: the stabilizer of a chamber start x in W_L is the parabolic
-W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer
-sizes are the coefficients of W_L(t) / W_K(t), each growth series read
-off the finite parabolic subgroups by Steinberg's formula (5.12).  The
+W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer sizes
+are the coefficients of W_L(t) / W_K(t).  Every label is 3, so W_T is
+finite exactly when |T| <= 2, and Steinberg's formula (5.12) gives each
+growth series from its number of letters alone (_series_den).  The
 counts (bfs_elements, orbit_sizes, stabilizer_counts) of a chamber start
 with no max_sum take them and build no vectors.  On all four letters the
 BFS loops are their oracle in the tests, on a letter subset a BFS over
@@ -45,13 +46,11 @@ from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate, combinations, count, islice
+from itertools import accumulate, count, islice
 from operator import mul
 
 from . import counting
 from .core import (
-    FORM_MATRIX,
     GENERATOR_INDICES,
     Mat4,
     Quadruple,
@@ -66,7 +65,6 @@ from .core import (
     validate_quadruple,
 )
 from .eisenstein import factorize
-from .linalg import bareiss_det
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -135,78 +133,26 @@ def _bfs(
         yield layer
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
+def _series_den(k: int) -> Poly:
+    """The denominator of W_k(t), the growth series of k letters, over
+    their common numerator (1 + t)(1 + t + t^2).
 
-
-def _poly_div(p: Poly, q: Poly) -> Poly:
-    """p / q for integer polynomials, lowest degree first, with q(0) = 1;
-    the division must be exact."""
-    rest, out = list(p), []
-    for k in range(len(p) - len(q) + 1):
-        out.append(rest[k])
-        for j, b in enumerate(q):
-            rest[k + j] -= out[k] * b
-    if any(rest):
-        raise AssertionError("inexact polynomial division")
-    return tuple(out)
-
-
-def _is_finite(subset: tuple[int, ...]) -> bool:
-    """Whether W_subset is finite: FORM_MATRIX is twice the Gram matrix
-    (-cos pi/m_ij), so exactly when its principal submatrix on subset is
-    positive definite, which its leading minors decide."""
-    return all(
-        bareiss_det([[FORM_MATRIX[i - 1][j - 1] for j in subset[:k]] for i in subset[:k]]) > 0
-        for k in range(1, len(subset) + 1)
-    )
-
-
-def _poincare(subset: tuple[int, ...]) -> Poly:
-    """Poincare polynomial of a finite W_subset of rank at most 2: 1, 1 + t,
-    or the dihedral (1 + t)(1 + t + ... + t^(m-1)), where the form entry
-    -2 cos(pi/m) is 0 for m = 2 and -1 for m = 3."""
-    if len(subset) < 2:
-        return (1, 1)[: len(subset) + 1]
-    i, j = subset
-    return _poly_mul((1, 1), (1,) * (2 - FORM_MATRIX[i - 1][j - 1]))
-
-
-@cache
-def _growth_series(letters: tuple[int, ...]) -> tuple[Poly, Poly]:
-    """W_letters(t) as (num, den), integer polynomials with den(0) = 1.
-
-    Steinberg's formula (Mem. AMS 80, 1968; Humphreys 5.12): 1/W(t) is
-    the sum over the subsets T whose W_T is finite of
-    (-1)^|T| t^N_T / W_T(t), N_T = deg W_T the length of W_T's longest
-    element.  Each W_T(t) divides the largest, num, so
-    den = num / W(t) is that sum times num.
+    With every label 3, W_T is finite exactly when |T| <= 2, so
+    Steinberg's formula (Mem. AMS 80, 1968; Humphreys 5.12) reads
+    1/W_k(t) = 1 - k t/(1 + t) + C(k, 2) t^3/((1 + t)(1 + t + t^2)).
     """
-    subsets = (T for k in range(len(letters) + 1) for T in combinations(letters, k))
-    polys = [(len(T), _poincare(T)) for T in subsets if _is_finite(T)]
-    num = max((q for _, q in polys), key=len)
-    den = [0] * len(num)
-    for rank, q in polys:
-        for k, c in enumerate(_poly_div(num, q)):
-            den[len(q) - 1 + k] += (-1) ** rank * c
-    return num, tuple(den)
+    return (1, 2 - k, 2 - k, 1 - k + k * (k - 1) // 2)
 
 
 def _series_sizes(start: Vector4, letters: tuple[int, ...]) -> Iterator[int]:
     """The layer sizes of a start in the closed chamber of letters: the
     coefficients of W_letters(t) / W_K(t), K the letters that fix start,
-    yielded by the linear recurrence of the denominator.  The numerator
-    of W_K divides that of W_letters, since K is a subset of letters.
+    that is of _series_den(|K|) / _series_den(|letters|), yielded by the
+    linear recurrence of the denominator.
     """
-    fixing = tuple(i for i in letters if 3 * start[i - 1] == sum(start))
-    num_l, den = _growth_series(letters)
-    num_k, den_k = _growth_series(fixing)
-    num = _poly_mul(_poly_div(num_l, num_k), den_k)
-    past: deque[int] = deque([0] * (len(den) - 1), maxlen=len(den) - 1)
+    fixing = sum(3 * start[i - 1] == sum(start) for i in letters)
+    num, den = _series_den(fixing), _series_den(len(letters))
+    past: deque[int] = deque([0, 0, 0], maxlen=3)
     for n in count():
         c = (num[n] if n < len(num) else 0) - sum(map(mul, den[1:], past))
         past.appendleft(c)
@@ -434,17 +380,17 @@ def _geodesic_words(layers: list[set[Vector4]], tops: list[Vector4]) -> Collecti
     return paths.values()
 
 
-def max_norm_profile(
-    max_n: int,
+def max_norm_at_length(
+    n: int,
     root: Quadruple,
     max_elements: int | None = None,
-) -> list[tuple[int, list[Word]]]:
-    """Exhaustive per-length maxima of the sup norm over the whole group.
+) -> tuple[int, list[Word]]:
+    """Exhaustive maximum of the sup norm over the length-n elements.
 
-    Entry n is (max over all length-n elements w of max(w r), sorted
-    list of the lexicographically smallest reduced words of the w
-    attaining it).  The elements through length n are counted from the
-    growth series against the element cap before any vector is built.
+    Returns (max over all length-n elements w of max(w r), sorted list
+    of the lexicographically smallest reduced words of the w attaining
+    it).  The elements through length n are counted from the growth
+    series against the element cap before any vector is built.
 
     The answer lies in layer n of the orbit of r.  A length-n element
     sends r into a layer of depth at most n, and each vector of layer n
@@ -462,37 +408,12 @@ def max_norm_profile(
     the layers, the least one per element (_geodesic_words).  Ties are
     recorded deterministically.
     """
-    return [
-        (best, sorted(_geodesic_words(layers, tops)))
-        for best, tops, layers in _layer_maxima(max_n, root, max_elements)
-    ]
-
-
-def max_norm_at_length(
-    n: int,
-    root: Quadruple,
-    max_elements: int | None = None,
-) -> tuple[int, list[Word]]:
-    """Exhaustive maximum of the sup norm over length-n elements applied to
-    root: entry n of max_norm_profile, with the words of layer n alone."""
-    *_, (best, tops, layers) = _layer_maxima(n, root, max_elements)
-    return best, sorted(_geodesic_words(layers, tops))
-
-
-def _layer_maxima(
-    max_n: int, root: Quadruple, max_elements: int | None
-) -> Iterator[tuple[int, list[Vector4], list[set[Vector4]]]]:
-    """Per layer k of the orbit of root through max_n: its largest entry,
-    the vectors holding it, and the layers 0..k so far (the list grows
-    as iteration goes on).  The elements through length max_n are
-    counted against the element cap first."""
     root = validate_quadruple(root)
-    bfs_elements(max_n, max_elements)
-    layers: list[set[Vector4]] = []
-    for layer in _bfs(root, max_n, max_elements):
-        best = max(map(max, layer))
-        layers.append(set(layer))
-        yield best, [v for v in layer if best in v], layers
+    bfs_elements(n, max_elements)
+    layers = [set(layer) for layer in _bfs(root, n, max_elements)]
+    best = max(map(max, layers[-1]))
+    tops = [v for v in layers[-1] if best in v]
+    return best, sorted(_geodesic_words(layers, tops))
 
 
 def coxeter_element() -> Mat4:
@@ -588,8 +509,8 @@ def search_prime_factor_count(
 ) -> list[tuple[Quadruple, int]]:
     """(quadruple, prime factor count) for the canonical primitive
     quadruples of bounded height whose entry product has at most
-    max_count prime factors (zero-entry quadruples excluded)."""
+    max_count prime factors (zero-entry rows, which end in 0, excluded)."""
     _require_int("max_count", max_count, 0)
     report = counting.count_by_height(height_bound, "canonical", True, max_bound, include_list=True)
-    counted = ((q, prime_factor_count(q)) for q in report.quadruples)
-    return [(q, count) for q, count in counted if count is not None and count <= max_count]
+    counted = ((q, sum(factorize(math.prod(q)).values())) for q in report.quadruples if q[3])
+    return [(q, count) for q, count in counted if count <= max_count]

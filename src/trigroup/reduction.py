@@ -5,6 +5,9 @@ and strictly decreases it unless the quadruple is a root.  Every
 quadruple reduces in finitely many steps to a permutation of
 (0, x, x, x) where x is the gcd of the entries; the gcd is invariant
 under every generator, which classifies orbits up to entry permutation.
+The group acts trivially mod 3, so the ordered orbit of q is classified
+by (g, zero position): g = gcd(q), and the position of the one entry of
+q / g that is 0 mod 3, where its root (0, g, g, g) has its zero.
 """
 
 from __future__ import annotations

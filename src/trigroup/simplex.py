@@ -156,15 +156,16 @@ class PointConfiguration:
             raise ValueError("degenerate simplex: coincident vertices")
         return side
 
-    def validate(self) -> None:
-        """Check regularity, affine independence, and point-in-hull exactly."""
-        self.side_squared()
+    def validate(self) -> Fraction:
+        """Check regularity, affine independence and point-in-hull exactly; return side_squared()."""
+        side = self.side_squared()
         base = self.vertices[0]
         edges = [_sub(v, base) for v in self.vertices[1:]]
         if rational_rank(edges) != self.n:
             raise ValueError("vertices are affinely dependent")
         if rational_rank(edges + [_sub(self.point, base)]) != self.n:
             raise ValueError("point does not lie in the affine hull of the vertices")
+        return side
 
 
 def _coordinates(values) -> tuple[Fraction, ...]:
@@ -185,8 +186,7 @@ def tuple_from_configuration(cfg: PointConfiguration) -> Entries:
     The configuration is validated first; the resulting tuple satisfies
     the identity exactly.
     """
-    cfg.validate()
-    side = cfg.side_squared()
+    side = cfg.validate()
     return (side,) + tuple(_dist_squared(cfg.point, v) for v in cfg.vertices)
 
 

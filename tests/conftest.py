@@ -1,6 +1,7 @@
 import random
 
 from trigroup.core import apply_generator
+from trigroup.orbit import max_norm_at_length
 
 
 def random_quadruples(count, seed=0, max_scale=5, max_steps=10):
@@ -17,3 +18,8 @@ def random_quadruples(count, seed=0, max_scale=5, max_steps=10):
             q = apply_generator(q, rng.randint(1, 4))
         corpus.append(q)
     return corpus
+
+
+def norm_profile(n, r, cap=None):
+    """The exhaustive norm maxima at each length 0..n."""
+    return [max_norm_at_length(k, r, cap) for k in range(n + 1)]

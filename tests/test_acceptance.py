@@ -45,7 +45,6 @@ from trigroup.orbit import (
     coxeter_char_poly,
     extremal_word,
     growth_recurrence,
-    max_norm_profile,
     orbit_vectors,
     spectral_radius,
     spectral_radius_closed_form,
@@ -56,6 +55,7 @@ from trigroup.orbit import (
 from trigroup.reduction import gcd_content, reduce_to_root
 from trigroup import simplex
 from trigroup.core import apply_generator
+from conftest import norm_profile
 from matrix_bfs import all_generators, element_layers
 
 ROOT = (0, 1, 1, 1)
@@ -147,7 +147,7 @@ def test_criterion_04_growth_oracle_vs_recurrence():
 
 
 def test_criterion_05_norm_extremality_and_spectral_radius():
-    profile = max_norm_profile(10, ROOT)
+    profile = norm_profile(10, ROOT)
     for n, (best, _) in enumerate(profile):
         assert best <= word_norm(extremal_word(n), ROOT), n
     assert profile[4][0] == 13

@@ -306,7 +306,7 @@ def test_motivating_probes_raise_value_error(call):
         lambda: orbit.extremal_word(orbit.LENGTH_CAP + 1),
         lambda: orbit.extremal_word(10**100),
         lambda: orbit.stabilizer_counts(orbit.LENGTH_CAP + 1, 10**100),
-        lambda: orbit.max_norm_profile(10000, (0, 1, 1, 1)),
+        lambda: orbit.max_norm_at_length(10000, (0, 1, 1, 1)),
     ],
 )
 def test_work_caps_raise_before_any_work(call):

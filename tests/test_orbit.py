@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -21,10 +21,8 @@ from trigroup.orbit import (
     _CHAMBER_VECTOR,
     _bfs,
     _geodesic_words,
-    _growth_series,
-    _is_finite,
-    _poincare,
-    _poly_mul,
+    _series_den,
+    _series_sizes,
     bfs_elements,
     char_poly,
     coxeter_char_poly,
@@ -32,7 +30,6 @@ from trigroup.orbit import (
     extremal_word,
     growth_recurrence,
     max_norm_at_length,
-    max_norm_profile,
     orbit_sizes,
     orbit_vectors,
     prime_factor_count,
@@ -44,7 +41,7 @@ from trigroup.orbit import (
     word_norm,
 )
 import matrix_bfs
-from conftest import random_quadruples
+from conftest import norm_profile, random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)
@@ -279,7 +276,7 @@ def test_max_norm_exhaustive_small():
 
 
 def test_extremal_words_attain_exhaustive_max():
-    profile = max_norm_profile(13, ROOT)
+    profile = norm_profile(13, ROOT)
     for n, (norm, attaining) in enumerate(profile):
         rn = word_norm(extremal_word(n), ROOT)
         assert norm <= rn
@@ -390,7 +387,7 @@ def test_bfs_layer_sizes_against_coxeter_series():
 
 @pytest.mark.parametrize("root", [(0, 1, 1, 1), (0, 7, 7, 7), (3, 0, 3, 3), (7, 4, 3, 1)])
 def test_max_norm_profile_against_matrix_oracle(root):
-    assert max_norm_profile(8, root) == matrix_bfs.max_norm_profile(8, root)
+    assert norm_profile(8, root) == matrix_bfs.max_norm_profile(8, root)
 
 
 def test_descent_rule_against_matrix_oracle():
@@ -441,7 +438,7 @@ def element_walk(max_n, root, max_elements=None):
 
 
 def element_walk_profile(max_n, root, max_elements=None):
-    """max_norm_profile by the element walk."""
+    """norm_profile by the element walk."""
     profile = []
     for elements in element_walk(max_n, root, max_elements):
         norms = [(max(image), word) for word, image in elements]
@@ -452,13 +449,13 @@ def element_walk_profile(max_n, root, max_elements=None):
 
 @pytest.mark.parametrize("root", [(0, 1, 1, 1), (1, 0, 1, 1), (3, 3, 0, 3), (7, 7, 7, 0)])
 def test_max_norm_profile_of_roots_against_element_walk(root):
-    assert max_norm_profile(10, root) == element_walk_profile(10, root)
+    assert norm_profile(10, root) == element_walk_profile(10, root)
 
 
 # seed 13 draws five starts outside the closed chamber
 @pytest.mark.parametrize("root", [(7, 4, 3, 1), (4, 1, 1, 3)] + random_quadruples(5, seed=13), ids=str)
 def test_max_norm_profile_of_other_starts_against_element_walk(root):
-    assert max_norm_profile(9, root) == element_walk_profile(9, root)
+    assert norm_profile(9, root) == element_walk_profile(9, root)
 
 
 @pytest.mark.parametrize("start", [(7, 4, 3, 1), (4, 1, 1, 3)])
@@ -473,7 +470,7 @@ def test_geodesic_words_are_the_smallest_words_of_every_element(start):
 
 @pytest.mark.parametrize("start", [(0, 1, 1, 1), (2, 0, 2, 2), (7, 4, 3, 1), (4, 1, 1, 3), (1, 1, 3, 4)])
 def test_largest_entry_grows_strictly_by_layer(start):
-    # the lemma in max_norm_profile: the largest entry over layers 0..n
+    # the lemma in max_norm_at_length: the largest entry over layers 0..n
     # lies in layer n alone
     tops = [max(map(max, layer)) for layer in _bfs(start, 10)]
     assert all(a < b for a, b in zip(tops, tops[1:]))
@@ -481,14 +478,14 @@ def test_largest_entry_grows_strictly_by_layer(start):
 
 def test_max_norm_profile_cap_counts_elements_through_length_n():
     through_5 = sum(COXETER_SERIES[:6])
-    assert len(max_norm_profile(5, ROOT, max_elements=through_5)) == 6
+    assert len(norm_profile(5, ROOT, through_5)) == 6
     with pytest.raises(ResourceLimitError):
-        max_norm_profile(5, ROOT, max_elements=through_5 - 1)
+        norm_profile(5, ROOT, through_5 - 1)
 
 
 @pytest.mark.parametrize("start", [(0, 1, 1, 1), (7, 4, 3, 1)])
 def test_max_norm_at_length_reads_the_words_of_layer_n_alone(monkeypatch, start):
-    expected = max_norm_profile(9, start)[9]
+    expected = element_walk_profile(9, start)[9]
     calls = []
     words = orbit._geodesic_words
     monkeypatch.setattr(
@@ -515,7 +512,7 @@ def test_word_norm_rejects_bad_letters(word):
         lambda: bfs_elements(-1),
         lambda: orbit_vectors(ROOT, -2),
         lambda: stabilizer_counts(-1),
-        lambda: max_norm_profile(-1, ROOT),
+        lambda: orbit_sizes((7, 4, 3, 1), -1),
         lambda: max_norm_at_length(-1, ROOT),
         lambda: orbit_sizes(ROOT, -2),
     ],
@@ -606,35 +603,51 @@ def test_counts_of_chamber_starts_build_no_vectors(monkeypatch):
             call()
 
 
-def test_growth_series_in_closed_form():
-    # cross-multiplied, so that a fraction need not be in lowest terms
-    def equal(a, b):
-        return _poly_mul(a[0], b[1]) == _poly_mul(b[0], a[1])
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
-    group, affine = _growth_series((1, 2, 3, 4)), _growth_series((2, 3, 4))
-    assert equal(group, (_poly_mul((1, 1), (1, 1, 1)), _poly_mul((1, -1), (1, -1, -3))))
-    assert equal(affine, ((1, 1, 1), (1, -2, 1)))
+
+def test_growth_series_in_closed_form():
+    # W_k(t) = (1 + t)(1 + t + t^2) / _series_den(k): 1 for no letter,
+    # 1 + t for one, the dihedral group of order 6 for two, the affine
+    # A2~ for three, the whole group for four
+    numerator = _poly_mul((1, 1), (1, 1, 1))
+    factored = {
+        0: numerator,
+        1: (1, 1, 1, 0),
+        2: (1, 0, 0, 0),
+        3: _poly_mul(_poly_mul((1, -1), (1, -1)), (1, 1)),
+        4: _poly_mul((1, -1), (1, -1, -3)),
+    }
+    assert {k: _series_den(k) for k in range(5)} == factored
     # the root orbit: W(t) = W_{2,3,4}(t) (1 - t^2)/(1 - t - 3t^2)
-    assert equal(group, (_poly_mul(affine[0], (1, 0, -1)), _poly_mul(affine[1], (1, -1, -3))))
+    assert _poly_mul(_series_den(3), (1, -1, -3)) == _poly_mul(_series_den(4), (1, 0, -1))
 
 
 def test_finite_parabolics_are_the_positive_definite_minors():
     # FORM_MATRIX's principal minors: positive up to rank 2, zero for the
-    # affine A2~ on three letters, -27 for the hyperbolic whole
+    # affine A2~ on three letters, -27 for the hyperbolic whole.  W_T is
+    # finite exactly when the minors on T are positive, which is when its
+    # series stops after the longest element's degree 3
     minors = {0: 1, 1: 2, 2: 3, 3: 0, 4: -27}
     for k, expected in minors.items():
         for subset in combinations((1, 2, 3, 4), k):
             rows = [[FORM_MATRIX[i - 1][j - 1] for j in subset] for i in subset]
             assert bareiss_det(rows) == expected
-            assert _is_finite(subset) == (k <= 2)
+            finite = all(minors[j] > 0 for j in range(k + 1))
+            stops = not any(islice(_series_sizes(_CHAMBER_VECTOR, subset), 4, 40))
+            assert stops == finite == (k <= 2)
 
 
 @pytest.mark.parametrize("subset", [(), (3,), (1, 4), (2, 3)], ids=str)
 def test_poincare_polynomials_against_matrix_oracle(subset):
     generators = tuple(generator_matrix(i) for i in subset)
     layers = [len(layer) for layer in element_layers(generators, 4)]
-    poly = _poincare(subset)
-    assert layers == list(poly) + [0] * (5 - len(poly))
+    assert layers == list(islice(_series_sizes(_CHAMBER_VECTOR, subset), 5))
 
 
 @pytest.mark.parametrize(

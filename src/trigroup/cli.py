@@ -114,14 +114,14 @@ def _cmd_orbit(args):
 
 
 def _cmd_growth(args):
-    orbit.growth_recurrence(args.depth)  # its length cap fires before the BFS runs
+    recurrence = orbit.growth_recurrence_terms(args.depth)  # its length cap fires before the BFS runs
     table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
     sizes = orbit.orbit_sizes(tuple(args.root), args.depth, args.max_elements).cumulative_sizes
     rows = [
         {
             "depth": n,
             "layer": table.layer_sizes[n],
-            "recurrence": orbit.growth_recurrence(n),
+            "recurrence": recurrence[n],
             "cumulative": table.cumulative_sizes[n],
             "orbit": sizes[n],
         }

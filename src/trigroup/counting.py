@@ -64,42 +64,33 @@ def ordered_multiplicity(q: Quadruple) -> int:
     return math.factorial(4) // denom
 
 
-def _norm_sq(q: Quadruple) -> int:
-    return sum(x * x for x in q)
-
-
-def _max_entry(q: Quadruple) -> int:
-    return q[0]
-
-
-def _walk(bound: int, key, primitive: bool) -> Iterator[Quadruple]:
-    """Yield the canonical quadruples q with key(q) <= bound, by reverse reduction.
+def _walk(top: int, max_norm: int, primitive: bool) -> Iterator[tuple[Quadruple, int]]:
+    """Yield (q, h) for the canonical quadruples q with largest entry at
+    most top and squared height h at most max_norm, by reverse reduction.
 
     Depth-first over the forest of nonincreasing quadruples rooted at the
     roots (g, g, g, 0).  A child of q (sum s) replaces one copy of an
     entry value v by w = s - 2v, kept only when w > v (the sum grows) and
     w is at least every other entry: reflecting the child's largest entry
-    then gives back q, so q is its unique parent under reduce_step.  key
-    (squared height or largest entry) never decreases along an edge, so a
-    child over the bound prunes its whole subtree.  The gcd is invariant
-    under the generators, so the primitive census walks only the g = 1
-    tree.  Only the stack is held, so a count stores no quadruples.
+    then gives back q, so q is its unique parent under reduce_step.  The
+    child's largest entry is w and its squared height h + (w - v)(w + v);
+    neither decreases along an edge, so a child over either bound prunes
+    its whole subtree.  The gcd is invariant under the generators, so the
+    primitive census walks only the g = 1 tree.  Only the stack is held,
+    so a count stores no quadruples.
     """
-    stack = []
-    for g in range(1, 2 if primitive else bound + 1):
-        if key((g, g, g, 0)) > bound:
-            break
-        stack.append((g, g, g, 0))
+    last = min(1 if primitive else top, math.isqrt(max_norm // 3))
+    stack = [((g, g, g, 0), 3 * g * g) for g in range(1, last + 1)]
     while stack:
-        q = stack.pop()
-        yield q
+        q, h = item = stack.pop()
+        yield item
         s = sum(q)
         for i, v in enumerate(q):
             w = s - 2 * v
-            if v < w and q[0] <= w and not (i and q[i - 1] == v):
-                child = (w,) + q[:i] + q[i + 1 :]
-                if key(child) <= bound:
-                    stack.append(child)
+            if v < w and q[0] <= w <= top and not (i and q[i - 1] == v):
+                child_h = h + (w - v) * (w + v)
+                if child_h <= max_norm:
+                    stack.append(((w,) + q[:i] + q[i + 1 :], child_h))
 
 
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
@@ -109,18 +100,19 @@ def _check_args(bound: int, mode: str, max_bound: int) -> None:
 
 
 def _build_report(
-    walk: Iterable[Quadruple],
+    walk: Iterable[tuple[Quadruple, int]],
     bound: int,
     mode: str,
     include_list: bool,
 ) -> CensusReport:
+    quads = (q for q, _ in walk)
     if not include_list:
-        weights = map(ordered_multiplicity, walk) if mode == "ordered" else (1 for _ in walk)
+        weights = map(ordered_multiplicity, quads) if mode == "ordered" else (1 for _ in quads)
         return CensusReport(bound=bound, mode=mode, count=sum(weights))
     if mode == "canonical":
-        listed = tuple(sorted(walk))
+        listed = tuple(sorted(quads))
     else:
-        listed = tuple(sorted(t for q in walk for t in set(permutations(q))))
+        listed = tuple(sorted(t for q in quads for t in set(permutations(q))))
     return CensusReport(bound=bound, mode=mode, count=len(listed), quadruples=listed)
 
 
@@ -139,7 +131,8 @@ def count_by_height(
     ordered mode every distinct arrangement.
     """
     _check_args(n, mode, max_bound)
-    return _build_report(_walk(n * n, _norm_sq, primitive), n, mode, include_list)
+    # every entry is at most the height
+    return _build_report(_walk(n, n * n, primitive), n, mode, include_list)
 
 
 def count_by_max(
@@ -151,7 +144,8 @@ def count_by_max(
 ) -> CensusReport:
     """Census of quadruples whose maximal entry is at most n."""
     _check_args(n, mode, max_bound)
-    return _build_report(_walk(n, _max_entry, primitive), n, mode, include_list)
+    # H <= 2 max always, so the height bound never prunes
+    return _build_report(_walk(n, 4 * n * n, primitive), n, mode, include_list)
 
 
 def height_sweep(
@@ -170,9 +164,9 @@ def height_sweep(
     """
     _check_args(max_n, mode, max_bound)
     buckets = [0] * (max_n + 1)
-    for q in _walk(max_n * max_n, _norm_sq, False):
+    for q, h in _walk(max_n, max_n * max_n, False):
         weight = 1 if mode == "canonical" else ordered_multiplicity(q)
-        buckets[math.isqrt(_norm_sq(q) - 1) + 1] += weight
+        buckets[math.isqrt(h - 1) + 1] += weight
     return [
         (n, total, 0.0 if n == 1 else total / (n * n * math.log(n) ** 3))
         for n, total in enumerate(accumulate(buckets[1:]), 1)

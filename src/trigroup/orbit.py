@@ -232,8 +232,8 @@ def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable
     return _growth_table(sizes)
 
 
-def growth_recurrence(n: int) -> int:
-    """Evaluate the closed three-term recurrence with seeds 1, 4, 12.
+def growth_recurrence_terms(n: int) -> list[int]:
+    """G_0, ..., G_n of the closed three-term recurrence with seeds 1, 4, 12.
 
     G_n = 2 G_{n-1} + 2 G_{n-2} - 3 G_{n-3}.  The BFS oracle disagrees
     with this at depth 3 (30 against 29); both values are reported by
@@ -241,12 +241,15 @@ def growth_recurrence(n: int) -> int:
     LENGTH_CAP it raises ResourceLimitError before any work.
     """
     _require_int("depth", n, 0, cap=LENGTH_CAP)
-    if n < 3:
-        return RECURRENCE_SEEDS[n]
-    a, b, c = RECURRENCE_SEEDS
-    for _ in range(n - 2):
-        a, b, c = b, c, 2 * c + 2 * b - 3 * a
-    return c
+    terms = list(RECURRENCE_SEEDS[: n + 1])
+    while len(terms) <= n:
+        terms.append(2 * terms[-1] + 2 * terms[-2] - 3 * terms[-3])
+    return terms
+
+
+def growth_recurrence(n: int) -> int:
+    """G_n of the recurrence, see growth_recurrence_terms."""
+    return growth_recurrence_terms(n)[n]
 
 
 @dataclass(frozen=True)
@@ -492,25 +495,26 @@ def spectral_radius_closed_form() -> float:
 def prime_factor_count(q: Quadruple) -> int | None:
     """Number of prime factors, with multiplicity, of the entry product.
 
+    The count is completely additive, so it is summed over the entries
+    and the product, which factorize may fail on, is never formed.
     Undefined (None) when any entry is zero: the product is then zero
     and the count has no meaning.
     """
     q = validate_quadruple(q)
     if any(x == 0 for x in q):
         return None
-    product = q[0] * q[1] * q[2] * q[3]
-    return sum(factorize(product).values())
+    return sum(sum(factorize(x).values()) for x in q)
 
 
-def search_prime_factor_count(
-    height_bound: int,
-    max_count: int,
-    max_bound: int = counting.DEFAULT_BOUND_CAP,
-) -> list[tuple[Quadruple, int]]:
+def search_prime_factor_count(height_bound: int, max_count: int) -> list[tuple[Quadruple, int]]:
     """(quadruple, prime factor count) for the canonical primitive
     quadruples of bounded height whose entry product has at most
-    max_count prime factors (zero-entry rows, which end in 0, excluded)."""
+    max_count prime factors (zero-entry rows, which end in 0, excluded).
+    Counted entry by entry, as in prime_factor_count, and each distinct
+    entry is factored once: the rows share few values."""
     _require_int("max_count", max_count, 0)
-    report = counting.count_by_height(height_bound, "canonical", True, max_bound, include_list=True)
-    counted = ((q, sum(factorize(math.prod(q)).values())) for q in report.quadruples if q[3])
+    report = counting.count_by_height(height_bound, "canonical", True, include_list=True)
+    rows = [q for q in report.quadruples if q[3]]
+    omega = {x: sum(factorize(x).values()) for x in {x for q in rows for x in q}}
+    counted = ((q, sum(map(omega.__getitem__, q))) for q in rows)
     return [(q, count) for q, count in counted if count <= max_count]

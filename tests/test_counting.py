@@ -219,14 +219,30 @@ def test_gcd_identity_by_max_entry_and_height(n, mode):
     assert by_max == sum(count_by_max(n // g, mode, True).count for g in range(1, n + 1))
 
     def count(walk):
-        return sum(ordered_multiplicity(q) if mode == "ordered" else 1 for q in walk)
+        return sum(ordered_multiplicity(q) if mode == "ordered" else 1 for q, _ in walk)
 
-    by_height = count(counting._walk(n * n, counting._norm_sq, False))
-    primitive = (counting._walk(n * n // (g * g), counting._norm_sq, True) for g in range(1, n + 1))
+    by_height = count(counting._walk(n, n * n, False))
+    primitive = (counting._walk(n // g, n * n // (g * g), True) for g in range(1, n + 1))
     assert by_height == sum(map(count, primitive))
     assert by_height == count_by_height(n, mode).count
     if n == 300:
         assert (by_max, by_height) == CENSUS_300[mode]
+
+
+@pytest.mark.parametrize("primitive", [False, True])
+@pytest.mark.parametrize("top,max_norm", [(300, 300 * 300), (200, 4 * 200 * 200)])
+def test_walk_carries_squared_height_within_both_bounds(top, max_norm, primitive):
+    # censuses by height 300 and by max 200: each child's h comes from its
+    # parent's, so check it against the quadruple it is yielded with
+    pairs = list(counting._walk(top, max_norm, primitive))
+    assert pairs
+    assert len({q for q, _ in pairs}) == len(pairs)
+    for q, h in pairs:
+        assert list(q) == sorted(q, reverse=True), q
+        assert h == sum(x * x for x in q) <= max_norm, q
+        assert max(q) <= top, q
+    if (top, primitive) == (300, False):
+        assert len(pairs) == CENSUS_300["canonical"][1]
 
 
 def test_census_properties_over_walk():

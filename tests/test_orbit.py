@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
 
 from trigroup import orbit
+from trigroup.counting import count_by_height
 from trigroup.core import (
     FORM_MATRIX,
     ResourceLimitError,
@@ -16,6 +18,7 @@ from trigroup.core import (
     mat_vec,
     validate_quadruple,
 )
+from trigroup.eisenstein import factorize
 from trigroup.linalg import bareiss_det
 from trigroup.orbit import (
     _CHAMBER_VECTOR,
@@ -359,6 +362,30 @@ def test_search_prime_factor_count():
         if n > 1:
             count += 1
         assert count == reported <= 4
+
+
+def product_prime_factor_count(q):
+    """Oracle: factor the product of the four entries at once."""
+    if 0 in q:
+        return None
+    return sum(factorize(math.prod(q)).values())
+
+
+def test_prime_factor_count_per_entry_matches_the_product():
+    rows = count_by_height(60, include_list=True).quadruples
+    for q in rows + tuple(random_quadruples(60, seed=5, max_steps=14)):
+        assert prime_factor_count(q) == product_prime_factor_count(q), q
+    for q, count in search_prime_factor_count(60, 9):
+        assert count == product_prime_factor_count(q), q
+
+
+def test_prime_factor_count_of_a_long_orbit_vector():
+    # the product of these entries defeats factorize, each entry alone
+    # factors at once
+    start = time.perf_counter()
+    q = (118085895487179, 330792400880452, 126367082754673, 89694322581103)
+    assert prime_factor_count(q) == 12
+    assert time.perf_counter() - start < 0.1
 
 
 def test_element_bfs_is_the_orbit_of_the_chamber_vector():

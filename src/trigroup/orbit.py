@@ -21,10 +21,17 @@ for v = w(x), x in the closed chamber (3 x_i <= sum(x), such as
 (0, 0, 0, 0)) and w shortest in its coset of x's stabilizer, s_i
 shortens w exactly when 3 v_i > sum(v), and fixes v when
 3 v_i = sum(v) (Humphreys, Reflection Groups and Coxeter Groups, 1990,
-5.4, 5.6 and 5.13).  So the orbit of such a start is a tree, each vector
-the child of the one its smallest descent leads to, and _bfs builds its
-layers with no set (_tree_layers); other starts, the non-root
-quadruples, take a set loop (_set_layers).
+5.4, 5.6 and 5.13).  So the depth of an orbit vector of a root is its
+number of reduction steps (reduction.py), which permuting its entries
+keeps.  The group acts trivially mod 3, so the orbit of (0, g, g, g)
+with the zero at position p is the set of quadruples of gcd g whose one
+entry = 0 (mod 3g) sits at p, closed under the permutations of the
+other three positions.  _bfs walks a root's orbit up to them
+(_root_layers): the levels of the tree of its nonincreasing quadruples,
+which counting._walk also walks, weighed by their number of orders for
+a count and expanded into those orders (_expand) only for vectors.
+Other starts, the non-root quadruples, take a set loop (_set_layers),
+and so do (1, 1, 1, 1) and (0, 0, 0, 0), which only the tests walk.
 
 The series: the stabilizer of a chamber start x in W_L is the parabolic
 W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer sizes
@@ -46,8 +53,9 @@ from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
-from operator import mul
+from functools import cache
+from itertools import accumulate, count, islice, permutations
+from operator import itemgetter, mul
 
 from . import counting
 from .core import (
@@ -102,7 +110,9 @@ def _bfs(
 ) -> Iterator[Collection[Vector4]] | Iterator[int]:
     """Yield the BFS layers of start: vectors, or with sizes set their sizes.
 
-    With max_sum set, vectors whose entry sum exceeds it are dropped.
+    A root's layers come from its tree of canonical quadruples, whose
+    sizes build no vector; any other start's from a set loop.  With
+    max_sum set, vectors whose entry sum exceeds it are dropped.
     The caller must not mutate a yielded layer.  letters narrows the
     series only: a subset raises ValueError unless the layers are the
     sizes of a chamber start with no max_sum.  Raises ResourceLimitError
@@ -121,8 +131,11 @@ def _bfs(
         layers = _series_sizes(start, letters)
     elif letters != GENERATOR_INDICES:
         raise ValueError(f"letters {letters} are counted from their series only")
+    elif in_chamber and min(start) == 0 < max(start):
+        # in the chamber, only the roots and (0, 0, 0, 0) have a zero entry
+        layers = _root_layers(start, max_sum, sizes)
     else:
-        layers = (_tree_layers if in_chamber else _set_layers)(start, max_sum)
+        layers = _set_layers(start, max_sum)
         if sizes:
             layers = map(len, layers)
     total = 0
@@ -159,36 +172,90 @@ def _series_sizes(start: Vector4, letters: tuple[int, ...]) -> Iterator[int]:
         yield c
 
 
-def _tree_layers(start: Vector4, max_sum: int | None) -> Iterator[list[Vector4]]:
-    """The layers of a start in the closed chamber, as tree levels.
+# The number of distinct orders of three entries, by how many of them
+# equal their neighbour in nonincreasing order.
+_ORDERS = (6, 3, 1)
 
-    The child s_i v is made by v only when 3 v_i < s = sum(v) and i is
-    its smallest descent: no j < i has 3 v_j > 2s - 3 v_i.  A child over
-    max_sum is skipped before it is built, and so is its subtree, whose
-    sums are larger still.  Layer n + 1 lists the children of layer n in
-    its order.
+
+def _root_layers(
+    start: Vector4, max_sum: int | None, sizes: bool
+) -> Iterator[list[Vector4]] | Iterator[int]:
+    """The layers of a root (0, g, g, g), zero at position p, from the
+    levels of its tree of nonincreasing quadruples.
+
+    Level n holds the canonical quadruples n reduction steps from
+    (g, g, g, 0).  As in counting._walk, a child of (a, b, c, d) (sum s)
+    replaces b, c or d, but no value equal to its left neighbour, by
+    w = s - 2v when w >= a; its sum 2s - 3v grows, so a child over
+    max_sum is dropped with its subtree.  Layer n is level n, each
+    quadruple placed in the distinct orders with its one entry = 0
+    (mod 3g) at p (_expand); with sizes set, only their number is summed.
     """
-    cur = [start]
+    g = max(start)
+    p = start.index(0)
+    cur = [(g, g, g, 0)]
     while True:
-        yield cur
+        if sizes:
+            # the entry = 0 (mod 3g) equals no neighbour, so the equal
+            # neighbours are among the three entries that are permuted
+            yield sum(_ORDERS[(a == b) + (b == c) + (c == d)] for a, b, c, d in cur)
+        else:
+            yield _expand(cur, g, p)
         nxt: list[Vector4] = []
         add = nxt.append
         for a, b, c, d in cur:
-            # generator i replaces entry i by s - 2 v_i; the child's sum is t - 3 v_i
+            # w >= a when 2v <= r; the child's sum is t - 3v
             s = a + b + c + d
+            r = s - a
             t = s + s
-            a3, b3, c3, d3 = 3 * a, 3 * b, 3 * c, 3 * d
-            if a3 < s and (max_sum is None or t - a3 <= max_sum):
-                add((s - 2 * a, b, c, d))
-            if b3 < s and a3 + b3 <= t and (max_sum is None or t - b3 <= max_sum):
-                add((a, s - 2 * b, c, d))
-            if (c3 < s and a3 + c3 <= t and b3 + c3 <= t
-                    and (max_sum is None or t - c3 <= max_sum)):
-                add((a, b, s - 2 * c, d))
-            if (d3 < s and a3 + d3 <= t and b3 + d3 <= t and c3 + d3 <= t
-                    and (max_sum is None or t - d3 <= max_sum)):
-                add((a, b, c, s - 2 * d))
+            if b < a and 2 * b <= r and (max_sum is None or t - 3 * b <= max_sum):
+                add((s - 2 * b, a, c, d))
+            if c < b and 2 * c <= r and (max_sum is None or t - 3 * c <= max_sum):
+                add((s - 2 * c, a, b, d))
+            if d < c and 2 * d <= r and (max_sum is None or t - 3 * d <= max_sum):
+                add((s - 2 * d, a, b, c))
         cur = nxt
+
+
+@cache
+def _spreads(p: int) -> tuple[tuple[itemgetter, ...], ...]:
+    """_spreads(p)[j][ties] lays out end to end the distinct orders of a
+    nonincreasing quadruple whose entry j is its one entry = 0 (mod 3g):
+    entry j at p and the other three permuted.  Bit i of ties says that entries i and
+    i + 1 are equal; reading each entry from the first of its run of
+    equal entries makes equal orders equal, and each is kept once.
+    Built on first use of p, not at import.
+    """
+    spreads = []
+    for j in range(4):
+        others = [i for i in range(4) if i != j]
+        row = []
+        for ties in range(8):
+            first = [0]
+            for i in (1, 2, 3):
+                first.append(first[-1] if ties >> (i - 1) & 1 else i)
+            orders = dict.fromkeys(tuple(first[i] for i in o) for o in permutations(others))
+            row.append(itemgetter(*(i for o in orders for i in (*o[:p], j, *o[p:]))))
+        spreads.append(tuple(row))
+    return tuple(spreads)
+
+
+def _expand(level: list[Vector4], g: int, p: int) -> list[Vector4]:
+    """The vectors of a root orbit's level of canonical quadruples: in
+    each, its one entry = 0 (mod 3g) moves to position p and the other
+    three take each of their distinct orders.  The layouts of
+    _spreads(p) run into one list of entries, which zip cuts into
+    vectors.
+    """
+    k = 3 * g
+    spreads = _spreads(p)
+    entries: list[int] = []
+    for v in level:
+        a, b, c, d = v
+        j = 0 if a % k == 0 else 1 if b % k == 0 else 2 if c % k == 0 else 3
+        entries += spreads[j][(a == b) + 2 * (b == c) + 4 * (c == d)](v)
+    it = iter(entries)
+    return list(zip(it, it, it, it))
 
 
 def _set_layers(start: Vector4, max_sum: int | None) -> Iterator[set[Vector4]]:
@@ -278,7 +345,8 @@ def orbit_vectors(
     is then a subset of the unrestricted orbit, and every vector it
     reports at depth n is genuinely reachable within n steps (paths are
     never invented, only dropped).  The root is always layer 0, even
-    when its own sum exceeds max_sum.  Each of the layers is sorted.
+    when its own sum exceeds max_sum.  Each of the layers is sorted; a
+    root's layers are its canonical levels expanded into every order.
     """
     root = validate_quadruple(root)
     layers = tuple(
@@ -300,10 +368,12 @@ def orbit_sizes(
 ) -> GrowthTable:
     """The sizes of orbit_vectors(root, ...) without its vectors.
 
-    Same arguments, checks and element cap; layer 0 is always the root,
-    even over max_sum.  A root (0, g, g, g) with no max_sum has the sizes
-    of (1 - t^2)/(1 - t - 3t^2), its series, and builds no vector;
-    otherwise each layer is counted and dropped.
+    Same arguments, checks and element cap, which counts the vectors;
+    layer 0 is always the root, even over max_sum.  A root (0, g, g, g)
+    builds no vector: with no max_sum it has the sizes of
+    (1 - t^2)/(1 - t - 3t^2), its series, and with a max_sum each
+    quadruple of its canonical tree counts as its number of orders.
+    Other starts' layers are counted and dropped.
     """
     root = validate_quadruple(root)
     sizes = _bfs(root, max_depth, max_elements, max_sum, sizes=True)

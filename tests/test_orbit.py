@@ -5,7 +5,7 @@ from itertools import combinations, islice
 
 import pytest
 
-from trigroup import orbit
+from trigroup import counting, orbit
 from trigroup.counting import count_by_height
 from trigroup.core import (
     FORM_MATRIX,
@@ -43,6 +43,7 @@ from trigroup.orbit import (
     stabilizer_cumulative_closed_form,
     word_norm,
 )
+from trigroup.reduction import reduce_to_root
 import matrix_bfs
 from conftest import norm_profile, random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
@@ -63,6 +64,45 @@ def _descent(v):
         if 3 * x > total:
             return i
     return None
+
+
+def tree_layers(start, max_sum=None):
+    """The layers of a start in the closed chamber, as tree levels: the
+    oracle of orbit._root_layers, walking ordered vectors.
+
+    The child s_i v is made by v only when 3 v_i < s = sum(v) and i is
+    its smallest descent: no j < i has 3 v_j > 2s - 3 v_i.  A child over
+    max_sum is skipped before it is built, and so is its subtree, whose
+    sums are larger still.  Layer n + 1 lists the children of layer n in
+    its order.
+    """
+    cur = [start]
+    while True:
+        yield cur
+        nxt = []
+        for a, b, c, d in cur:
+            # generator i replaces entry i by s - 2 v_i; the child's sum is t - 3 v_i
+            s = a + b + c + d
+            t = s + s
+            a3, b3, c3, d3 = 3 * a, 3 * b, 3 * c, 3 * d
+            if a3 < s and (max_sum is None or t - a3 <= max_sum):
+                nxt.append((s - 2 * a, b, c, d))
+            if b3 < s and a3 + b3 <= t and (max_sum is None or t - b3 <= max_sum):
+                nxt.append((a, s - 2 * b, c, d))
+            if (c3 < s and a3 + c3 <= t and b3 + c3 <= t
+                    and (max_sum is None or t - c3 <= max_sum)):
+                nxt.append((a, b, s - 2 * c, d))
+            if (d3 < s and a3 + d3 <= t and b3 + d3 <= t and c3 + d3 <= t
+                    and (max_sum is None or t - d3 <= max_sum)):
+                nxt.append((a, b, c, s - 2 * d))
+        cur = nxt
+
+
+def canonical_levels(monkeypatch, g, max_sum=None):
+    """The levels of nonincreasing quadruples that orbit._root_layers
+    walks for the root (0, g, g, g), read with its expansion undone."""
+    monkeypatch.setattr(orbit, "_expand", lambda level, g, p: level)
+    return orbit._root_layers((0, g, g, g), max_sum, False)
 
 
 # Coefficients of the Coxeter growth series (1+2t+2t^2+t^3)/(1-2t-2t^2+3t^3).
@@ -204,11 +244,51 @@ def test_chamber_vector_layers_against_matrix_oracle_on_every_letter_set(letters
 def test_chamber_layers_are_levels_of_the_smallest_descent_tree(start):
     # each vector of layer n + 1 is listed under the vector of layer n
     # that its smallest descent (_descent) names, in the order of layer n
-    layers = [list(layer) for layer in _bfs(start, 8)]
+    layers = list(islice(tree_layers(start), 9))
     for parents, children in zip(layers, layers[1:]):
         index = {v: k for k, v in enumerate(parents)}
         order = [index[_reflect(v, _descent(v))] for v in children]
         assert order == sorted(order)
+
+
+@pytest.mark.parametrize("max_sum", [None, 50, 300, 1000])
+@pytest.mark.parametrize("g", [1, 2, 3, 7])
+def test_root_layers_against_the_set_and_tree_loops(g, max_sum):
+    # for the zero in each position, the layers of the canonical tree,
+    # expanded, are those of the set loop and of the descent tree, and
+    # their sizes are the weighted counts
+    max_sum = max_sum and max_sum * g
+    for p in range(4):
+        root = tuple(0 if i == p else g for i in range(4))
+        layers = [sorted(layer) for layer in islice(orbit._root_layers(root, max_sum, False), 10)]
+        assert layers == [sorted(layer) for layer in islice(orbit._set_layers(root, max_sum), 10)]
+        assert layers == [sorted(layer) for layer in islice(tree_layers(root, max_sum), 10)]
+        sizes = list(islice(orbit._root_layers(root, max_sum, True), 10))
+        assert sizes == [len(layer) for layer in layers]
+
+
+@pytest.mark.parametrize("max_sum", [3, 50, 300, 1000])
+def test_canonical_levels_are_the_census_rows(monkeypatch, max_sum):
+    # every primitive canonical quadruple of sum <= max_sum lies in one
+    # level, at its number of reduction steps; the census walk lists them
+    rows = {q for q, _ in counting._walk(max_sum, max_sum * max_sum, True) if sum(q) <= max_sum}
+    levels = list(iter(canonical_levels(monkeypatch, 1, max_sum).__next__, []))
+    assert sum(map(len, levels)) == len(rows)
+    assert set().union(*levels) == rows
+    if max_sum == 1000:
+        assert len(rows) == 6018
+    for n, level in enumerate(levels):
+        assert all(len(reduce_to_root(q).steps) == n for q in level)
+
+
+@pytest.mark.parametrize("g", [1, 2, 5])
+def test_canonical_vectors_have_one_entry_in_the_class_of_zero(monkeypatch, g):
+    # the expansion finds the entry it moves to the root's zero position
+    # as the one entry = 0 (mod 3g); the others are = g
+    for level in islice(canonical_levels(monkeypatch, g), 11):
+        for q in level:
+            assert sorted(x % (3 * g) for x in q) == [0, g, g, g], q
+            assert list(q) == sorted(q, reverse=True)
 
 
 def test_root_orbit_layer_sizes_at_depth_13():
@@ -599,8 +679,10 @@ def test_series_against_bfs_on_every_letter_set(letters, start):
         lambda: _bfs((1, 1, 1, 1), 3, letters=(2, 3, 4)),
         lambda: _bfs((1, 1, 1, 1), 3, None, 60, letters=(2, 3, 4), sizes=True),
         lambda: _bfs((1, 7, 4, 3), 3, letters=(2, 3, 4), sizes=True),
+        lambda: _bfs((0, 1, 1, 1), 3, letters=(2, 3, 4)),
+        lambda: _bfs((0, 1, 1, 1), 3, None, 60, letters=(2, 3, 4), sizes=True),
     ],
-    ids=["vectors", "max_sum", "outside_the_chamber"],
+    ids=["vectors", "max_sum", "outside_the_chamber", "root_vectors", "root_max_sum"],
 )
 def test_bfs_narrows_letters_only_for_the_series(call):
     # the loops walk all four generators; a letter subset that would
@@ -616,18 +698,21 @@ def test_series_of_the_zero_start():
 
 
 def test_counts_of_chamber_starts_build_no_vectors(monkeypatch):
-    # with no max_sum the counts take the series; a max_sum count still
-    # walks the tree, and orbit_vectors always does
-    def no_tree(*args):
-        raise AssertionError("_tree_layers called")
+    # with no max_sum the counts take the series; a max_sum count walks
+    # the canonical tree and weighs its quadruples, and only orbit_vectors
+    # expands them into vectors
+    expected = orbit_sizes(ROOT, 8, None, 60)
 
-    monkeypatch.setattr(orbit, "_tree_layers", no_tree)
+    def no_vectors(*args):
+        raise AssertionError("_expand called")
+
+    monkeypatch.setattr(orbit, "_expand", no_vectors)
     assert bfs_elements(13).layer_sizes == COXETER_SERIES
     assert orbit_sizes(ROOT, 13).layer_sizes == ROOT_ORBIT_SERIES
     assert stabilizer_counts(40) == [1] + [3 * n for n in range(1, 41)]
-    for call in (lambda: orbit_sizes(ROOT, 3, None, 60), lambda: orbit_vectors(ROOT, 3)):
-        with pytest.raises(AssertionError, match="_tree_layers"):
-            call()
+    assert orbit_sizes(ROOT, 8, None, 60) == expected
+    with pytest.raises(AssertionError, match="_expand"):
+        orbit_vectors(ROOT, 3)
 
 
 def _poly_mul(p, q):

@@ -1,24 +1,31 @@
-"""Exhaustive censuses of quadruples bounded by height or maximal entry.
+"""Exhaustive censuses of quadruples bounded by height or maximal entry,
+and the tree of canonical quadruples that they and root orbits walk.
 
 Reflecting the largest entry reduces every quadruple to exactly one root
-(g, g, g, 0), g the gcd of the entries (see reduction.py).  Run backwards,
-that reduction makes the canonical (nonincreasing) quadruples into a forest
-with one tree per root.  A census walks that forest depth first; height and
-largest entry never decrease from parent to child, so a bound prunes whole
-subtrees and the cost is proportional to the output.
+(g, g, g, 0), g the gcd of the entries (see reduction.py); the gcd is
+invariant, so every quadruple is g times a primitive one.  Run
+backwards, the reduction makes the primitive canonical (nonincreasing)
+quadruples one tree rooted at (1, 1, 1, 0): _walk walks it depth first,
+_root_layers by levels for the root orbits (orbit.py).  By the gcd
+identity a node q of squared height h stands for its multiples g q,
+g <= min(top // q[0], isqrt(max_norm // h)): full(n) = sum over g of
+prim(n // g) by largest entry, full(h) = sum over g of prim(h // g^2)
+by squared height.
 
-The gcd is invariant under the generators, so every quadruple is g times
-a primitive one, and a full census is a sum of primitive ones: by largest
-entry full(n) = sum over g of prim(n // g), by squared height
-full(h) = sum over g of prim(h // g^2).  The primitive quadruples lie on
-the light cone of a form of signature (3, 1) as finitely many orbits of a
-group of finite covolume, so their count up to a norm bound grows like
-C n^2 (Duke, Rudnick and Sarnak; Eskin and McMullen; both Duke Math. J.
-71, 1993).  Measured, the primitive count by largest entry over n^2 is
-0.03249, 0.03211, 0.03212 at n = 400, 1600, 3200.  height_sweep reports
-count / (n^2 ln^3 n), the normalization the census is stated in, and
-divisor_square_sum, whose sum grows like n ln^3 n, is a separate
-diagnostic.
+The group acts trivially mod 3, so a primitive quadruple is (0, 1, 1, 1)
+mod 3 in some order and g q is (0, g, g, g) mod 3g: its class entry, the
+one = 0, ties no other entry.  So (a, a, b, b) never occurs, and a
+canonical quadruple has 24, 12 or 4 orders as 0, 1 or 2 neighbours tie.
+_ORDERS lists them by tie pattern, (a == b) + 2 (b == c) + 4 (c == d),
+for the ordered weights and rows and the root orbits' layouts.
+
+The primitive quadruples lie on the light cone of a form of signature
+(3, 1) as finitely many orbits of a group of finite covolume, so their
+count up to a norm bound grows like C n^2 (Duke, Rudnick and Sarnak;
+Eskin and McMullen; both Duke Math. J. 71, 1993): by largest entry
+0.03249, 0.03211, 0.03212 n^2 at n = 400, 1600, 3200.  height_sweep
+reports the stated normalization count / (n^2 ln^3 n); the sum of
+divisor_square_sum grows like n ln^3 n, a separate diagnostic.
 """
 
 from __future__ import annotations
@@ -27,9 +34,11 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, permutations, repeat
-from operator import floordiv, mul
+from operator import floordiv, itemgetter, mul
 
-from .core import Quadruple, _require_int, validate_quadruple
+from .core import Quadruple, Vector4, _require_int, validate_quadruple
+
+Node = tuple[Quadruple, int, int]  # (q, h, m), see _walk
 
 DEFAULT_BOUND_CAP = 5000
 # divisor_square_sum takes ~n^(2/3) steps up to n = 2^30, where its table
@@ -56,34 +65,48 @@ def canonicalize(q: Quadruple) -> Quadruple:
     return tuple(sorted(validate_quadruple(q), reverse=True))
 
 
-def ordered_multiplicity(q: Quadruple) -> int:
-    """Number of distinct orderings of the multiset of entries."""
-    denom = 1
-    for x in set(q):
-        denom *= math.factorial(q.count(x))
-    return math.factorial(4) // denom
+def _orders_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row ties: the distinct orders of a canonical quadruple with tie
+    pattern ties, as the indices they read.  Each entry is read from the
+    first of its run of equal entries, so equal orders are equal."""
+    table = []
+    for ties in range(8):
+        first = list(accumulate(range(4), lambda f, i: f if ties >> (i - 1) & 1 else i))
+        orders = (tuple(map(first.__getitem__, o)) for o in permutations(range(4)))
+        table.append(tuple(dict.fromkeys(orders)))
+    return tuple(table)
 
 
-def _walk(top: int, max_norm: int, primitive: bool) -> Iterator[tuple[Quadruple, int]]:
-    """Yield (q, h) for the canonical quadruples q with largest entry at
-    most top and squared height h at most max_norm, by reverse reduction.
+_ORDERS = _orders_table()
+# Per tie pattern: its ordered weight, one itemgetter laying out all its
+# orders, and in _ROOT_LAYOUTS[p][j] those with entry j at position p.
+# _ROOT_WEIGHTS: a quarter of the weight, by number of ties (0, 1, 2).
+_WEIGHTS = tuple(map(len, _ORDERS))
+_ROOT_WEIGHTS = tuple(_WEIGHTS[ties] // 4 for ties in (0, 1, 1 + 2))
+_LAYOUTS = tuple(itemgetter(*(i for o in row for i in o)) for row in _ORDERS)
+_ROOT_LAYOUTS = tuple(tuple(
+    tuple(itemgetter(*idx) if idx else None
+          for idx in ([i for o in row if o[p] == j for i in o] for row in _ORDERS))
+    for j in range(4)) for p in range(4))
 
-    Depth-first over the forest of nonincreasing quadruples rooted at the
-    roots (g, g, g, 0).  A child of q (sum s) replaces one copy of an
-    entry value v by w = s - 2v, kept only when w > v (the sum grows) and
-    w is at least every other entry: reflecting the child's largest entry
-    then gives back q, so q is its unique parent under reduce_step.  The
-    child's largest entry is w and its squared height h + (w - v)(w + v);
-    neither decreases along an edge, so a child over either bound prunes
-    its whole subtree.  The gcd is invariant under the generators, so the
-    primitive census walks only the g = 1 tree.  Only the stack is held,
-    so a count stores no quadruples.
+
+def _walk(top: int, max_norm: int) -> Iterator[Node]:
+    """Yield (q, h, m) for the primitive canonical quadruples q with
+    largest entry at most top and squared height h at most max_norm, m
+    the number of their multiples g q within both bounds.
+
+    A child of q (sum s) replaces one copy of an entry value v by
+    w = s - 2v, kept only when w > v (the sum grows) and w is at least
+    every other entry: reflecting the child's largest entry then gives
+    back q, its unique parent under reduce_step.  The child's largest
+    entry is w and its squared height h + (w - v)(w + v); neither
+    decreases along an edge, so a child over either bound prunes its
+    subtree.  Only the stack is held.
     """
-    last = min(1 if primitive else top, math.isqrt(max_norm // 3))
-    stack = [((g, g, g, 0), 3 * g * g) for g in range(1, last + 1)]
+    stack = [((1, 1, 1, 0), 3)] if max_norm >= 3 else []
     while stack:
-        q, h = item = stack.pop()
-        yield item
+        q, h = stack.pop()
+        yield q, h, min(top // q[0], math.isqrt(max_norm // h))
         s = sum(q)
         for i, v in enumerate(q):
             w = s - 2 * v
@@ -93,6 +116,70 @@ def _walk(top: int, max_norm: int, primitive: bool) -> Iterator[tuple[Quadruple,
                     stack.append(((w,) + q[:i] + q[i + 1 :], child_h))
 
 
+def _root_layers(
+    start: Vector4, max_sum: int | None, sizes: bool
+) -> Iterator[list[Vector4]] | Iterator[int]:
+    """The BFS layers of a root (0, g, g, g), zero at position p: level n
+    of the tree of (g, g, g, 0), n reduction steps down, each quadruple
+    in its orders with its class entry at p (_expand), or with sizes set
+    their number.  As in _walk, a child of (a, b, c, d) (sum s) replaces
+    b, c or d, but no value equal to its left neighbour, by w = s - 2v
+    when w >= a; its sum 2s - 3v grows, so a child over max_sum is
+    dropped with its subtree."""
+    g = max(start)
+    p = start.index(0)
+    cur = [(g, g, g, 0)]
+    while True:
+        if sizes:
+            yield sum(_ROOT_WEIGHTS[(a == b) + (b == c) + (c == d)] for a, b, c, d in cur)
+        else:
+            yield _expand(cur, g, p)
+        nxt: list[Vector4] = []
+        add = nxt.append
+        for a, b, c, d in cur:
+            # w >= a when 2v <= r; the child's sum is t - 3v
+            s = a + b + c + d
+            r = s - a
+            t = s + s
+            if b < a and 2 * b <= r and (max_sum is None or t - 3 * b <= max_sum):
+                add((s - 2 * b, a, c, d))
+            if c < b and 2 * c <= r and (max_sum is None or t - 3 * c <= max_sum):
+                add((s - 2 * c, a, b, d))
+            if d < c and 2 * d <= r and (max_sum is None or t - 3 * d <= max_sum):
+                add((s - 2 * d, a, b, c))
+        cur = nxt
+
+
+def _expand(level: list[Vector4], g: int, p: int) -> list[Vector4]:
+    """A root orbit's vectors from a level of canonical quadruples: the
+    class entry (= 0 mod 3g) at p, the others in each of their orders."""
+    k = 3 * g
+    layouts = _ROOT_LAYOUTS[p]
+    entries: list[int] = []
+    for v in level:
+        a, b, c, d = v
+        j = 0 if a % k == 0 else 1 if b % k == 0 else 2 if c % k == 0 else 3
+        entries += layouts[j][(a == b) + 2 * (b == c) + 4 * (c == d)](v)
+    it = iter(entries)
+    return list(zip(it, it, it, it))
+
+
+def _rows(walk: Iterable[Node], top: int, ordered: bool) -> Iterator[Quadruple]:
+    """The quadruples g q, g <= m, of a walk's nodes (q, h, m), each in
+    its orders (_LAYOUTS) when ordered.  Equal entries are one object of
+    one list of ints, which the sort of a listing compares by identity."""
+    ints = list(range(top + 1))
+    for (a, b, c, d), _, m in walk:
+        layout = _LAYOUTS[(a == b) + 2 * (b == c) + 4 * (c == d)]
+        for g in range(1, m + 1):
+            q = ints[g * a], ints[g * b], ints[g * c], ints[g * d]
+            if ordered:
+                it = iter(layout(q))
+                yield from zip(it, it, it, it)
+            else:
+                yield q
+
+
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
     _require_int("bound", bound, 1, cap=_require_int("max_bound", max_bound, 1))
     if mode not in MODES:
@@ -100,19 +187,17 @@ def _check_args(bound: int, mode: str, max_bound: int) -> None:
 
 
 def _build_report(
-    walk: Iterable[tuple[Quadruple, int]],
-    bound: int,
-    mode: str,
-    include_list: bool,
+    walk: Iterable[Node], bound: int, mode: str, primitive: bool, include_list: bool
 ) -> CensusReport:
-    quads = (q for q, _ in walk)
+    """The census of a walk's multiples, or of its nodes when primitive."""
+    if primitive:
+        walk = ((q, h, 1) for q, h, _ in walk)
     if not include_list:
-        weights = map(ordered_multiplicity, quads) if mode == "ordered" else (1 for _ in quads)
-        return CensusReport(bound=bound, mode=mode, count=sum(weights))
-    if mode == "canonical":
-        listed = tuple(sorted(quads))
-    else:
-        listed = tuple(sorted(t for q in quads for t in set(permutations(q))))
+        weights = _WEIGHTS if mode == "ordered" else (1,) * 8
+        count = sum(weights[(a == b) + 2 * (b == c) + 4 * (c == d)] * m
+                    for (a, b, c, d), _, m in walk)
+        return CensusReport(bound=bound, mode=mode, count=count)
+    listed = tuple(sorted(_rows(walk, bound, mode == "ordered")))
     return CensusReport(bound=bound, mode=mode, count=len(listed), quadruples=listed)
 
 
@@ -132,7 +217,7 @@ def count_by_height(
     """
     _check_args(n, mode, max_bound)
     # every entry is at most the height
-    return _build_report(_walk(n, n * n, primitive), n, mode, include_list)
+    return _build_report(_walk(n, n * n), n, mode, primitive, include_list)
 
 
 def count_by_max(
@@ -145,7 +230,7 @@ def count_by_max(
     """Census of quadruples whose maximal entry is at most n."""
     _check_args(n, mode, max_bound)
     # H <= 2 max always, so the height bound never prunes
-    return _build_report(_walk(n, 4 * n * n, primitive), n, mode, include_list)
+    return _build_report(_walk(n, 4 * n * n), n, mode, primitive, include_list)
 
 
 def height_sweep(
@@ -158,15 +243,18 @@ def height_sweep(
     The third column is the stated normalization; the counts themselves
     grow like C n^2 (see the module docstring), so it falls with n.
 
-    A single enumeration at the top bound is bucketed by exact squared
-    height h: a quadruple first counts at n = ceil(sqrt h), so the sweep
-    costs one census and holds one counter per n.
+    A single walk at the top bound is bucketed by exact squared height:
+    g q, q of squared height h, first counts at n = ceil(sqrt(g^2 h)),
+    so the sweep costs one census and holds one counter per n.
     """
     _check_args(max_n, mode, max_bound)
+    weights = _WEIGHTS if mode == "ordered" else (1,) * 8
+    isqrt = math.isqrt
     buckets = [0] * (max_n + 1)
-    for q, h in _walk(max_n, max_n * max_n, False):
-        weight = 1 if mode == "canonical" else ordered_multiplicity(q)
-        buckets[math.isqrt(h - 1) + 1] += weight
+    for (a, b, c, d), h, m in _walk(max_n, max_n * max_n):
+        weight = weights[(a == b) + 2 * (b == c) + 4 * (c == d)]
+        for g in range(1, m + 1):
+            buckets[isqrt(g * g * h - 1) + 1] += weight
     return [
         (n, total, 0.0 if n == 1 else total / (n * n * math.log(n) ** 3))
         for n, total in enumerate(accumulate(buckets[1:]), 1)

@@ -26,10 +26,8 @@ number of reduction steps (reduction.py), which permuting its entries
 keeps.  The group acts trivially mod 3, so the orbit of (0, g, g, g)
 with the zero at position p is the set of quadruples of gcd g whose one
 entry = 0 (mod 3g) sits at p, closed under the permutations of the
-other three positions.  _bfs walks a root's orbit up to them
-(_root_layers): the levels of the tree of its nonincreasing quadruples,
-which counting._walk also walks, weighed by their number of orders for
-a count and expanded into those orders (_expand) only for vectors.
+other three positions.  _bfs walks a root's orbit up to them by the
+levels of counting's tree of canonical quadruples (_root_layers there).
 Other starts, the non-root quadruples, take a set loop (_set_layers),
 and so do (1, 1, 1, 1) and (0, 0, 0, 0), which only the tests walk.
 
@@ -53,9 +51,8 @@ from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate, count, islice, permutations
-from operator import itemgetter, mul
+from itertools import accumulate, count, islice
+from operator import mul
 
 from . import counting
 from .core import (
@@ -133,7 +130,7 @@ def _bfs(
         raise ValueError(f"letters {letters} are counted from their series only")
     elif in_chamber and min(start) == 0 < max(start):
         # in the chamber, only the roots and (0, 0, 0, 0) have a zero entry
-        layers = _root_layers(start, max_sum, sizes)
+        layers = counting._root_layers(start, max_sum, sizes)
     else:
         layers = _set_layers(start, max_sum)
         if sizes:
@@ -170,92 +167,6 @@ def _series_sizes(start: Vector4, letters: tuple[int, ...]) -> Iterator[int]:
         c = (num[n] if n < len(num) else 0) - sum(map(mul, den[1:], past))
         past.appendleft(c)
         yield c
-
-
-# The number of distinct orders of three entries, by how many of them
-# equal their neighbour in nonincreasing order.
-_ORDERS = (6, 3, 1)
-
-
-def _root_layers(
-    start: Vector4, max_sum: int | None, sizes: bool
-) -> Iterator[list[Vector4]] | Iterator[int]:
-    """The layers of a root (0, g, g, g), zero at position p, from the
-    levels of its tree of nonincreasing quadruples.
-
-    Level n holds the canonical quadruples n reduction steps from
-    (g, g, g, 0).  As in counting._walk, a child of (a, b, c, d) (sum s)
-    replaces b, c or d, but no value equal to its left neighbour, by
-    w = s - 2v when w >= a; its sum 2s - 3v grows, so a child over
-    max_sum is dropped with its subtree.  Layer n is level n, each
-    quadruple placed in the distinct orders with its one entry = 0
-    (mod 3g) at p (_expand); with sizes set, only their number is summed.
-    """
-    g = max(start)
-    p = start.index(0)
-    cur = [(g, g, g, 0)]
-    while True:
-        if sizes:
-            # the entry = 0 (mod 3g) equals no neighbour, so the equal
-            # neighbours are among the three entries that are permuted
-            yield sum(_ORDERS[(a == b) + (b == c) + (c == d)] for a, b, c, d in cur)
-        else:
-            yield _expand(cur, g, p)
-        nxt: list[Vector4] = []
-        add = nxt.append
-        for a, b, c, d in cur:
-            # w >= a when 2v <= r; the child's sum is t - 3v
-            s = a + b + c + d
-            r = s - a
-            t = s + s
-            if b < a and 2 * b <= r and (max_sum is None or t - 3 * b <= max_sum):
-                add((s - 2 * b, a, c, d))
-            if c < b and 2 * c <= r and (max_sum is None or t - 3 * c <= max_sum):
-                add((s - 2 * c, a, b, d))
-            if d < c and 2 * d <= r and (max_sum is None or t - 3 * d <= max_sum):
-                add((s - 2 * d, a, b, c))
-        cur = nxt
-
-
-@cache
-def _spreads(p: int) -> tuple[tuple[itemgetter, ...], ...]:
-    """_spreads(p)[j][ties] lays out end to end the distinct orders of a
-    nonincreasing quadruple whose entry j is its one entry = 0 (mod 3g):
-    entry j at p and the other three permuted.  Bit i of ties says that entries i and
-    i + 1 are equal; reading each entry from the first of its run of
-    equal entries makes equal orders equal, and each is kept once.
-    Built on first use of p, not at import.
-    """
-    spreads = []
-    for j in range(4):
-        others = [i for i in range(4) if i != j]
-        row = []
-        for ties in range(8):
-            first = [0]
-            for i in (1, 2, 3):
-                first.append(first[-1] if ties >> (i - 1) & 1 else i)
-            orders = dict.fromkeys(tuple(first[i] for i in o) for o in permutations(others))
-            row.append(itemgetter(*(i for o in orders for i in (*o[:p], j, *o[p:]))))
-        spreads.append(tuple(row))
-    return tuple(spreads)
-
-
-def _expand(level: list[Vector4], g: int, p: int) -> list[Vector4]:
-    """The vectors of a root orbit's level of canonical quadruples: in
-    each, its one entry = 0 (mod 3g) moves to position p and the other
-    three take each of their distinct orders.  The layouts of
-    _spreads(p) run into one list of entries, which zip cuts into
-    vectors.
-    """
-    k = 3 * g
-    spreads = _spreads(p)
-    entries: list[int] = []
-    for v in level:
-        a, b, c, d = v
-        j = 0 if a % k == 0 else 1 if b % k == 0 else 2 if c % k == 0 else 3
-        entries += spreads[j][(a == b) + 2 * (b == c) + 4 * (c == d)](v)
-    it = iter(entries)
-    return list(zip(it, it, it, it))
 
 
 def _set_layers(start: Vector4, max_sum: int | None) -> Iterator[set[Vector4]]:

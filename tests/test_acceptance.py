@@ -22,7 +22,6 @@ from trigroup.counting import (
     count_by_height,
     count_by_max,
     height_sweep,
-    ordered_multiplicity,
 )
 from trigroup.eisenstein import (
     divisor_character_sum,
@@ -55,6 +54,7 @@ from trigroup.orbit import (
 from trigroup.reduction import gcd_content, reduce_to_root
 from trigroup import simplex
 from trigroup.core import apply_generator
+from census_oracle import ordered_multiplicity
 from conftest import norm_profile
 from matrix_bfs import all_generators, element_layers
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -20,9 +19,9 @@ from trigroup.counting import (
     count_by_max,
     divisor_square_sum,
     height_sweep,
-    ordered_multiplicity,
 )
 from trigroup.reduction import is_primitive, reduce_to_root
+from census_oracle import all_roots_walk, ordered_multiplicity, orders
 
 
 def naive_census(bound, by="height"):
@@ -91,7 +90,7 @@ def _expected_list(canonical, mode, primitive):
         canonical = [q for q in canonical if math.gcd(*q) == 1]
     if mode == "canonical":
         return tuple(canonical)
-    return tuple(sorted(t for q in canonical for t in set(permutations(q))))
+    return tuple(sorted(t for q in canonical for t in orders(q)))
 
 
 def test_enumerate_all_bound_5():
@@ -214,17 +213,19 @@ CENSUS_300 = {"canonical": (5217, 3021), "ordered": (111244, 63352)}
 def test_gcd_identity_by_max_entry_and_height(n, mode):
     # the gcd is invariant, so every quadruple is g times a primitive one:
     # by max entry full(n) = sum_g prim(n // g), by squared height
-    # full(n^2) = sum_g prim(n^2 // g^2)
-    by_max = count_by_max(n, mode).count
-    assert by_max == sum(count_by_max(n // g, mode, True).count for g in range(1, n + 1))
-
+    # full(n^2) = sum_g prim(n^2 // g^2).  counting reads full censuses
+    # off the primitive tree by this identity; the oracle walks the tree
+    # of every root (g, g, g, 0) and weighs by factorials.
     def count(walk):
         return sum(ordered_multiplicity(q) if mode == "ordered" else 1 for q, _ in walk)
 
-    by_height = count(counting._walk(n, n * n, False))
-    primitive = (counting._walk(n // g, n * n // (g * g), True) for g in range(1, n + 1))
-    assert by_height == sum(map(count, primitive))
+    by_max = count(all_roots_walk(n, 4 * n * n, False))
+    assert by_max == count_by_max(n, mode).count
+    assert by_max == sum(count_by_max(n // g, mode, True).count for g in range(1, n + 1))
+    by_height = count(all_roots_walk(n, n * n, False))
     assert by_height == count_by_height(n, mode).count
+    primitive = (all_roots_walk(n // g, n * n // (g * g), True) for g in range(1, n + 1))
+    assert by_height == sum(map(count, primitive))
     if n == 300:
         assert (by_max, by_height) == CENSUS_300[mode]
 
@@ -233,16 +234,58 @@ def test_gcd_identity_by_max_entry_and_height(n, mode):
 @pytest.mark.parametrize("top,max_norm", [(300, 300 * 300), (200, 4 * 200 * 200)])
 def test_walk_carries_squared_height_within_both_bounds(top, max_norm, primitive):
     # censuses by height 300 and by max 200: each child's h comes from its
-    # parent's, so check it against the quadruple it is yielded with
-    pairs = list(counting._walk(top, max_norm, primitive))
-    assert pairs
-    assert len({q for q, _ in pairs}) == len(pairs)
-    for q, h in pairs:
+    # parent's, so check it against the quadruple it is yielded with.  The
+    # walk yields the primitive tree; with its multiples g q, g <= m, it
+    # is the oracle's walk over every root's tree.
+    nodes = list(counting._walk(top, max_norm))
+    assert nodes
+    for q, h, m in nodes:
         assert list(q) == sorted(q, reverse=True), q
+        assert math.gcd(*q) == 1, q
         assert h == sum(x * x for x in q) <= max_norm, q
         assert max(q) <= top, q
+        # m is the last multiple within both bounds
+        assert m * q[0] <= top and m * m * h <= max_norm, q
+        assert (m + 1) * q[0] > top or (m + 1) ** 2 * h > max_norm, q
+    if primitive:
+        pairs = [(q, h) for q, h, _ in nodes]
+    else:
+        pairs = [(tuple(g * x for x in q), g * g * h) for q, h, m in nodes for g in range(1, m + 1)]
+    assert len({q for q, _ in pairs}) == len(pairs)
+    assert sorted(pairs) == sorted(all_roots_walk(top, max_norm, primitive))
     if (top, primitive) == (300, False):
         assert len(pairs) == CENSUS_300["canonical"][1]
+
+
+def _ties(q):
+    a, b, c, d = q
+    return (a == b) + 2 * (b == c) + 4 * (c == d)
+
+
+@pytest.mark.parametrize("primitive", [False, True])
+def test_class_entry_ties_nothing_so_six_tie_patterns(primitive):
+    # g q is (0, g, g, g) mod 3g in some order, so exactly one entry is
+    # = 0 (mod 3g) and it equals no other; (a, a, b, b) never occurs, and
+    # the orders table weighs each quadruple as the factorials do
+    patterns = set()
+    for q, _ in all_roots_walk(1200, 1200 * 1200, primitive):
+        k = 3 * math.gcd(*q)
+        assert sum(x % k == 0 for x in q) == 1, q
+        ties = _ties(q)
+        assert ties != 1 + 4, q
+        assert counting._WEIGHTS[ties] == ordered_multiplicity(q), q
+        patterns.add(ties)
+    assert patterns == {0, 1, 2, 4, 1 + 2, 2 + 4}
+    assert sorted(counting._WEIGHTS[t] for t in patterns) == [4, 4, 12, 12, 12, 24]
+
+
+@pytest.mark.parametrize("census", [count_by_height, count_by_max])
+def test_ordered_rows_are_the_distinct_permutations(census):
+    # the one itemgetter per tie pattern lays out exactly the orders that
+    # set(permutations(q)) finds (primitive lists: the scan oracle tests)
+    canonical = census(300, include_list=True).quadruples
+    report = census(300, mode="ordered", include_list=True)
+    assert report.quadruples == _expected_list(canonical, "ordered", False)
 
 
 def test_census_properties_over_walk():
@@ -334,9 +377,9 @@ def test_census_respects_bound_cap():
 
 def test_canonicalize_and_multiplicity():
     assert canonicalize((0, 1, 1, 1)) == (1, 1, 1, 0)
-    assert ordered_multiplicity((1, 1, 1, 0)) == 4
-    assert ordered_multiplicity((7, 4, 3, 1)) == 24
-    assert ordered_multiplicity((2, 2, 2, 2)) == 1
+    for q, weight in (((1, 1, 1, 0), 4), ((7, 4, 3, 1), 24), ((2, 2, 2, 2), 1)):
+        assert ordered_multiplicity(q) == weight
+        assert counting._WEIGHTS[_ties(q)] == weight
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ from trigroup.orbit import (
 )
 from trigroup.reduction import reduce_to_root
 import matrix_bfs
+from census_oracle import all_roots_walk
 from conftest import norm_profile, random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
@@ -68,7 +69,7 @@ def _descent(v):
 
 def tree_layers(start, max_sum=None):
     """The layers of a start in the closed chamber, as tree levels: the
-    oracle of orbit._root_layers, walking ordered vectors.
+    oracle of counting._root_layers, walking ordered vectors.
 
     The child s_i v is made by v only when 3 v_i < s = sum(v) and i is
     its smallest descent: no j < i has 3 v_j > 2s - 3 v_i.  A child over
@@ -99,10 +100,10 @@ def tree_layers(start, max_sum=None):
 
 
 def canonical_levels(monkeypatch, g, max_sum=None):
-    """The levels of nonincreasing quadruples that orbit._root_layers
+    """The levels of nonincreasing quadruples that counting._root_layers
     walks for the root (0, g, g, g), read with its expansion undone."""
-    monkeypatch.setattr(orbit, "_expand", lambda level, g, p: level)
-    return orbit._root_layers((0, g, g, g), max_sum, False)
+    monkeypatch.setattr(counting, "_expand", lambda level, g, p: level)
+    return counting._root_layers((0, g, g, g), max_sum, False)
 
 
 # Coefficients of the Coxeter growth series (1+2t+2t^2+t^3)/(1-2t-2t^2+3t^3).
@@ -260,18 +261,20 @@ def test_root_layers_against_the_set_and_tree_loops(g, max_sum):
     max_sum = max_sum and max_sum * g
     for p in range(4):
         root = tuple(0 if i == p else g for i in range(4))
-        layers = [sorted(layer) for layer in islice(orbit._root_layers(root, max_sum, False), 10)]
+        layers = [sorted(layer) for layer in islice(counting._root_layers(root, max_sum, False), 10)]
         assert layers == [sorted(layer) for layer in islice(orbit._set_layers(root, max_sum), 10)]
         assert layers == [sorted(layer) for layer in islice(tree_layers(root, max_sum), 10)]
-        sizes = list(islice(orbit._root_layers(root, max_sum, True), 10))
+        sizes = list(islice(counting._root_layers(root, max_sum, True), 10))
         assert sizes == [len(layer) for layer in layers]
 
 
 @pytest.mark.parametrize("max_sum", [3, 50, 300, 1000])
 def test_canonical_levels_are_the_census_rows(monkeypatch, max_sum):
     # every primitive canonical quadruple of sum <= max_sum lies in one
-    # level, at its number of reduction steps; the census walk lists them
-    rows = {q for q, _ in counting._walk(max_sum, max_sum * max_sum, True) if sum(q) <= max_sum}
+    # level, at its number of reduction steps; the census walk lists
+    # them, and so does the oracle's walk of the primitive tree
+    rows = {q for q, _ in all_roots_walk(max_sum, max_sum * max_sum, True) if sum(q) <= max_sum}
+    assert rows == {q for q, _, _ in counting._walk(max_sum, max_sum * max_sum) if sum(q) <= max_sum}
     levels = list(iter(canonical_levels(monkeypatch, 1, max_sum).__next__, []))
     assert sum(map(len, levels)) == len(rows)
     assert set().union(*levels) == rows
@@ -706,7 +709,7 @@ def test_counts_of_chamber_starts_build_no_vectors(monkeypatch):
     def no_vectors(*args):
         raise AssertionError("_expand called")
 
-    monkeypatch.setattr(orbit, "_expand", no_vectors)
+    monkeypatch.setattr(counting, "_expand", no_vectors)
     assert bfs_elements(13).layer_sizes == COXETER_SERIES
     assert orbit_sizes(ROOT, 13).layer_sizes == ROOT_ORBIT_SERIES
     assert stabilizer_counts(40) == [1] + [3 * n for n in range(1, 41)]

@@ -76,17 +76,48 @@ def test_element_caps_feed_the_one_bfs_loop(path):
         assert default, "orbit._bfs no longer reads DEFAULT_MAX_ELEMENTS"
 
 
+def _defs(stem):
+    path = next(p for p in SOURCES if p.stem == stem)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+
 def test_bfs_loop_neither_sorts_nor_calls_reflect():
     # the counts read unordered layers, and the loops reflect in place
     # from one entry sum per vector; only orbit_vectors sorts.  The loops
-    # are _bfs and every orbit.py function that _bfs names.
-    path = next(p for p in SOURCES if p.name == "orbit.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    defs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    named = {node.id for node in ast.walk(defs["_bfs"]) if isinstance(node, ast.Name)}
-    for fn in [defs["_bfs"]] + [defs[n] for n in sorted(named & defs.keys())]:
-        for name in ("sorted", "_reflect"):
-            assert _calls_to(fn, name) == [], f"orbit.{fn.name} calls {name}"
+    # are orbit._bfs and counting._walk, and every function they name,
+    # followed from orbit into counting (counting.<name>) and on.
+    defs = {stem: _defs(stem) for stem in ("orbit", "counting")}
+    todo, seen = [("orbit", "_bfs"), ("counting", "_walk")], set()
+    while todo:
+        stem, name = todo.pop()
+        if (stem, name) in seen:
+            continue
+        seen.add((stem, name))
+        fn = defs[stem][name]
+        for call in ("sorted", "_reflect"):
+            assert _calls_to(fn, call) == [], f"{stem}.{name} calls {call}"
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in defs[stem]:
+                todo.append((stem, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in defs and node.attr in defs[node.value.id]):
+                todo.append((node.value.id, node.attr))
+    kernels = {("orbit", "_set_layers"), ("counting", "_root_layers"), ("counting", "_expand")}
+    assert kernels <= seen, f"kernels not followed: {kernels - seen}"
+
+
+def test_orders_come_from_one_table():
+    # ordered weights, ordered rows and root-orbit layouts all read
+    # counting._ORDERS: no factorial anywhere, and permutations only in
+    # the builder of that table
+    calls = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert _calls_to(tree, "factorial") == [], f"{path.name} calls factorial"
+        if _calls_to(tree, "permutations"):
+            calls[path.stem] = len(_calls_to(tree, "permutations"))
+    assert calls == {"counting": len(_calls_to(_defs("counting")["_orders_table"], "permutations"))}
 
 
 def test_no_group_element_walk_left():

@@ -1,13 +1,14 @@
 """Command-line interface: every library operation as a subcommand.
 
-Each handler returns its output, a dict or preformatted lines, and
+Each handler returns its output, a dict or preformatted text, and
 main passes it to _emit, the one stdout writer.  A dict is one JSON
 document; list outputs are JSON lines (or CSV), written in batches after
 the first line.  Integers whose magnitude exceeds 53 bits are serialized
-as strings to survive double-precision JSON consumers.  A --list row is
-one %-template applied to a quadruple (_rows); whether to quote is
-decided once per census from its bound and once per orbit layer from
-the layer's largest entry, with the bytes json.dumps gives.  Exit
+as strings to survive double-precision JSON consumers.  A --list row,
+and a reduce step, is one %-template applied to a tuple of ints (_rows);
+whether to quote is decided once per census from its bound, once per
+orbit layer from a bound on its sums, and once per reduction from the
+start's sum, with the bytes json.dumps gives.  Exit
 codes: 0 success, 1 a verify ledger with a failing identity, 2 invalid
 input, 3 resource cap exceeded.
 """
@@ -64,8 +65,9 @@ def _rows(template: str, rows, top: int):
 
 def _emit(out) -> None:
     """The CLI's one stdout writer.  A dict is one sorted-key JSON line;
-    any other output is preformatted lines, the first written alone so
-    that it leaves at once and the rest _BATCH at a time."""
+    any other output is preformatted pieces, lines or the parts of one
+    long line, the first written alone so that it leaves at once and the
+    rest _BATCH at a time."""
     lines = iter([_line(out)] if isinstance(out, dict) else out)
     write = sys.stdout.write
     for line in lines:
@@ -84,24 +86,31 @@ def _cmd_check(args):
 
 def _cmd_reduce(args):
     trace = reduction.reduce_to_root(tuple(args.entries))
-    return {
-        "start": list(trace.start),
-        "steps": [{"generator": i, "result": list(q)} for i, q in trace.steps],
-        "root": list(trace.root),
-        "gcd": reduction.gcd_content(trace.start),
-        "primitive": reduction.is_primitive(trace.start),
-    }
+    start = trace.start
+    g = reduction.gcd_content(start)
+    # the document with an empty step list, cut open before its "]}\n":
+    # "steps" sorts last, so the steps follow, one template each
+    head = _line({
+        "start": list(start), "steps": [], "root": list(trace.root), "gcd": g, "primitive": g == 1
+    })[:-3]
+    # sums only fall and entries are nonnegative, so no entry exceeds
+    # sum(start); each step carries its ", " separator, which the first
+    # one drops
+    steps = _rows(', {"generator": %s, "result": [%s, %s, %s, %s]}',
+                  ((i, *q) for i, q in trace.steps), sum(start))
+    first = next(steps, ", ")
+    return chain([head + first[2:]], steps, ["]}\n"])
 
 
 def _cmd_orbit(args):
     bounds = (tuple(args.root), args.depth, args.max_elements, args.max_sum)
     if args.list:
         layers = orbit.orbit_vectors(*bounds).layers
-        # a layer's largest entry is taken when the layer is reached, so
-        # the first row leaves before the later layers are scanned
+        # a reflection takes the sum s to 2s - 3v <= 2s, and no entry
+        # exceeds its sum, so no entry of layer n exceeds sum(root) << n
+        total = sum(args.root)
         return chain.from_iterable(
-            _rows(f'{{"depth": {depth}, "vector": [%s, %s, %s, %s]}}\n', layer,
-                  max(map(max, layer), default=0))
+            _rows(f'{{"depth": {depth}, "vector": [%s, %s, %s, %s]}}\n', layer, total << depth)
             for depth, layer in enumerate(layers)
         )
     sizes = orbit.orbit_sizes(*bounds).cumulative_sizes

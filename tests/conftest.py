@@ -1,6 +1,6 @@
 import random
 
-from trigroup.core import apply_generator
+from trigroup.core import _reflect, apply_generator
 from trigroup.orbit import max_norm_at_length
 
 
@@ -18,6 +18,15 @@ def random_quadruples(count, seed=0, max_scale=5, max_steps=10):
             q = apply_generator(q, rng.randint(1, 4))
         corpus.append(q)
     return corpus
+
+
+def cusp_quadruple(k):
+    """(1, 1, 1, 0) moved by s1 (s2 s3 s4)^k, 3k + 1 reduction steps above
+    its root for k >= 1 (s1 fixes the root itself)."""
+    q = (1, 1, 1, 0)
+    for i in (4, 3, 2) * k + (1,):
+        q = _reflect(q, i)
+    return q
 
 
 def norm_profile(n, r, cap=None):

@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from trigroup.cli import _BATCH, _json_safe, main
 from trigroup.counting import count_by_height, count_by_max
 from trigroup.eisenstein import factorize
 from trigroup.orbit import orbit_vectors
+from trigroup.reduction import reduce_to_root
+from conftest import cusp_quadruple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,6 +57,28 @@ def test_reduce_worked_example(capsys):
         {"generator": 4, "result": [1, 1, 3, 1]},
         {"generator": 3, "result": [1, 1, 0, 1]},
     ]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [(0, 5, 5, 5), (7, 4, 9, 1), cusp_quadruple(1000),
+     tuple(2**50 * x for x in (7, 4, 9, 1)), tuple(10**16 * x for x in (7, 4, 9, 1))],
+    ids=lambda q: str(q)[:40],
+)
+def test_reduce_output_is_the_line_of_its_document(capsys, q):
+    # the steps go through one row template, quoted past 2**53 as _line
+    # quotes them; 2**50 (7, 4, 9, 1) mixes quoted and unquoted entries
+    trace = reduce_to_root(q)
+    g = math.gcd(*q)
+    code, out, _ = run_cli(capsys, "reduce", *map(str, q))
+    assert code == 0
+    assert out == cli._line({
+        "start": list(q),
+        "steps": [{"generator": i, "result": list(r)} for i, r in trace.steps],
+        "root": list(trace.root),
+        "gcd": g,
+        "primitive": g == 1,
+    })
 
 
 def test_reduce_invalid_exits_2(capsys):
@@ -530,9 +555,9 @@ def test_orbit_list_53_bit_boundary(capsys):
 
 
 def test_orbit_list_quoting_switches_between_layers(capsys):
-    # quoting is decided per layer from its largest entry: layer 1 stays
-    # below 2**53, layer 2 reaches exactly 2**53 = 4g (unquoted), and
-    # layer 3 mixes a quoted 7g with an unquoted g in one row
+    # layer 1 stays below 2**53, layer 2 reaches exactly 2**53 = 4g
+    # (unquoted), and layer 3 mixes a quoted 7g with an unquoted g in one
+    # row
     g = 2**51
     code, out, _ = run_cli(capsys, "orbit", "--depth", "3", "--list", "--root", "0", *[str(g)] * 3)
     assert code == 0
@@ -543,6 +568,24 @@ def test_orbit_list_quoting_switches_between_layers(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert {"depth": 2, "vector": [3 * g, g, g, 2**53]} in rows
     assert {"depth": 3, "vector": [3 * g, g, 4 * g, str(7 * g)]} in rows
+
+
+@pytest.mark.parametrize("root", [(0, 2**47, 2**47, 2**47), tuple(2**44 * x for x in (7, 4, 9, 1))], ids=str)
+def test_orbit_list_layers_cross_53_bits_partway(capsys, root):
+    # layer n is quoted by the bound sum(root) << n: some layers take the
+    # quoting path with every entry still within 2**53, and later ones
+    # hold entries past it; each row is as one _line per row writes it
+    code, out, _ = run_cli(capsys, "orbit", "--depth", "9", "--list", "--root", *map(str, root))
+    assert code == 0
+    layers = orbit_vectors(root, 9).layers
+    assert out == "".join(
+        cli._line({"depth": n, "vector": list(v)}) for n, layer in enumerate(layers) for v in layer
+    )
+    largest = [max(map(max, layer)) for layer in layers]
+    bounds = [sum(root) << n for n in range(10)]
+    assert all(m <= b for m, b in zip(largest, bounds))
+    assert any(m <= 2**53 < b for m, b in zip(largest, bounds))
+    assert largest[0] <= 2**53 < largest[-1]
 
 
 @pytest.mark.parametrize("top", [2**53, 2**53 + 1])

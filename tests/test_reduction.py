@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from trigroup.core import apply_generator
 from trigroup.counting import count_by_height
 from trigroup.orbit import orbit_vectors
 from trigroup.reduction import (
+    ReductionTrace,
     gcd_content,
     is_primitive,
     is_root,
@@ -14,7 +16,7 @@ from trigroup.reduction import (
     reduce_to_root,
     same_orbit,
 )
-from conftest import random_quadruples
+from conftest import cusp_quadruple, random_quadruples
 
 
 @pytest.mark.parametrize(
@@ -65,6 +67,63 @@ def test_reduce_to_root_worked_examples():
     trace = reduce_to_root((0, 3, 3, 3))
     assert trace.steps == ()
     assert trace.root == (0, 3, 3, 3)
+
+
+def _stepwise(q):
+    """The trace of q from iterated reduce_step: the oracle for the
+    inline loop of reduce_to_root."""
+    start, steps = q, []
+    while (step := reduce_step(q)) is not None:
+        q, i = step
+        steps.append((i, q))
+    return ReductionTrace(start=start, steps=tuple(steps), root=q)
+
+
+def test_inline_loop_matches_reduce_step_on_census_rows():
+    # every order of every quadruple of height <= 120, tied largest
+    # entries included
+    rows = count_by_height(120, "ordered", include_list=True).quadruples
+    assert sum(sorted(q)[2] == max(q) and not is_root(q) for q in rows) > 100
+    for q in rows:
+        assert reduce_to_root(q) == _stepwise(q), q
+
+
+def test_inline_loop_matches_reduce_step_on_random_words():
+    rng = random.Random(22)
+    for _ in range(200):
+        g = rng.randint(1, 50)
+        word = [rng.randint(1, 4) for _ in range(rng.randint(0, 400))]
+        for p in range(4):
+            q = [g] * 4
+            q[p] = 0
+            q = tuple(q)
+            for i in word:
+                q = core._reflect(q, i)
+            assert reduce_to_root(q) == _stepwise(q), (g, p, word)
+
+
+def test_inline_loop_matches_reduce_step_on_cusp_words():
+    assert cusp_quadruple(10**5) == (67500450001, 22500300001, 22500150001, 22500000000)
+    for k in range(301):
+        q = cusp_quadruple(k)
+        trace = reduce_to_root(q)
+        assert trace == _stepwise(q), k
+        assert len(trace.steps) == 3 * k + (k > 0)
+        assert trace.root == (1, 1, 1, 0)
+
+
+def test_inline_loop_breaks_ties_to_the_lowest_index():
+    # (7, 7, 3, 1) reflects a 7 to s - 14 = 4; the first 7 goes
+    assert reduce_to_root((7, 7, 3, 1)).steps[0] == (1, (4, 7, 3, 1))
+    assert reduce_to_root((3, 7, 1, 7)).steps[0] == (2, (3, 4, 1, 7))
+    assert reduce_to_root((1, 3, 7, 7)).steps[0] == (3, (1, 3, 4, 7))
+
+
+@pytest.mark.parametrize("q", [(0, 1, 1, 1), (5, 0, 5, 5), (9, 9, 0, 9), (2**70, 2**70, 2**70, 0)])
+def test_root_input_takes_no_steps(q):
+    trace = reduce_to_root(q)
+    assert trace.steps == ()
+    assert trace.root == trace.start == q
 
 
 @pytest.mark.parametrize(

@@ -85,17 +85,19 @@ def _defs(stem):
 def test_bfs_loop_neither_sorts_nor_calls_reflect():
     # the counts read unordered layers, and the loops reflect in place
     # from one entry sum per vector; only orbit_vectors sorts.  The loops
-    # are orbit._bfs and counting._walk, and every function they name,
-    # followed from orbit into counting (counting.<name>) and on.
-    defs = {stem: _defs(stem) for stem in ("orbit", "counting")}
-    todo, seen = [("orbit", "_bfs"), ("counting", "_walk")], set()
+    # are orbit._bfs, counting._walk and reduction.reduce_to_root, and
+    # every function they name, followed from orbit into counting
+    # (counting.<name>) and on; the reduction runs reduce_step's step
+    # inline, so it calls neither that step nor the reflection.
+    defs = {stem: _defs(stem) for stem in ("orbit", "counting", "reduction")}
+    todo, seen = [("orbit", "_bfs"), ("counting", "_walk"), ("reduction", "reduce_to_root")], set()
     while todo:
         stem, name = todo.pop()
         if (stem, name) in seen:
             continue
         seen.add((stem, name))
         fn = defs[stem][name]
-        for call in ("sorted", "_reflect"):
+        for call in ("sorted", "_reflect", "reduce_step"):
             assert _calls_to(fn, call) == [], f"{stem}.{name} calls {call}"
         for node in ast.walk(fn):
             if isinstance(node, ast.Name) and node.id in defs[stem]:
@@ -103,7 +105,8 @@ def test_bfs_loop_neither_sorts_nor_calls_reflect():
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in defs and node.attr in defs[node.value.id]):
                 todo.append((node.value.id, node.attr))
-    kernels = {("orbit", "_set_layers"), ("counting", "_root_layers"), ("counting", "_expand")}
+    kernels = {("orbit", "_set_layers"), ("counting", "_root_layers"), ("counting", "_expand"),
+               ("reduction", "reduce_to_root")}
     assert kernels <= seen, f"kernels not followed: {kernels - seen}"
 
 

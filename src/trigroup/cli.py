@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from itertools import accumulate, chain, islice
 
@@ -87,7 +88,7 @@ def _cmd_check(args):
 def _cmd_reduce(args):
     trace = reduction.reduce_to_root(tuple(args.entries))
     start = trace.start
-    g = reduction.gcd_content(start)
+    g = math.gcd(*start)
     # the document with an empty step list, cut open before its "]}\n":
     # "steps" sorts last, so the steps follow, one template each
     head = _line({

@@ -6,11 +6,11 @@ Reflecting the largest entry reduces every quadruple to exactly one root
 invariant, so every quadruple is g times a primitive one.  Run
 backwards, the reduction makes the primitive canonical (nonincreasing)
 quadruples one tree rooted at (1, 1, 1, 0): _walk walks it depth first,
-_root_layers by levels for the root orbits (orbit.py).  By the gcd
-identity a node q of squared height h stands for its multiples g q,
-g <= min(top // q[0], isqrt(max_norm // h)): full(n) = sum over g of
-prim(n // g) by largest entry, full(h) = sum over g of prim(h // g^2)
-by squared height.
+_root_layers by levels for the root orbits (orbit.py).  As s^2 = 3h on
+every quadruple (s its entry sum, h its squared height), height n is the
+sum bound isqrt(3 n^2), and both walks prune on sums.  By the gcd
+identity a node q (largest entry a, sum s) stands for its multiples g q,
+g <= min(top // a, max_sum // s): full(n) = sum over g of prim(n // g).
 
 The group acts trivially mod 3, so a primitive quadruple is (0, 1, 1, 1)
 mod 3 in some order and g q is (0, g, g, g) mod 3g: its class entry, the
@@ -38,7 +38,7 @@ from operator import floordiv, itemgetter, mul
 
 from .core import Quadruple, Vector4, _require_int, validate_quadruple
 
-Node = tuple[Quadruple, int, int]  # (q, h, m), see _walk
+Node = tuple[Quadruple, int, int]  # (q, ties, m), see _walk
 
 DEFAULT_BOUND_CAP = 5000
 # divisor_square_sum takes ~n^(2/3) steps up to n = 2^30, where its table
@@ -90,30 +90,32 @@ _ROOT_LAYOUTS = tuple(tuple(
     for j in range(4)) for p in range(4))
 
 
-def _walk(top: int, max_norm: int) -> Iterator[Node]:
-    """Yield (q, h, m) for the primitive canonical quadruples q with
-    largest entry at most top and squared height h at most max_norm, m
-    the number of their multiples g q within both bounds.
+def _walk(top: int, max_sum: int) -> Iterator[Node]:
+    """Yield (q, ties, m) for the primitive canonical quadruples q with
+    largest entry at most top and entry sum at most max_sum, ties their
+    tie pattern, m their number of multiples g q within both bounds.
 
-    A child of q (sum s) replaces one copy of an entry value v by
-    w = s - 2v, kept only when w > v (the sum grows) and w is at least
-    every other entry: reflecting the child's largest entry then gives
-    back q, its unique parent under reduce_step.  The child's largest
-    entry is w and its squared height h + (w - v)(w + v); neither
-    decreases along an edge, so a child over either bound prunes its
-    subtree.  Only the stack is held.
+    A child of q = (a, b, c, d) (sum s) replaces b, c or d, but no value
+    equal to its left neighbour, by w = s - 2v when w >= a (2v <= s - a):
+    reflecting the child's largest entry w gives back q, its unique
+    parent under reduce_step.  Neither w nor the sum 2s - 3v decreases
+    along an edge, so lo, the least v with w <= top and 2s - 3v <= max_sum,
+    prunes a subtree at its root.  Only the stack is held.
     """
-    stack = [((1, 1, 1, 0), 3)] if max_norm >= 3 else []
+    stack = [(1, 1, 1, 0)] if max_sum >= 3 else []
+    push = stack.append
     while stack:
-        q, h = stack.pop()
-        yield q, h, min(top // q[0], math.isqrt(max_norm // h))
-        s = sum(q)
-        for i, v in enumerate(q):
-            w = s - 2 * v
-            if v < w and q[0] <= w <= top and not (i and q[i - 1] == v):
-                child_h = h + (w - v) * (w + v)
-                if child_h <= max_norm:
-                    stack.append(((w,) + q[:i] + q[i + 1 :], child_h))
+        a, b, c, d = q = stack.pop()
+        s = a + b + c + d
+        yield q, (a == b) + 2 * (b == c) + 4 * (c == d), min(top // a, max_sum // s)
+        r = s - a
+        lo = max((s - top + 1) // 2, (2 * s - max_sum + 2) // 3)
+        if lo <= b < a and 2 * b <= r:
+            push((s - 2 * b, a, c, d))
+        if lo <= c < b and 2 * c <= r:
+            push((s - 2 * c, a, b, d))
+        if lo <= d < c and 2 * d <= r:
+            push((s - 2 * d, a, b, c))
 
 
 def _root_layers(
@@ -122,10 +124,9 @@ def _root_layers(
     """The BFS layers of a root (0, g, g, g), zero at position p: level n
     of the tree of (g, g, g, 0), n reduction steps down, each quadruple
     in its orders with its class entry at p (_expand), or with sizes set
-    their number.  As in _walk, a child of (a, b, c, d) (sum s) replaces
-    b, c or d, but no value equal to its left neighbour, by w = s - 2v
-    when w >= a; its sum 2s - 3v grows, so a child over max_sum is
-    dropped with its subtree."""
+    their number.  Children are _walk's, with lo the least v whose
+    child's sum 2s - 3v is at most max_sum: a child over it is dropped
+    with its subtree."""
     g = max(start)
     p = start.index(0)
     cur = [(g, g, g, 0)]
@@ -135,18 +136,17 @@ def _root_layers(
         else:
             yield _expand(cur, g, p)
         nxt: list[Vector4] = []
-        add = nxt.append
+        push = nxt.append
         for a, b, c, d in cur:
-            # w >= a when 2v <= r; the child's sum is t - 3v
             s = a + b + c + d
             r = s - a
-            t = s + s
-            if b < a and 2 * b <= r and (max_sum is None or t - 3 * b <= max_sum):
-                add((s - 2 * b, a, c, d))
-            if c < b and 2 * c <= r and (max_sum is None or t - 3 * c <= max_sum):
-                add((s - 2 * c, a, b, d))
-            if d < c and 2 * d <= r and (max_sum is None or t - 3 * d <= max_sum):
-                add((s - 2 * d, a, b, c))
+            lo = 0 if max_sum is None else (2 * s - max_sum + 2) // 3
+            if lo <= b < a and 2 * b <= r:
+                push((s - 2 * b, a, c, d))
+            if lo <= c < b and 2 * c <= r:
+                push((s - 2 * c, a, b, d))
+            if lo <= d < c and 2 * d <= r:
+                push((s - 2 * d, a, b, c))
         cur = nxt
 
 
@@ -165,12 +165,12 @@ def _expand(level: list[Vector4], g: int, p: int) -> list[Vector4]:
 
 
 def _rows(walk: Iterable[Node], top: int, ordered: bool) -> Iterator[Quadruple]:
-    """The quadruples g q, g <= m, of a walk's nodes (q, h, m), each in
-    its orders (_LAYOUTS) when ordered.  Equal entries are one object of
-    one list of ints, which the sort of a listing compares by identity."""
+    """The quadruples g q, g <= m, of a walk's nodes (q, ties, m), each
+    in its orders (_LAYOUTS) when ordered.  Equal entries are one object
+    of one list of ints, which the sort of a listing compares by identity."""
     ints = list(range(top + 1))
-    for (a, b, c, d), _, m in walk:
-        layout = _LAYOUTS[(a == b) + 2 * (b == c) + 4 * (c == d)]
+    for (a, b, c, d), ties, m in walk:
+        layout = _LAYOUTS[ties]
         for g in range(1, m + 1):
             q = ints[g * a], ints[g * b], ints[g * c], ints[g * d]
             if ordered:
@@ -191,11 +191,10 @@ def _build_report(
 ) -> CensusReport:
     """The census of a walk's multiples, or of its nodes when primitive."""
     if primitive:
-        walk = ((q, h, 1) for q, h, _ in walk)
+        walk = ((q, ties, 1) for q, ties, _ in walk)
     if not include_list:
         weights = _WEIGHTS if mode == "ordered" else (1,) * 8
-        count = sum(weights[(a == b) + 2 * (b == c) + 4 * (c == d)] * m
-                    for (a, b, c, d), _, m in walk)
+        count = sum(weights[ties] * m for _, ties, m in walk)
         return CensusReport(bound=bound, mode=mode, count=count)
     listed = tuple(sorted(_rows(walk, bound, mode == "ordered")))
     return CensusReport(bound=bound, mode=mode, count=len(listed), quadruples=listed)
@@ -216,8 +215,8 @@ def count_by_height(
     ordered mode every distinct arrangement.
     """
     _check_args(n, mode, max_bound)
-    # every entry is at most the height
-    return _build_report(_walk(n, n * n), n, mode, primitive, include_list)
+    # height <= n exactly when sum <= isqrt(3 n^2), as 3h = s^2
+    return _build_report(_walk(n, math.isqrt(3 * n * n)), n, mode, primitive, include_list)
 
 
 def count_by_max(
@@ -229,8 +228,8 @@ def count_by_max(
 ) -> CensusReport:
     """Census of quadruples whose maximal entry is at most n."""
     _check_args(n, mode, max_bound)
-    # H <= 2 max always, so the height bound never prunes
-    return _build_report(_walk(n, 4 * n * n), n, mode, primitive, include_list)
+    # s <= 3 max always (3a = s on roots, 3a > s else), so the sum never prunes
+    return _build_report(_walk(n, 3 * n), n, mode, primitive, include_list)
 
 
 def height_sweep(
@@ -243,22 +242,22 @@ def height_sweep(
     The third column is the stated normalization; the counts themselves
     grow like C n^2 (see the module docstring), so it falls with n.
 
-    A single walk at the top bound is bucketed by exact squared height:
-    g q, q of squared height h, first counts at n = ceil(sqrt(g^2 h)),
-    so the sweep costs one census and holds one counter per n.
+    A single walk at the top bound is bucketed by entry sum: height n is
+    the sum bound isqrt(3 n^2), so the count at n is the running total up
+    to that sum.  The sweep costs one census and holds one counter per sum.
     """
     _check_args(max_n, mode, max_bound)
     weights = _WEIGHTS if mode == "ordered" else (1,) * 8
-    isqrt = math.isqrt
-    buckets = [0] * (max_n + 1)
-    for (a, b, c, d), h, m in _walk(max_n, max_n * max_n):
-        weight = weights[(a == b) + 2 * (b == c) + 4 * (c == d)]
-        for g in range(1, m + 1):
-            buckets[isqrt(g * g * h - 1) + 1] += weight
-    return [
-        (n, total, 0.0 if n == 1 else total / (n * n * math.log(n) ** 3))
-        for n, total in enumerate(accumulate(buckets[1:]), 1)
-    ]
+    max_sum = math.isqrt(3 * max_n * max_n)
+    buckets = [0] * (max_sum + 1)
+    for (a, b, c, d), ties, m in _walk(max_n, max_sum):
+        s = a + b + c + d
+        for gs in range(s, m * s + 1, s):
+            buckets[gs] += weights[ties]
+    totals = list(accumulate(buckets))
+    counts = (totals[math.isqrt(3 * n * n)] for n in range(1, max_n + 1))
+    return [(n, total, 0.0 if n == 1 else total / (n * n * math.log(n) ** 3))
+            for n, total in enumerate(counts, 1)]
 
 
 def _pair_count(y: int) -> int:

@@ -233,24 +233,26 @@ def test_gcd_identity_by_max_entry_and_height(n, mode):
 @pytest.mark.parametrize("primitive", [False, True])
 @pytest.mark.parametrize("top,max_norm", [(300, 300 * 300), (200, 4 * 200 * 200)])
 def test_walk_carries_squared_height_within_both_bounds(top, max_norm, primitive):
-    # censuses by height 300 and by max 200: each child's h comes from its
-    # parent's, so check it against the quadruple it is yielded with.  The
-    # walk yields the primitive tree; with its multiples g q, g <= m, it
-    # is the oracle's walk over every root's tree.
-    nodes = list(counting._walk(top, max_norm))
+    # censuses by height 300 and by max 200: the walk prunes on the sum,
+    # and s^2 = 3h makes isqrt(3 max_norm) the same bound as max_norm on
+    # the squared height, so check both against each yielded quadruple.
+    # The walk yields the primitive tree; with its multiples g q, g <= m,
+    # it is the oracle's height-pruned walk over every root's tree.
+    nodes = list(counting._walk(top, math.isqrt(3 * max_norm)))
     assert nodes
-    for q, h, m in nodes:
+    pairs = []
+    for q, ties, m in nodes:
         assert list(q) == sorted(q, reverse=True), q
         assert math.gcd(*q) == 1, q
-        assert h == sum(x * x for x in q) <= max_norm, q
+        h = sum(x * x for x in q)
+        assert sum(q) ** 2 == 3 * h and h <= max_norm, q
         assert max(q) <= top, q
+        assert ties == _ties(q), q
         # m is the last multiple within both bounds
         assert m * q[0] <= top and m * m * h <= max_norm, q
         assert (m + 1) * q[0] > top or (m + 1) ** 2 * h > max_norm, q
-    if primitive:
-        pairs = [(q, h) for q, h, _ in nodes]
-    else:
-        pairs = [(tuple(g * x for x in q), g * g * h) for q, h, m in nodes for g in range(1, m + 1)]
+        multiples = [1] if primitive else range(1, m + 1)
+        pairs += [(tuple(g * x for x in q), g * g * h) for g in multiples]
     assert len({q for q, _ in pairs}) == len(pairs)
     assert sorted(pairs) == sorted(all_roots_walk(top, max_norm, primitive))
     if (top, primitive) == (300, False):

@@ -274,7 +274,7 @@ def test_canonical_levels_are_the_census_rows(monkeypatch, max_sum):
     # level, at its number of reduction steps; the census walk lists
     # them, and so does the oracle's walk of the primitive tree
     rows = {q for q, _ in all_roots_walk(max_sum, max_sum * max_sum, True) if sum(q) <= max_sum}
-    assert rows == {q for q, _, _ in counting._walk(max_sum, max_sum * max_sum) if sum(q) <= max_sum}
+    assert rows == {q for q, _, _ in counting._walk(max_sum, max_sum)}
     levels = list(iter(canonical_levels(monkeypatch, 1, max_sum).__next__, []))
     assert sum(map(len, levels)) == len(rows)
     assert set().union(*levels) == rows
@@ -282,6 +282,19 @@ def test_canonical_levels_are_the_census_rows(monkeypatch, max_sum):
         assert len(rows) == 6018
     for n, level in enumerate(levels):
         assert all(len(reduce_to_root(q).steps) == n for q in level)
+
+
+def test_height_census_is_the_sum_bounded_root_orbit():
+    # s^2 = 3h, so the primitive quadruples of height <= n are those of
+    # sum <= isqrt(3 n^2): the census counts them depth first with its
+    # ordered weights, the orbit of (0, 1, 1, 1) by levels with the root
+    # weights, one zero position of the four.  A level adds at least 3 to
+    # the sum, so isqrt(3 n^2) // 3 + 1 levels hold them all.  n = 1 is
+    # left out: layer 0 is the root even over max_sum.
+    for n in range(2, 201):
+        max_sum = math.isqrt(3 * n * n)
+        sizes = orbit_sizes((0, 1, 1, 1), max_sum // 3 + 1, None, max_sum).layer_sizes
+        assert count_by_height(n, "ordered", True).count == 4 * sum(sizes), n
 
 
 @pytest.mark.parametrize("g", [1, 2, 5])

@@ -123,6 +123,22 @@ def test_orders_come_from_one_table():
     assert calls == {"counting": len(_calls_to(_defs("counting")["_orders_table"], "permutations"))}
 
 
+def test_census_and_root_orbits_build_children_by_one_rule():
+    # counting._walk and counting._root_layers push the children of
+    # (a, b, c, d) by the same three tests, each with its own lower bound
+    # lo on the replaced entry; the census functions read a node's tie
+    # pattern from the walk instead of computing it again
+    defs = _defs("counting")
+    rules = [[ast.unparse(node) for node in ast.walk(defs[name])
+              if isinstance(node, ast.If) and _calls_to(node, "push")]
+             for name in ("_walk", "_root_layers")]
+    assert len(rules[0]) == 3 and rules[0] == rules[1], rules
+    ties = "(a == b) + 2 * (b == c) + 4 * (c == d)"
+    assert ties in ast.unparse(defs["_walk"])
+    for name in ("_rows", "_build_report", "height_sweep"):
+        assert ties not in ast.unparse(defs[name]), f"counting.{name} computes the tie pattern"
+
+
 def test_no_group_element_walk_left():
     # the group's elements are counted from the growth series only: every
     # _bfs from the chamber vector (1, 1, 1, 1) asks for sizes

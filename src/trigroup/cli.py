@@ -259,7 +259,7 @@ def _cmd_verify(args):
         displays = lie.display_comparison()
         infinitesimal = [
             (name, lie.preserves_form_infinitesimally(m))
-            for name, m in (("D1", lie.derivative_matrix()), *lie.six_spanning_matrices())
+            for name, m in (("D1", lie.DERIVATIVE_MATRIX), *lie.six_spanning_matrices())
         ]
         rank = lie.six_matrix_rank()
         return {
@@ -275,7 +275,7 @@ def _cmd_verify(args):
     mismatches = lie.power_formula_report(max_n)
     return {
         "matrix_matches_display": True,
-        "derivative_matches": lie.formula_derivative_at_zero() == lie.derivative_matrix(),
+        "derivative_matches": lie.formula_derivative_at_zero() == lie.DERIVATIVE_MATRIX,
         "max_n": max_n,
         "mismatch_count": len(mismatches),
         "mismatches": [dict(vars(m)) for m in mismatches],

@@ -22,10 +22,10 @@ for the ordered weights and rows and the root orbits' layouts.
 The primitive quadruples lie on the light cone of a form of signature
 (3, 1) as finitely many orbits of a group of finite covolume, so their
 count up to a norm bound grows like C n^2 (Duke, Rudnick and Sarnak;
-Eskin and McMullen; both Duke Math. J. 71, 1993): by largest entry
-0.03249, 0.03211, 0.03212 n^2 at n = 400, 1600, 3200.  height_sweep
-reports the stated normalization count / (n^2 ln^3 n); the sum of
-divisor_square_sum grows like n ln^3 n, a separate diagnostic.
+Eskin and McMullen; both Duke Math. J. 71, 1993): canonical, by largest
+entry, 0.032115, 0.031959, 0.031892 n^2 at n = 3200, 10000, 16000, still
+falling.  height_sweep reports the stated normalization count /
+(n^2 ln^3 n); divisor_square_sum grows like n ln^3 n, a separate diagnostic.
 """
 
 from __future__ import annotations
@@ -210,9 +210,9 @@ def count_by_height(
     """Census of quadruples whose height is at most n.
 
     Height is the Euclidean norm sqrt(a^2 + b^2 + c^2 + d^2); membership
-    is decided on the exact squared comparison.  Canonical mode counts
-    (and with include_list lists) nonincreasing multiset representatives;
-    ordered mode every distinct arrangement.
+    is decided on the entry sum, s <= isqrt(3 n^2), exact as s^2 = 3h.
+    Canonical mode counts (and with include_list lists) nonincreasing
+    multiset representatives; ordered mode every distinct arrangement.
     """
     _check_args(n, mode, max_bound)
     # height <= n exactly when sum <= isqrt(3 n^2), as 3h = s^2

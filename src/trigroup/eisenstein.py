@@ -31,14 +31,12 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 # The six units of Z[omega] as (z, w) pairs for z + w*omega.
 _UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
 
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below 3.3e24; strong test above."""
-    return _is_prime(_require_int("n", n))
+# Rho iterations on one number before _pollard_rho gives up (about 10 s).
+RHO_ITERATION_CAP = 10_000_000
 
 
 def _is_prime(n: int) -> bool:
-    """is_prime for an n already checked to be an int."""
+    """Deterministic Miller-Rabin for n below 3.3e24; strong test above."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -65,7 +63,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, max_iterations: int) -> int:
+def _pollard_rho(n: int) -> int:
     """Brent-cycle rho; returns a nontrivial factor of composite odd n."""
     spent = 0
     for c in range(1, 1000):
@@ -86,7 +84,7 @@ def _pollard_rho(n: int, max_iterations: int) -> int:
                 k += m
             r *= 2
             spent += r
-            if spent > max_iterations:
+            if spent > RHO_ITERATION_CAP:
                 raise ResourceLimitError(f"factorization gave up on {n}")
         if g == n:
             g = 1
@@ -98,15 +96,14 @@ def _pollard_rho(n: int, max_iterations: int) -> int:
     raise ResourceLimitError(f"factorization gave up on {n}")
 
 
-def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
+def factorize(k: int) -> dict[int, int]:
     """Exact prime factorization as {prime: exponent}; factorize(1) == {}.
 
     Trial division by small primes, then Miller-Rabin plus Pollard-Brent
-    splitting.  Raises ResourceLimitError on adversarial inputs rather
-    than running unbounded.
+    splitting.  Raises ResourceLimitError when one number takes more than
+    RHO_ITERATION_CAP rho iterations, rather than running unbounded.
     """
     _require_int("factorize argument", k, 1)
-    _require_int("max_iterations", max_iterations, 1)
     factors: dict[int, int] = {}
     for p in _TRIAL_DIVISORS:
         if p * p > k:
@@ -124,7 +121,7 @@ def factorize(k: int, max_iterations: int = 10_000_000) -> dict[int, int]:
         if root * root == m:
             stack.extend((root, root))
             continue
-        d = _pollard_rho(m, max_iterations)
+        d = _pollard_rho(m)
         stack.extend((d, m // d))
     return dict(sorted(factors.items()))
 

@@ -48,8 +48,8 @@ DERIVATIVE_MATRIX: Mat4 = (
     (0, 0, 0, 0),
 )
 
-# Recorded expected values for the six spanning matrices, in the order
-# produced by six_spanning_matrices().
+# Recorded names and expected values of the six spanning matrices;
+# six_spanning_matrices() computes them in this order, under these names.
 SIX_MATRIX_DISPLAYS: tuple[tuple[str, Mat4], ...] = (
     ("S1 D1 S1^-1", ((-1, 2, -1, -1), (-1, 2, -1, 2), (-1, 2, -1, -1), (0, 0, 0, 0))),
     ("S2 D1 S2^-1", ((2, -1, -1, 2), (2, -1, -1, -1), (2, -1, -1, -1), (0, 0, 0, 0))),
@@ -126,11 +126,6 @@ def power_formula_report(max_n: int) -> list[EntryMismatch]:
     return mismatches
 
 
-def derivative_matrix() -> Mat4:
-    """The recorded derivative of the power family at zero."""
-    return DERIVATIVE_MATRIX
-
-
 def formula_derivative_at_zero() -> Mat4:
     """Linear coefficients of the recorded power formula (exact d/dn at 0)."""
     return tuple(tuple(c1 for (_, c1, _) in row) for row in POWER_FORMULA_COEFFS)
@@ -149,21 +144,12 @@ def _bracket(x: Mat4, y: Mat4) -> Mat4:
 
 @cache
 def six_spanning_matrices() -> tuple[tuple[str, Mat4], ...]:
-    """The two conjugates and four brackets, computed once from the generators."""
-    d1 = DERIVATIVE_MATRIX
-    c1 = _conjugate_by_word((1,), d1)
-    c2 = _conjugate_by_word((2,), d1)
-    c4 = _conjugate_by_word((4,), d1)
-    c14 = _conjugate_by_word((1, 4), d1)
-    c24 = _conjugate_by_word((2, 4), d1)
-    return (
-        ("S1 D1 S1^-1", c1),
-        ("S2 D1 S2^-1", c2),
-        ("[S1 D1 S1^-1, S4 D1 S4^-1]", _bracket(c1, c4)),
-        ("[S2 D1 S2^-1, S4 D1 S4^-1]", _bracket(c2, c4)),
-        ("[S1S4 D1 (S1S4)^-1, S4 D1 S4^-1]", _bracket(c14, c4)),
-        ("[S2S4 D1 (S2S4)^-1, S4 D1 S4^-1]", _bracket(c24, c4)),
+    """The two conjugates and four brackets of D1, named as in SIX_MATRIX_DISPLAYS."""
+    c1, c2, c4, c14, c24 = (
+        _conjugate_by_word(word, DERIVATIVE_MATRIX) for word in ((1,), (2,), (4,), (1, 4), (2, 4))
     )
+    matrices = (c1, c2, _bracket(c1, c4), _bracket(c2, c4), _bracket(c14, c4), _bracket(c24, c4))
+    return tuple((name, m) for (name, _), m in zip(SIX_MATRIX_DISPLAYS, matrices))
 
 
 def display_comparison() -> list[tuple[str, bool]]:
@@ -186,13 +172,7 @@ def preserves_form_infinitesimally(x: Mat4) -> bool:
     return infinitesimal_residual(x) == tuple((0, 0, 0, 0) for _ in range(4))
 
 
-def matrix_span_rank(matrices) -> int:
-    """Rank of a family of 4x4 integer matrices, flattened to 16-vectors."""
-    rows = [[entry for row in m for entry in row] for m in matrices]
-    return bareiss_rank(rows)
-
-
 def six_matrix_rank() -> int:
-    """Exact rank of the six spanning matrices (expected: 6, the full
-    dimension of the space annihilating the form infinitesimally)."""
-    return matrix_span_rank(m for _, m in six_spanning_matrices())
+    """Exact rank of the six spanning matrices as 16-vectors (expected: 6,
+    the full dimension of the space annihilating the form infinitesimally)."""
+    return bareiss_rank([[entry for row in m for entry in row] for _, m in six_spanning_matrices()])

@@ -10,6 +10,14 @@ and compared exactly.  The reflection replacing one distance entry by
 it coincides with the quadruple generators, and for n > 2 it does not
 preserve integrality.
 
+Only n = 2 carries an orbit theory.  Entry reflections i != j are in
+the roots e_i, e_j of the form (n+1) I - J (<e_i, e_i> = n,
+<e_i, e_j> = -1), whose mirrors meet at theta with cos theta = 1/n.  At
+n = 2 that is pi/3 and s_1 s_2 has order 3; for n >= 3, theta/pi is
+irrational (Niven), so s_1 s_2 is a rotation of infinite order, the
+group is not discrete and denominators along (s_1 s_2)^k grow without
+bound.  as_entries rejects n = 1, the triple 2 sum a^2 = (sum a)^2.
+
 Everything is done on squared quantities, so no irrational coordinate
 ever appears; regular simplices with rational coordinates are built in
 an ambient dimension one above the simplex dimension (the plane, for
@@ -127,10 +135,6 @@ class PointConfiguration:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "point", _coordinates(self.point))
 
-    @classmethod
-    def from_values(cls, vertices, point) -> "PointConfiguration":
-        return cls(vertices=vertices, point=point)
-
     @property
     def n(self) -> int:
         return len(self.vertices) - 1
@@ -229,25 +233,15 @@ def standard_configuration(
     return PointConfiguration(vertices=vertices, point=point)
 
 
-def _fraction_to_pair(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
-def configuration_to_json(cfg: PointConfiguration) -> dict:
-    """JSON-ready dict with every rational as a [numerator, denominator] pair."""
-    return {
-        "vertices": [[_fraction_to_pair(x) for x in v] for v in cfg.vertices],
-        "point": [_fraction_to_pair(x) for x in cfg.point],
-    }
-
-
 def _pair_to_fraction(pair) -> Fraction:
     num, den = pair
     return _rational("numerator", num) / _rational("denominator", den)
 
 
 def configuration_from_json(data) -> PointConfiguration:
-    """Inverse of configuration_to_json; accepts a dict or a JSON string.
+    """A configuration from a dict or a JSON string of the form
+    {"vertices": [[pair, ...], ...], "point": [pair, ...]}, where each
+    coordinate is a [numerator, denominator] pair.
 
     A missing key, a pair that is not [numerator, denominator] or an
     entry that is not a rational raises ValueError.
@@ -259,7 +253,7 @@ def configuration_from_json(data) -> PointConfiguration:
         point = [_pair_to_fraction(x) for x in data["point"]]
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed point configuration: {exc!r}") from None
-    return PointConfiguration.from_values(vertices, point)
+    return PointConfiguration(vertices, point)
 
 
 def load_configuration(path) -> PointConfiguration:

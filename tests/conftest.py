@@ -32,3 +32,13 @@ def cusp_quadruple(k):
 def norm_profile(n, r, cap=None):
     """The exhaustive norm maxima at each length 0..n."""
     return [max_norm_at_length(k, r, cap) for k in range(n + 1)]
+
+
+def configuration_json(cfg):
+    """The JSON-ready dict that simplex.configuration_from_json reads back:
+    every coordinate of a PointConfiguration as a [numerator, denominator]
+    pair."""
+    return {
+        "vertices": [[[x.numerator, x.denominator] for x in v] for v in cfg.vertices],
+        "point": [[x.numerator, x.denominator] for x in cfg.point],
+    }

@@ -30,11 +30,11 @@ from trigroup.eisenstein import (
     solve_norm_form,
 )
 from trigroup.lie import (
+    DERIVATIVE_MATRIX,
     TRANSLATION_DISPLAY,
     display_comparison,
     power_formula_report,
     preserves_form_infinitesimally,
-    derivative_matrix,
     six_matrix_rank,
     six_spanning_matrices,
     translation_matrix,
@@ -252,7 +252,7 @@ def test_criterion_08_stabilizer_growth_and_coset_inequality():
 def test_criterion_09_lie_identities():
     assert translation_matrix() == TRANSLATION_DISPLAY
     assert six_matrix_rank() == 6
-    assert preserves_form_infinitesimally(derivative_matrix())
+    assert preserves_form_infinitesimally(DERIVATIVE_MATRIX)
     for name, m in six_spanning_matrices():
         assert preserves_form_infinitesimally(m), name
     assert all(ok for _, ok in display_comparison())

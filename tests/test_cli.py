@@ -1,4 +1,3 @@
-import functools
 import io
 import json
 import math
@@ -16,7 +15,7 @@ from trigroup.counting import count_by_height, count_by_max
 from trigroup.eisenstein import factorize
 from trigroup.orbit import orbit_vectors
 from trigroup.reduction import reduce_to_root
-from conftest import cusp_quadruple
+from conftest import configuration_json, cusp_quadruple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -275,9 +274,7 @@ def test_normform_and_pair_near_1e20(capsys, argv, count):
 
 def test_normform_unfactorable_exits_3(capsys, monkeypatch):
     # the default cap gives up only after about 10 s, so lower it here
-    monkeypatch.setattr(
-        eisenstein, "factorize", functools.partial(eisenstein.factorize, max_iterations=10_000)
-    )
+    monkeypatch.setattr(eisenstein, "RHO_ITERATION_CAP", 10_000)
     # 100000000000000000039 * 300000000000000000053, both prime
     semiprime = "30000000000000000017000000000000000002067"
     code, out, err = run_cli(capsys, "normform", semiprime)
@@ -424,10 +421,10 @@ def test_simplex_gram(capsys):
 
 
 def test_simplex_gram_from_config(capsys, tmp_path):
-    from trigroup.simplex import configuration_to_json, standard_configuration
+    from trigroup.simplex import standard_configuration
 
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(configuration_to_json(standard_configuration(3))))
+    path.write_text(json.dumps(configuration_json(standard_configuration(3))))
     payload = run_json(capsys, "simplex", "gram", "--config", str(path))
     assert payload["determinant"] == "0"
     assert payload["match"] is True
@@ -715,10 +712,10 @@ def test_divisor_sum_over_cap_exits_3(capsys):
 )
 def test_dropped_flag_combinations_exit_2(capsys, tmp_path, argv):
     # each of these once answered as if a flag or the entries were absent
-    from trigroup.simplex import configuration_to_json, standard_configuration
+    from trigroup.simplex import standard_configuration
 
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(configuration_to_json(standard_configuration(3))))
+    path.write_text(json.dumps(configuration_json(standard_configuration(3))))
     code, out, err = run_cli(capsys, *(str(path) if a == "CONFIG" else a for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error:")

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from trigroup.core import is_triangle_quadruple
 from trigroup.eisenstein import (
+    _is_prime,
     _split_prime,
     divisor_character_sum,
     factorize,
-    is_prime,
     quadruples_with_pair,
     representation_count,
     solve_norm_form,
@@ -54,7 +54,7 @@ def scan_solutions(k):
 
 def prime_at_most(n, residue):
     """Largest prime p <= n with p = residue mod 3 (n must be at least 7)."""
-    while not (n % 3 == residue and is_prime(n)):
+    while not (n % 3 == residue and _is_prime(n)):
         n -= 1
     return n
 
@@ -251,8 +251,8 @@ def test_non_int_input_rejected(fn, args):
 def test_split_prime_has_norm_p():
     # every prime p = 1 mod 3 below 10^5, and those in a window above 10^13
     # (10^13 = 1 mod 3, so the odd numbers 10^13 + 3 + 6j are all 1 mod 3)
-    small = [p for p in range(7, 10**5, 6) if is_prime(p)]
-    large = [p for p in range(10**13 + 3, 10**13 + 3000, 6) if is_prime(p)]
+    small = [p for p in range(7, 10**5, 6) if _is_prime(p)]
+    large = [p for p in range(10**13 + 3, 10**13 + 3000, 6) if _is_prime(p)]
     assert len(small) > 4000 and len(large) > 20
     for p in small + large:
         z, w = _split_prime(p)
@@ -284,7 +284,7 @@ def test_factorize_reconstructs():
     for k in list(range(1, 500)) + [10**12 + 39, 2**31 - 1, 10403]:
         product = 1
         for p, e in factorize(k).items():
-            assert is_prime(p)
+            assert _is_prime(p)
             product *= p**e
         assert product == k
 
@@ -311,10 +311,10 @@ def test_factorize_medium_primes(expected):
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
-        assert is_prime(n) is (n in primes)
-    assert is_prime(2**61 - 1)
-    assert not is_prime(561)  # Carmichael
-    assert not is_prime(10403)  # 101 * 103
+        assert _is_prime(n) is (n in primes)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(561)  # Carmichael
+    assert not _is_prime(10403)  # 101 * 103
 
 
 def test_divisor_count_matches_naive():

@@ -8,7 +8,6 @@ from trigroup.simplex import (
     NegativeEntryWarning,
     PointConfiguration,
     configuration_from_json,
-    configuration_to_json,
     gram_closed_form,
     gram_det,
     gram_residual,
@@ -18,7 +17,7 @@ from trigroup.simplex import (
     standard_configuration,
     tuple_from_configuration,
 )
-from conftest import random_quadruples
+from conftest import configuration_json, random_quadruples
 
 F = Fraction
 
@@ -143,10 +142,7 @@ def test_configuration_identity_randomized():
 
 
 def test_configuration_rejects_irregular():
-    cfg = PointConfiguration.from_values(
-        [(0, 0), (1, 0), (0, 1)],
-        (0, 0),
-    )
+    cfg = PointConfiguration([(0, 0), (1, 0), (0, 1)], (0, 0))
     with pytest.raises(ValueError):
         tuple_from_configuration(cfg)
 
@@ -196,9 +192,7 @@ def test_constructor_applies_the_rational_rule():
     strings = PointConfiguration(
         vertices=(("3/2", 0, 0), (0, "3/2", 0), (0, 0, "3/2")), point=("1/2",) * 3
     )
-    exact = PointConfiguration.from_values(
-        [(F(3, 2), 0, 0), (0, F(3, 2), 0), (0, 0, F(3, 2))], [F(1, 2)] * 3
-    )
+    exact = PointConfiguration([(F(3, 2), 0, 0), (0, F(3, 2), 0), (0, 0, F(3, 2))], [F(1, 2)] * 3)
     assert strings == exact
     assert all(type(x) is F for v in exact.vertices + (exact.point,) for x in v)
     assert tuple_from_configuration(exact) == (F(9, 2), F(3, 2), F(3, 2), F(3, 2))
@@ -240,9 +234,31 @@ def test_nonintegral_reflection_example():
     assert reflected[index] == F(8, 3)
 
 
+def _rounds(entries):
+    """The tuples after 1, 2, ... rounds of s_1 s_2: reflect at index 2,
+    then at index 1."""
+    while True:
+        entries = reflect(reflect(entries, 2), 1)
+        yield entries
+
+
+def test_only_the_plane_has_a_finite_rotation():
+    # the mirrors of two entry reflections meet at cos theta = 1/n: at
+    # n = 2 the centroid tuple comes back after exactly 3 rounds, and for
+    # n >= 3 the largest denominator grows geometrically
+    centroid = tuple_from_configuration(standard_configuration(2))
+    rounds = _rounds(centroid)
+    assert [next(rounds) == centroid for _ in range(3)] == [False, False, True]
+    growth = {3: (36, 9), 4: (10, 4), 5: (150, 25), 6: (63, 9)}
+    for n, (first, ratio) in growth.items():
+        rounds = _rounds(tuple_from_configuration(standard_configuration(n)))
+        for k in range(1, 7):
+            assert max(e.denominator for e in next(rounds)) == first * ratio ** (k - 1), (n, k)
+
+
 def test_configuration_json_round_trip(tmp_path):
     cfg = standard_configuration(3, scale=F(5, 2), weights=[F(1, 2), F(1, 2), 0, 0])
-    data = configuration_to_json(cfg)
+    data = configuration_json(cfg)
     back = configuration_from_json(data)
     assert back == cfg
     path = tmp_path / "cfg.json"

@@ -186,17 +186,9 @@ def test_input_caps_go_through_require_int():
     assert raising == {"core._require_int", "orbit._bfs", "eisenstein._pollard_rho"}
 
 
-# Public functions that neither the package exports nor src/ calls, kept
-# on purpose
-UNCALLED_PUBLIC = {
-    "eisenstein.is_prime": "the checked entry to the primality test that factorize uses",
-    "simplex.configuration_to_json": "the README's reference for the configuration file format",
-}
-
-
 def test_every_public_function_has_a_caller():
-    # a public top-level function is exported, called from src/, or named
-    # above with its reason; an extension point nothing uses is deleted
+    # a public top-level function is exported or called from src/; an
+    # extension point or a helper that only the tests use is deleted
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
               for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)}
@@ -205,4 +197,4 @@ def test_every_public_function_has_a_caller():
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
         and fn.name not in trigroup.__all__ and fn.name not in called
     )
-    assert uncalled == sorted(UNCALLED_PUBLIC), f"public functions with no caller: {uncalled}"
+    assert uncalled == [], f"public functions with no caller: {uncalled}"

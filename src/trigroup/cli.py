@@ -206,7 +206,7 @@ def _cmd_normform(args):
 
 
 def _cmd_stabilizer(args):
-    layers = orbit.stabilizer_counts(args.depth, max_elements=args.max_elements)
+    layers = orbit.stabilizer_counts(args.depth)
     expected = [1] + [3 * n for n in range(1, args.depth + 1)]
     totals = list(accumulate(layers))
     cumulative = [
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stabilizer", help="growth of the root-fixing subgroup")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-elements", type=int, default=None)
 
     p = sub.add_parser("extremal", help="norm-extremal words and exhaustive norm maxima")
     p.add_argument("length", type=int)

@@ -7,11 +7,11 @@ lies in an open chamber, and by Tits' theorem w -> w(1, 1, 1, 1) is
 injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.
 
-One function, _bfs, serves element growth, stabilizer growth, quadruple
-orbits and the norm maxima, and owns their element cap; the norm
-maxima walk the orbit of their start, not the group.  Layer n
-holds the vectors first reached by a word of length n, as an unordered
-collection without duplicates, and _bfs holds only two layers at a time
+One function, _bfs, serves element growth, quadruple orbits and the
+norm maxima, and owns their element cap; the norm maxima walk the
+orbit of their start, not the group.  Layer n holds the vectors first
+reached by a word of length n, as an unordered collection without
+duplicates, and _bfs holds only two layers at a time
 (max_norm_at_length keeps them all); only orbit_vectors sorts its
 layers, which it returns.
 
@@ -102,7 +102,6 @@ def _bfs(
     max_elements: int | None = None,
     max_sum: int | None = None,
     *,
-    letters: tuple[int, ...] = GENERATOR_INDICES,
     sizes: bool = False,
 ) -> Iterator[Collection[Vector4]] | Iterator[int]:
     """Yield the BFS layers of start: vectors, or with sizes set their sizes.
@@ -110,12 +109,10 @@ def _bfs(
     A root's layers come from its tree of canonical quadruples, whose
     sizes build no vector; any other start's from a set loop.  With
     max_sum set, vectors whose entry sum exceeds it are dropped.
-    The caller must not mutate a yielded layer.  letters narrows the
-    series only: a subset raises ValueError unless the layers are the
-    sizes of a chamber start with no max_sum.  Raises ResourceLimitError
-    once the running total exceeds max_elements (None:
-    DEFAULT_MAX_ELEMENTS) after a layer.  The arguments are checked
-    once, when iteration starts.
+    The caller must not mutate a yielded layer.  Raises
+    ResourceLimitError once the running total exceeds max_elements
+    (None: DEFAULT_MAX_ELEMENTS) after a layer.  The arguments are
+    checked once, when iteration starts.
     """
     _require_int("depth", max_depth, 0)
     cap = DEFAULT_MAX_ELEMENTS
@@ -123,11 +120,9 @@ def _bfs(
         cap = _require_int("element cap", max_elements, 1)
     if max_sum is not None:
         _require_int("max_sum", max_sum, 0)
-    in_chamber = all(3 * start[i - 1] <= sum(start) for i in letters)
+    in_chamber = 3 * max(start) <= sum(start)
     if sizes and in_chamber and max_sum is None:
-        layers = _series_sizes(start, letters)
-    elif letters != GENERATOR_INDICES:
-        raise ValueError(f"letters {letters} are counted from their series only")
+        layers = _series_sizes(start, GENERATOR_INDICES)
     elif in_chamber and min(start) == 0 < max(start):
         # in the chamber, only the roots and (0, 0, 0, 0) have a zero entry
         layers = counting._root_layers(start, max_sum, sizes)
@@ -291,18 +286,18 @@ def orbit_sizes(
     return _growth_table(sizes)
 
 
-def stabilizer_counts(max_n: int, max_elements: int | None = None) -> list[int]:
+def stabilizer_counts(max_n: int) -> list[int]:
     """Layer sizes of the subgroup generated by the last three reflections.
 
     That subgroup fixes every root quadruple (0, x, x, x); it is the
     affine group of type A2~, with growth series (1 + t + t^2)/(1 - t)^2,
     whose coefficients the sizes are: 3n new elements at each length
     n >= 1, so the count of elements of length at most 2n is
-    6n^2 + 3n + 1.  Above LENGTH_CAP it raises ResourceLimitError before
-    any work.
+    6n^2 + 3n + 1.  They are a series count, with no element cap; above
+    LENGTH_CAP it raises ResourceLimitError before any work.
     """
     _require_int("depth", max_n, 0, cap=LENGTH_CAP)
-    return list(_bfs(_CHAMBER_VECTOR, max_n, max_elements, letters=(2, 3, 4), sizes=True))
+    return list(islice(_series_sizes(_CHAMBER_VECTOR, (2, 3, 4)), max_n + 1))
 
 
 def stabilizer_cumulative_closed_form(n: int) -> int:

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
-from .core import GENERATOR_INDICES, Quadruple, _reflect, validate_quadruple
+from .core import GENERATOR_INDICES, Quadruple, ResourceLimitError, _reflect, validate_quadruple
+
+# Work cap on reduce_to_root, which keeps every step; k-digit cusps take ~10^(k/2) steps.
+REDUCTION_STEP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,15 @@ def reduce_to_root(q: Quadruple) -> ReductionTrace:
     The sum strictly decreases at every step, so termination is
     guaranteed; the root is a permutation of (0, x, x, x) with
     x = gcd_content(q).  The step is inline, one loop over four locals,
-    because this loop is the whole cost of a long reduction.
+    because this loop is the whole cost of a long reduction.  More than
+    REDUCTION_STEP_CAP steps raise ResourceLimitError.
     """
     start = validate_quadruple(q)
     steps: list[tuple[int, Quadruple]] = []
     add = steps.append
     a, b, c, d = start
-    while True:
+    # repeat is the cheapest counted loop; the cap is read at each call
+    for _ in repeat(None, REDUCTION_STEP_CAP + 1):
         s = a + b + c + d
         if a >= b and a >= c and a >= d:
             if 3 * a <= s:
@@ -92,6 +98,8 @@ def reduce_to_root(q: Quadruple) -> ReductionTrace:
                 break
             d = s - 2 * d
             add((4, (a, b, c, d)))
+    else:
+        raise ResourceLimitError(f"reduction exceeded cap of {REDUCTION_STEP_CAP} steps")
     return ReductionTrace(start=start, steps=tuple(steps), root=steps[-1][1] if steps else start)
 
 

@@ -30,6 +30,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .core import _as_tuple, _rational, _require_int
 from .linalg import rational_det, rational_rank
@@ -119,13 +120,8 @@ def gram_closed_form(values) -> Fraction:
 @dataclass(frozen=True)
 class PointConfiguration:
     """n+1 vertex vectors and a point, exact rational coordinates; the
-    constructor applies the rational rule to every coordinate.
-
-    The ambient dimension may exceed the simplex dimension n (it must,
-    for a rational regular simplex in most n); validity then requires
-    the vertices to be affinely independent and the point to lie in
-    their affine hull, which keeps the spanned flat n-dimensional.
-    """
+    constructor applies the rational rule to every coordinate, and
+    tuple_from_configuration checks the geometry."""
 
     vertices: tuple[tuple[Fraction, ...], ...]
     point: tuple[Fraction, ...]
@@ -135,49 +131,9 @@ class PointConfiguration:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "point", _coordinates(self.point))
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices) - 1
-
-    def side_squared(self) -> Fraction:
-        """Common squared side length; raises if the simplex is not regular."""
-        if len(self.vertices) < 3:
-            raise ValueError("need at least 3 vertices")
-        dims = {len(v) for v in self.vertices} | {len(self.point)}
-        if len(dims) != 1:
-            raise ValueError("inconsistent coordinate dimensions")
-        side = None
-        for i in range(len(self.vertices)):
-            for j in range(i + 1, len(self.vertices)):
-                d = _dist_squared(self.vertices[i], self.vertices[j])
-                if side is None:
-                    side = d
-                elif d != side:
-                    raise ValueError(
-                        f"not a regular simplex: squared distances {side} and {d}"
-                    )
-        if side == 0:
-            raise ValueError("degenerate simplex: coincident vertices")
-        return side
-
-    def validate(self) -> Fraction:
-        """Check regularity, affine independence and point-in-hull exactly; return side_squared()."""
-        side = self.side_squared()
-        base = self.vertices[0]
-        edges = [_sub(v, base) for v in self.vertices[1:]]
-        if rational_rank(edges) != self.n:
-            raise ValueError("vertices are affinely dependent")
-        if rational_rank(edges + [_sub(self.point, base)]) != self.n:
-            raise ValueError("point does not lie in the affine hull of the vertices")
-        return side
-
 
 def _coordinates(values) -> tuple[Fraction, ...]:
     return tuple(_rational("coordinate", x) for x in _as_tuple("coordinates", values))
-
-
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _dist_squared(u, v) -> Fraction:
@@ -185,13 +141,32 @@ def _dist_squared(u, v) -> Fraction:
 
 
 def tuple_from_configuration(cfg: PointConfiguration) -> Entries:
-    """(squared side, squared distances from the point to each vertex).
+    """(squared side a, squared distances from the point to each vertex).
 
-    The configuration is validated first; the resulting tuple satisfies
-    the identity exactly.
+    The configuration is checked here, once: n + 1 >= 3 vertices, one
+    coordinate dimension, one squared side a > 0 between every two
+    vertices, and the point in the affine hull of the vertices.  The
+    ambient dimension may exceed the simplex dimension n (it must, for a
+    rational regular simplex in most n).  Affine independence needs no
+    test: the edges from vertex 0 have Gram matrix (a/2)(I + J), which
+    is positive definite, so they have rank n, and the point lies in the
+    hull exactly when its offset from vertex 0 keeps that rank.  The
+    resulting tuple satisfies the identity exactly.
     """
-    side = cfg.validate()
-    return (side,) + tuple(_dist_squared(cfg.point, v) for v in cfg.vertices)
+    vertices, point = cfg.vertices, cfg.point
+    if len(vertices) < 3:
+        raise ValueError("need at least 3 vertices")
+    if len({len(v) for v in vertices} | {len(point)}) != 1:
+        raise ValueError("inconsistent coordinate dimensions")
+    side, *others = {_dist_squared(u, v) for u, v in combinations(vertices, 2)}
+    if others:
+        raise ValueError(f"not a regular simplex: squared distances {side} and {others[0]}")
+    if side == 0:
+        raise ValueError("degenerate simplex: coincident vertices")
+    offsets = [[x - y for x, y in zip(v, vertices[0])] for v in (*vertices[1:], point)]
+    if rational_rank(offsets) != len(vertices) - 1:
+        raise ValueError("point does not lie in the affine hull of the vertices")
+    return (side,) + tuple(_dist_squared(point, v) for v in vertices)
 
 
 def gram_residual(cfg: PointConfiguration) -> Fraction:
@@ -208,9 +183,9 @@ def standard_configuration(
 
     Vertices are scale * e_i in (n+1)-dimensional space (squared side
     2 * scale^2); the point is the affine combination of the vertices
-    with the given rational weights (default: the centroid).  Weights
-    must sum to 1 but may be negative, placing the point anywhere in
-    the affine hull.
+    with the given rational weights w (default: the centroid), that is
+    scale * w.  Weights must sum to 1 but may be negative, placing the
+    point anywhere in the affine hull.
     """
     _require_int("dimension", n, 2)
     scale = _rational("scale", scale)
@@ -227,15 +202,13 @@ def standard_configuration(
         tuple(scale if j == i else Fraction(0) for j in range(n + 1))
         for i in range(n + 1)
     )
-    point = tuple(
-        sum(w * v[j] for w, v in zip(weights, vertices)) for j in range(n + 1)
-    )
+    point = tuple(scale * w for w in weights)
     return PointConfiguration(vertices=vertices, point=point)
 
 
 def _pair_to_fraction(pair) -> Fraction:
     num, den = pair
-    return _rational("numerator", num) / _rational("denominator", den)
+    return Fraction(_require_int("numerator", num), _require_int("denominator", den))
 
 
 def configuration_from_json(data) -> PointConfiguration:
@@ -243,8 +216,8 @@ def configuration_from_json(data) -> PointConfiguration:
     {"vertices": [[pair, ...], ...], "point": [pair, ...]}, where each
     coordinate is a [numerator, denominator] pair.
 
-    A missing key, a pair that is not [numerator, denominator] or an
-    entry that is not a rational raises ValueError.
+    A missing key, a pair that is not two ints or a zero denominator
+    raises ValueError.
     """
     if isinstance(data, str):
         data = json.loads(data)

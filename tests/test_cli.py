@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trigroup import cli, eisenstein, orbit
+from trigroup import cli, eisenstein, orbit, reduction
 from trigroup.cli import _BATCH, _json_safe, main
 from trigroup.counting import count_by_height, count_by_max
 from trigroup.eisenstein import factorize
@@ -308,14 +308,34 @@ def test_stabilizer(capsys):
 
 
 def test_stabilizer_rows_at_depth_2000_and_over_the_length_cap(capsys):
-    payload = run_json(capsys, "stabilizer", "--depth", "2000", "--max-elements", str(10**100))
+    payload = run_json(capsys, "stabilizer", "--depth", "2000")
     rows = payload["cumulative_through_even_lengths"]
     assert [row["count"] for row in rows] == [6 * n * n + 3 * n + 1 for n in range(1001)]
     assert all(row["count"] == row["closed_form"] for row in rows)
     depth = str(orbit.LENGTH_CAP + 1)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "stabilizer", "--depth", depth, "--max-elements", str(10**100))
+    code, out, err = run_cli(capsys, "stabilizer", "--depth", depth)
     assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "resource limit" in err
+
+
+def test_stabilizer_is_bounded_by_the_length_cap_alone(capsys):
+    # its sizes are read off the series: no element cap applies, and
+    # stabilizer takes no --max-elements
+    start = time.perf_counter()
+    payload = run_json(capsys, "stabilizer", "--depth", str(orbit.LENGTH_CAP))
+    assert time.perf_counter() - start < 1.0
+    assert payload["layer_sizes"][-1] == 30000
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilizer", "--depth", "3", "--max-elements", "5"])
+    assert exc.value.code == 2
+
+
+def test_reduce_over_the_step_cap_exits_3(capsys, monkeypatch):
+    # cusp_quadruple(40) takes 121 steps
+    monkeypatch.setattr(reduction, "REDUCTION_STEP_CAP", 100)
+    code, out, err = run_cli(capsys, "reduce", *map(str, cusp_quadruple(40)))
     assert (code, out) == (3, "")
     assert "resource limit" in err
 
@@ -435,8 +455,12 @@ def test_simplex_gram_from_config(capsys, tmp_path):
     [
         {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]], "point": [[0.5, 1], [0, 1]]},
         {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]]},
+        {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]], "point": [["1/2", "1/3"], [0, 1]]},
+        {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]], "point": [["0.5", 1], [0, 1]]},
+        {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]], "point": [[1, "2"], [0, 1]]},
+        {"vertices": [[[1, 1], [0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]]], "point": [[True, 1], [0, 1]]},
     ],
-    ids=["float-in-pair", "no-point"],
+    ids=["float-in-pair", "no-point", "fraction-strings", "decimal-string", "string-denominator", "bool-in-pair"],
 )
 def test_simplex_bad_config_exits_2(capsys, tmp_path, config):
     path = tmp_path / "cfg.json"

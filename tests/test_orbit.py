@@ -238,7 +238,7 @@ def test_root_orbit_layers_against_matrix_oracle(root, max_sum):
 def test_chamber_vector_layers_against_matrix_oracle_on_every_letter_set(letters):
     generators = tuple(generator_matrix(i) for i in letters)
     oracle = [len(layer) for layer in element_layers(generators, 7)]
-    assert list(_bfs((1, 1, 1, 1), 7, letters=letters, sizes=True)) == oracle
+    assert list(islice(_series_sizes((1, 1, 1, 1), letters), 8)) == oracle
 
 
 @pytest.mark.parametrize("start", [(1, 1, 1, 1), (0, 1, 1, 1), (5, 5, 0, 5)])
@@ -657,10 +657,10 @@ def _matrix_orbit_sizes(start, letters, depth):
 
 
 def _series_and_bfs(start, letters, depth):
-    """The layer sizes _bfs yields from the growth series, and the sizes
-    of a BFS's layers: those of _bfs's loops on all four letters, and of
-    the matrix BFS on a subset, which the loops do not walk."""
-    series = list(_bfs(start, depth, letters=letters, sizes=True))
+    """The layer sizes of the growth series, and the sizes of a BFS's
+    layers: those of _bfs's loops on all four letters, and of the matrix
+    BFS on a subset, which the loops do not walk."""
+    series = list(islice(_series_sizes(start, letters), depth + 1))
     if letters == (1, 2, 3, 4):
         return series, [len(layer) for layer in _bfs(start, depth)]
     return series, _matrix_orbit_sizes(start, letters, depth)
@@ -687,24 +687,6 @@ def test_series_against_bfs_for_root_orbits(root):
 def test_series_against_bfs_on_every_letter_set(letters, start):
     series, bfs = _series_and_bfs(start, letters, 8)
     assert series == bfs
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: _bfs((1, 1, 1, 1), 3, letters=(2, 3, 4)),
-        lambda: _bfs((1, 1, 1, 1), 3, None, 60, letters=(2, 3, 4), sizes=True),
-        lambda: _bfs((1, 7, 4, 3), 3, letters=(2, 3, 4), sizes=True),
-        lambda: _bfs((0, 1, 1, 1), 3, letters=(2, 3, 4)),
-        lambda: _bfs((0, 1, 1, 1), 3, None, 60, letters=(2, 3, 4), sizes=True),
-    ],
-    ids=["vectors", "max_sum", "outside_the_chamber", "root_vectors", "root_max_sum"],
-)
-def test_bfs_narrows_letters_only_for_the_series(call):
-    # the loops walk all four generators; a letter subset that would
-    # need them is refused
-    with pytest.raises(ValueError, match="series"):
-        next(call())
 
 
 def test_series_of_the_zero_start():
@@ -782,10 +764,9 @@ def test_poincare_polynomials_against_matrix_oracle(subset):
     "call,total",
     [
         (lambda cap: bfs_elements(13, cap), sum(COXETER_SERIES)),
-        (lambda cap: stabilizer_counts(13, cap), 1 + 3 * 13 * 14 // 2),
         (lambda cap: orbit_sizes(ROOT, 13, cap), sum(ROOT_ORBIT_SERIES)),
     ],
-    ids=["bfs_elements", "stabilizer_counts", "orbit_sizes"],
+    ids=["bfs_elements", "orbit_sizes"],
 )
 def test_series_counts_keep_the_element_cap(call, total):
     call(total)

@@ -112,6 +112,15 @@ def test_inline_loop_matches_reduce_step_on_cusp_words():
         assert trace.root == (1, 1, 1, 0)
 
 
+def test_step_cap_bounds_the_loop(monkeypatch):
+    # the cap is read at call time; 91 steps pass a cap of 100, 121 do not
+    monkeypatch.setattr(reduction, "REDUCTION_STEP_CAP", 100)
+    assert len(reduce_to_root(cusp_quadruple(30)).steps) == 91
+    assert len(reduce_to_root(cusp_quadruple(33)).steps) == 100
+    with pytest.raises(core.ResourceLimitError, match="100 steps"):
+        reduce_to_root(cusp_quadruple(40))
+
+
 def test_inline_loop_breaks_ties_to_the_lowest_index():
     # (7, 7, 3, 1) reflects a 7 to s - 14 = 4; the first 7 goes
     assert reduce_to_root((7, 7, 3, 1)).steps[0] == (1, (4, 7, 3, 1))

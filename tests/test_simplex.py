@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from trigroup import simplex
 from trigroup.core import apply_generator
+from trigroup.linalg import rational_det, rational_rank
 from trigroup.simplex import (
     NegativeEntryWarning,
     PointConfiguration,
@@ -141,23 +144,52 @@ def test_configuration_identity_randomized():
             assert identity_residual(random_valid_tuple(rng, n)) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_equal_sides_force_affine_independence(n):
+    # the edges from vertex 0 of a regular simplex of squared side a have
+    # Gram matrix (a/2)(I + J), of determinant (a/2)^n (n + 1) > 0, so
+    # tuple_from_configuration needs no separate rank test for them
+    weights = [F(k - 1, n + 1) for k in range(n)]
+    weights.append(1 - sum(weights))
+    cfg = standard_configuration(n, scale=F(5, 3), weights=weights)
+    a = tuple_from_configuration(cfg)[0]
+    base = cfg.vertices[0]
+    edges = [[x - y for x, y in zip(v, base)] for v in cfg.vertices[1:]]
+    gram = [[sum(map(mul, u, v)) for v in edges] for u in edges]
+    assert gram == [[a if i == j else a / 2 for j in range(n)] for i in range(n)]
+    assert rational_det(gram) == (a / 2) ** n * (n + 1)
+
+
+def test_each_configuration_is_ranked_once(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rational_rank(rows)
+
+    monkeypatch.setattr(simplex, "rational_rank", counted)
+    tuple_from_configuration(standard_configuration(4))
+    assert calls == [5]
+
+
 def test_configuration_rejects_irregular():
     cfg = PointConfiguration([(0, 0), (1, 0), (0, 1)], (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a regular simplex"):
         tuple_from_configuration(cfg)
 
 
 def test_configuration_rejects_point_outside_hull():
     base = standard_configuration(2)
     cfg = PointConfiguration(vertices=base.vertices, point=(F(1), F(1), F(1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="affine hull"):
         tuple_from_configuration(cfg)
 
 
 def test_configuration_rejects_degenerate_vertices():
     v = (F(1), F(0), F(0))
+    # the rank test would refuse it too, as a point outside the hull
     cfg = PointConfiguration(vertices=(v, v, v), point=v)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coincident vertices"):
         tuple_from_configuration(cfg)
 
 

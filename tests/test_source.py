@@ -172,8 +172,8 @@ def test_list_rows_quote_entries_only_past_53_bits():
 
 def test_input_caps_go_through_require_int():
     # an input cap is core._require_int(..., cap=...); the only other
-    # ResourceLimitError raises are the work caps of the BFS loop and of
-    # the factorization
+    # ResourceLimitError raises are the work caps of the BFS loop, of
+    # the factorization and of the reduction loop
     raising = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -183,7 +183,9 @@ def test_input_caps_go_through_require_int():
                 for node in ast.walk(fn)
             ):
                 raising.add(f"{path.stem}.{fn.name}")
-    assert raising == {"core._require_int", "orbit._bfs", "eisenstein._pollard_rho"}
+    assert raising == {
+        "core._require_int", "orbit._bfs", "eisenstein._pollard_rho", "reduction.reduce_to_root"
+    }
 
 
 def test_every_public_function_has_a_caller():

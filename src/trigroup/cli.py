@@ -124,7 +124,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_growth(args):
-    recurrence = orbit.growth_recurrence_terms(args.depth)  # its length cap fires before the BFS runs
+    recurrence = orbit.growth_recurrence_terms(args.depth)
     table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
     sizes = orbit.orbit_sizes(tuple(args.root), args.depth, args.max_elements).cumulative_sizes
     rows = [

@@ -73,6 +73,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The one cap on a word length or BFS depth n (n steps on ~n-digit numbers):
+# orbit._bfs's depth, growth_recurrence_terms, stabilizer_counts, extremal_word,
+# word_norm's word and lie.power_formula_report's max_n.
+LENGTH_CAP = 10_000
+
+
 def _require_int(
     name: str, value, minimum: int | None = None, maximum: int | None = None, cap: int | None = None
 ) -> int:

@@ -34,6 +34,9 @@ _UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
 # Rho iterations on one number before _pollard_rho gives up (about 10 s).
 RHO_ITERATION_CAP = 10_000_000
 
+# Norm-form solutions built for one k (about 160 bytes each at peak).
+SOLUTION_CAP = 10**6
+
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n below 3.3e24; strong test above."""
@@ -174,8 +177,8 @@ def solve_norm_form(k: int) -> list[tuple[int, int]]:
     an odd e leaves no solutions.  Every product of one choice per prime
     times each of the six units is a solution, each exactly once by
     unique factorization, so there are 6 * divisor_character_sum(k).
-    The work is that of factorize plus the output; factorize's
-    iteration cap raises ResourceLimitError on numbers it cannot split.
+    The work is that of factorize plus the output: ResourceLimitError
+    when factorize cannot split a number, or past SOLUTION_CAP solutions.
     """
     if _require_int("norm form target", k, 0) == 0:
         return [(0, 0)]
@@ -184,6 +187,7 @@ def solve_norm_form(k: int) -> list[tuple[int, int]]:
 
 def _norm_form_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
     """solve_norm_form for the k >= 1 whose factorization is factors."""
+    _require_int("norm form solution count", 6 * _character_sum(factors), cap=SOLUTION_CAP)
     elements = [(1, 0)]
     for p, e in factors.items():
         if p % 3 == 2:

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .core import FORM_MATRIX, IDENTITY, Mat4, _require_int, _word_matrix, mat_mul, mat_transpose
+from .core import (
+    FORM_MATRIX, IDENTITY, LENGTH_CAP, Mat4, _require_int, _word_matrix, mat_mul, mat_transpose
+)
 from .linalg import bareiss_rank
-
-# power_formula_report multiplies max_n + 1 matrices with entries ~n^2.
-POWER_REPORT_CAP = 10_000
 
 # Expected value of S1 S2 S1 S3, recorded independently of the product code.
 TRANSLATION_DISPLAY: Mat4 = (
@@ -108,9 +107,9 @@ def power_formula_report(max_n: int) -> list[EntryMismatch]:
     Returns every disagreeing (n, entry) pair for 0 <= n <= max_n.  The
     recorded formula disagrees with the exact powers in exactly one
     entry for every n >= 1; the report states it, the caller decides.
-    Above POWER_REPORT_CAP it raises ResourceLimitError before any work.
+    Above LENGTH_CAP it raises ResourceLimitError before any work.
     """
-    _require_int("max_n", max_n, 0, cap=POWER_REPORT_CAP)
+    _require_int("max_n", max_n, 0, cap=LENGTH_CAP)
     mismatches = []
     power = IDENTITY
     base = translation_matrix()

@@ -8,10 +8,10 @@ injective: a group element is counted as its image of (1, 1, 1, 1), and
 the element BFS is the orbit BFS from that vector.
 
 One function, _bfs, serves element growth, quadruple orbits and the
-norm maxima, and owns their element cap; the norm maxima walk the
-orbit of their start, not the group.  Layer n holds the vectors first
-reached by a word of length n, as an unordered collection without
-duplicates, and _bfs holds only two layers at a time
+norm maxima, and owns their element cap and their depth cap, LENGTH_CAP;
+the norm maxima walk the orbit of their start, not the group.  Layer n
+holds the vectors first reached by a word of length n, as an unordered
+collection without duplicates, and _bfs holds only two layers at a time
 (max_norm_at_length keeps them all); only orbit_vectors sorts its
 layers, which it returns.
 
@@ -57,6 +57,7 @@ from operator import mul
 from . import counting
 from .core import (
     GENERATOR_INDICES,
+    LENGTH_CAP,
     Mat4,
     Quadruple,
     ResourceLimitError,
@@ -74,11 +75,6 @@ from .eisenstein import factorize
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
 RECURRENCE_SEEDS = (1, 4, 12)
-
-# Work cap on the word length n of growth_recurrence (n steps on numbers
-# of ~n digits), extremal_word (a word of n letters to apply) and
-# stabilizer_counts (n series steps, and the CLI's n + 1 layers).
-LENGTH_CAP = 10_000
 
 # Its negative lies in the open fundamental chamber, so only the identity
 # fixes it and its orbit is a copy of the group.
@@ -111,10 +107,10 @@ def _bfs(
     max_sum set, vectors whose entry sum exceeds it are dropped.
     The caller must not mutate a yielded layer.  Raises
     ResourceLimitError once the running total exceeds max_elements
-    (None: DEFAULT_MAX_ELEMENTS) after a layer.  The arguments are
-    checked once, when iteration starts.
+    (None: DEFAULT_MAX_ELEMENTS) after a layer, or max_depth exceeds
+    LENGTH_CAP.  The arguments are checked once, when iteration starts.
     """
-    _require_int("depth", max_depth, 0)
+    _require_int("depth", max_depth, 0, cap=LENGTH_CAP)
     cap = DEFAULT_MAX_ELEMENTS
     if max_elements is not None:
         cap = _require_int("element cap", max_elements, 1)
@@ -233,9 +229,6 @@ class VectorOrbit:
     cumulative_sizes: tuple[int, ...]
     layers: tuple[tuple[Vector4, ...], ...]
 
-    def vectors(self) -> set[Vector4]:
-        return {v for layer in self.layers for v in layer}
-
 
 def orbit_vectors(
     root: Quadruple,
@@ -293,8 +286,7 @@ def stabilizer_counts(max_n: int) -> list[int]:
     affine group of type A2~, with growth series (1 + t + t^2)/(1 - t)^2,
     whose coefficients the sizes are: 3n new elements at each length
     n >= 1, so the count of elements of length at most 2n is
-    6n^2 + 3n + 1.  They are a series count, with no element cap; above
-    LENGTH_CAP it raises ResourceLimitError before any work.
+    6n^2 + 3n + 1.  A series count: LENGTH_CAP bounds it, no element cap.
     """
     _require_int("depth", max_n, 0, cap=LENGTH_CAP)
     return list(islice(_series_sizes(_CHAMBER_VECTOR, (2, 3, 4)), max_n + 1))
@@ -314,8 +306,7 @@ def extremal_word(n: int) -> Word:
 
     For n = 4m + i the word is the length-i staircase prefix followed
     by m copies of the full descending cycle (4, 3, 2, 1); letters act
-    on vectors right to left.  Above LENGTH_CAP it raises
-    ResourceLimitError.
+    on vectors right to left.  n is capped at LENGTH_CAP.
     """
     _require_int("length", n, 0, cap=LENGTH_CAP)
     m, i = divmod(n, 4)
@@ -327,6 +318,7 @@ def word_norm(word: Word, root: Quadruple) -> int:
     """Maximum entry of the word applied to a quadruple, letters right to left."""
     v = validate_quadruple(root)
     word = _as_tuple("word", word)
+    _require_int("word length", len(word), cap=LENGTH_CAP)
     for letter in word:
         _require_int("generator index", letter, 1, 4)
     for letter in reversed(word):

@@ -212,15 +212,13 @@ def _pair_to_fraction(pair) -> Fraction:
 
 
 def configuration_from_json(data) -> PointConfiguration:
-    """A configuration from a dict or a JSON string of the form
+    """A configuration from a dict of the form
     {"vertices": [[pair, ...], ...], "point": [pair, ...]}, where each
     coordinate is a [numerator, denominator] pair.
 
     A missing key, a pair that is not two ints or a zero denominator
     raises ValueError.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
         vertices = [[_pair_to_fraction(x) for x in vertex] for vertex in data["vertices"]]
         point = [_pair_to_fraction(x) for x in data["point"]]

@@ -29,6 +29,11 @@ def cusp_quadruple(k):
     return q
 
 
+def all_vectors(orbit):
+    """The vectors of every layer of a VectorOrbit, as one set."""
+    return {v for layer in orbit.layers for v in layer}
+
+
 def norm_profile(n, r, cap=None):
     """The exhaustive norm maxima at each length 0..n."""
     return [max_norm_at_length(k, r, cap) for k in range(n + 1)]

@@ -55,7 +55,7 @@ from trigroup.reduction import gcd_content, reduce_to_root
 from trigroup import simplex
 from trigroup.core import apply_generator
 from census_oracle import ordered_multiplicity
-from conftest import norm_profile
+from conftest import all_vectors, norm_profile
 from matrix_bfs import all_generators, element_layers
 
 ROOT = (0, 1, 1, 1)
@@ -107,7 +107,7 @@ def test_criterion_03_orbit_completeness():
     # spot-check against the unpruned orbit at a smaller depth
     unpruned = {
         canonicalize(v)
-        for v in orbit_vectors(ROOT, 12).vectors()
+        for v in all_vectors(orbit_vectors(ROOT, 12))
         if sum(x * x for x in v) <= 1600
     }
     assert unpruned <= target

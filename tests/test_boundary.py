@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import trigroup
 from trigroup import ResourceLimitError, counting, eisenstein, lie, orbit, simplex
+from trigroup.core import LENGTH_CAP
 
 Q = (0, 1, 1, 1)
 Q7 = (7, 4, 3, 1)
@@ -302,12 +303,18 @@ def test_motivating_probes_raise_value_error(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: lie.power_formula_report(lie.POWER_REPORT_CAP + 1),
+        lambda: lie.power_formula_report(LENGTH_CAP + 1),
         lambda: orbit.growth_recurrence(orbit.LENGTH_CAP + 1),
         lambda: orbit.extremal_word(orbit.LENGTH_CAP + 1),
         lambda: orbit.extremal_word(10**100),
         lambda: orbit.stabilizer_counts(orbit.LENGTH_CAP + 1),
         lambda: orbit.max_norm_at_length(10000, (0, 1, 1, 1)),
+        # the BFS depth: with a max_sum, each layer past the orbit's last
+        # is empty yet costs a loop step, so only the depth bounds the walk
+        lambda: orbit.orbit_sizes(Q, LENGTH_CAP + 1, max_sum=10),
+        lambda: orbit.orbit_vectors(Q7, LENGTH_CAP + 1, max_sum=20),
+        lambda: orbit.bfs_elements(LENGTH_CAP + 1),
+        lambda: orbit.word_norm((1,) * (LENGTH_CAP + 1), Q),
     ],
 )
 def test_work_caps_raise_before_any_work(call):
@@ -321,3 +328,6 @@ def test_work_caps_admit_their_bound():
     assert len(orbit.extremal_word(orbit.LENGTH_CAP)) == orbit.LENGTH_CAP
     assert orbit.growth_recurrence(orbit.LENGTH_CAP) > 0
     assert orbit.stabilizer_counts(orbit.LENGTH_CAP)[-1] == 3 * orbit.LENGTH_CAP
+    # the orbit of Q under sum 10 is 5 vectors, all within depth 2
+    assert orbit.orbit_sizes(Q, LENGTH_CAP, max_sum=10).cumulative_sizes[-1] == 5
+    assert orbit.word_norm(orbit.extremal_word(LENGTH_CAP), Q) > 0

@@ -477,6 +477,11 @@ def test_simplex_bad_config_exits_2(capsys, tmp_path, config):
         ("verify", "a1", "--max-n", "10001"),
         ("growth", "--depth", "10001"),
         ("extremal", "10001"),
+        # a root and a non-root start; with a max_sum each empty layer past
+        # the orbit's last costs a loop step, so only the depth bounds them
+        *(("orbit", "--depth", "10001", "--root", *root, *flags)
+          for root in (("0", "1", "1", "1"), ("7", "4", "3", "1"))
+          for flags in ((), ("--max-sum", "20"), ("--list",), ("--max-sum", "20", "--list"))),
     ],
 )
 def test_work_caps_exit_3(capsys, argv):
@@ -486,6 +491,44 @@ def test_work_caps_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "exceeds cap 10000" in err
+
+
+def test_orbit_and_verify_a1_at_the_length_cap(capsys):
+    payload = run_json(capsys, "orbit", "--depth", "10000", "--max-sum", "10")
+    assert len(payload["cumulative_sizes"]) == 10001
+    assert payload["total"] == 5
+    assert run_json(capsys, "verify", "a1", "--max-n", "10000")["mismatch_count"] == 10000
+
+
+# Its divisor character sum is 43 * 19 * 17 * 3 * 2 * 2 = 166668, so
+# z^2 - zw + w^2 = k has 1 000 008 solutions; 3 * p * q = 3k for the pair.
+_OVER_SOLUTION_CAP = (7**42 * 13**18, 19**16 * 31**2 * 37 * 43)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normform", str(math.prod(_OVER_SOLUTION_CAP))),
+        ("pair", *map(str, _OVER_SOLUTION_CAP)),
+    ],
+)
+def test_norm_form_over_the_solution_cap_exits_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert "norm form solution count 1000008 exceeds cap 1000000" in err
+
+
+@pytest.mark.parametrize("argv", [("normform", "91"), ("pair", "2", "2")])
+def test_norm_form_at_the_solution_cap(capsys, monkeypatch, argv):
+    # solving at the real cap builds a million solutions, so it is
+    # lowered to this call's own count
+    count = run_json(capsys, *argv)["count"]
+    monkeypatch.setattr(eisenstein, "SOLUTION_CAP", count)
+    assert run_json(capsys, *argv)["count"] == count
+    monkeypatch.setattr(eisenstein, "SOLUTION_CAP", count - 1)
+    assert run_cli(capsys, *argv)[:2] == (3, "")
 
 
 def test_simplex_missing_entries_exits_2(capsys):

@@ -46,7 +46,7 @@ from trigroup.orbit import (
 from trigroup.reduction import reduce_to_root
 import matrix_bfs
 from census_oracle import all_roots_walk
-from conftest import norm_profile, random_quadruples
+from conftest import all_vectors, norm_profile, random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)
@@ -165,12 +165,12 @@ def test_bfs_cap_raises():
 def test_orbit_vectors_depth_one():
     result = orbit_vectors(ROOT, 1)
     assert result.cumulative_sizes == (1, 2)
-    assert result.vectors() == {(0, 1, 1, 1), (3, 1, 1, 1)}
+    assert all_vectors(result) == {(0, 1, 1, 1), (3, 1, 1, 1)}
 
 
 def test_orbit_vectors_all_valid_and_primitive_invariant():
     result = orbit_vectors(ROOT, 6)
-    for v in result.vectors():
+    for v in all_vectors(result):
         assert is_triangle_quadruple(v)
         assert math.gcd(*v) == 1
 
@@ -178,14 +178,14 @@ def test_orbit_vectors_all_valid_and_primitive_invariant():
 def test_ordered_orbit_does_not_permute_entries():
     # the ordered orbit of (0,1,1,1) never reaches its permutation (1,1,0,1)
     result = orbit_vectors(ROOT, 6)
-    assert (1, 1, 0, 1) not in result.vectors()
+    assert (1, 1, 0, 1) not in all_vectors(result)
 
 
 def test_orbit_sum_prune_is_a_subset():
     full = orbit_vectors(ROOT, 5)
     pruned = orbit_vectors(ROOT, 5, max_sum=30)
-    assert pruned.vectors() <= full.vectors()
-    assert all(sum(v) <= 30 for v in pruned.vectors())
+    assert all_vectors(pruned) <= all_vectors(full)
+    assert all(sum(v) <= 30 for v in all_vectors(pruned))
 
 
 @pytest.mark.parametrize("max_sum", [None, 60])

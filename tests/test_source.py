@@ -189,14 +189,44 @@ def test_input_caps_go_through_require_int():
 
 
 def test_every_public_function_has_a_caller():
-    # a public top-level function is exported or called from src/; an
-    # extension point or a helper that only the tests use is deleted
+    # a public top-level function, or a public method of a public class,
+    # is exported or called from src/; an extension point or a helper
+    # that only the tests use is deleted
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
               for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    scopes = list(trees.items()) + [
+        (f"{stem}.{cls.name}", cls) for stem, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+    ]
     uncalled = sorted(
-        f"{stem}.{fn.name}" for stem, tree in trees.items() for fn in tree.body
+        f"{scope}.{fn.name}" for scope, node in scopes for fn in node.body
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
         and fn.name not in trigroup.__all__ and fn.name not in called
     )
     assert uncalled == [], f"public functions with no caller: {uncalled}"
+
+
+def test_one_length_cap_bounds_every_length():
+    # each cap is one module constant; the one cap on a word length or a
+    # BFS depth is core.LENGTH_CAP, and every length input is checked
+    # against it by core._require_int
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    caps = {f"{stem}.{target.id}" for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+    assert caps == {
+        "core.LENGTH_CAP", "counting.DEFAULT_BOUND_CAP", "counting.DIVISOR_SUM_CAP",
+        "counting.DIVISOR_TABLE_CAP", "eisenstein.RHO_ITERATION_CAP", "eisenstein.SOLUTION_CAP",
+        "reduction.REDUCTION_STEP_CAP",
+    }
+    assigned = {stem for stem, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+                and "LENGTH_CAP" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert assigned == {"core"}
+    defs = {**_defs("orbit"), **_defs("lie")}
+    for name in ("_bfs", "word_norm", "growth_recurrence_terms", "extremal_word",
+                 "stabilizer_counts", "power_formula_report"):
+        caps = [ast.unparse(k.value) for call in _calls_to(defs[name], "_require_int")
+                for k in call.keywords if k.arg == "cap"]
+        assert caps == ["LENGTH_CAP"], f"{name} checks caps {caps}"

@@ -194,13 +194,10 @@ def _cmd_pair(args):
 
 
 def _cmd_normform(args):
+    solutions = eisenstein.solve_norm_form(args.k)
     payload = {"k": args.k}
-    if args.k < 1:  # solve_norm_form answers k = 0 and rejects k < 0
-        solutions = eisenstein.solve_norm_form(args.k)
-    else:  # one factorization serves the solutions and the character sum
-        factors = eisenstein.factorize(args.k)
-        solutions = eisenstein._norm_form_solutions(factors)
-        payload["character_sum"] = eisenstein._character_sum(factors)
+    if args.k:  # k >= 1: the six units act freely, so count = 6 * character sum
+        payload["character_sum"] = len(solutions) // 6
     payload.update(count=len(solutions), solutions=[list(s) for s in solutions])
     return payload
 

@@ -48,7 +48,9 @@ FORM_MATRIX: Mat4 = (
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration exceeds its configured element cap."""
+    """Raised past a cap: an input cap checked by _require_int(..., cap=...),
+    or a work cap of orbit._bfs, eisenstein._pollard_rho or
+    reduction.reduce_to_root."""
 
 
 def mat_mul(x: Mat4, y: Mat4) -> Mat4:

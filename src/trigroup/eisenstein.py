@@ -10,15 +10,12 @@ multiplicative divisor sum: A(k) = 6 * sum over d | k of chi(d), where
 chi is the nontrivial character mod 3.  Solving the form also counts the
 quadruples containing a fixed positive pair (p, q), via the unimodular
 substitution that sends the quadruple equation to z^2 - zw + w^2 = 3pq.
-
-_norm_form_solutions and _character_sum take a factorization in place of
-k, and are internal API for the CLI's normform, which factors k once for
-both the solutions and the character sum.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
 
 from .core import Quadruple, ResourceLimitError, _require_int
 
@@ -135,11 +132,9 @@ def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 - a1 * b1)
 
 
-def _power(a: tuple[int, int], n: int) -> tuple[int, int]:
-    result = (1, 0)
-    for _ in range(n):
-        result = _mul(result, a)
-    return result
+def _powers(z: tuple[int, int], e: int) -> list[tuple[int, int]]:
+    """z^0, z^1, ..., z^e by one running product."""
+    return list(accumulate(repeat(z, e), _mul, initial=(1, 0)))
 
 
 def _split_prime(p: int) -> tuple[int, int]:
@@ -177,16 +172,15 @@ def solve_norm_form(k: int) -> list[tuple[int, int]]:
     an odd e leaves no solutions.  Every product of one choice per prime
     times each of the six units is a solution, each exactly once by
     unique factorization, so there are 6 * divisor_character_sum(k).
-    The work is that of factorize plus the output: ResourceLimitError
-    when factorize cannot split a number, or past SOLUTION_CAP solutions.
+    The work is that of factorize plus the output, linear in each
+    exponent: conj(pi)^(e - a) = conj(pi^(e - a)), so one running power
+    of pi gives all e + 1 factors.  ResourceLimitError when factorize
+    cannot split a number, or past SOLUTION_CAP solutions, before any
+    solution is built.
     """
     if _require_int("norm form target", k, 0) == 0:
         return [(0, 0)]
-    return _norm_form_solutions(factorize(k))
-
-
-def _norm_form_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
-    """solve_norm_form for the k >= 1 whose factorization is factors."""
+    factors = factorize(k)
     _require_int("norm form solution count", 6 * _character_sum(factors), cap=SOLUTION_CAP)
     elements = [(1, 0)]
     for p, e in factors.items():
@@ -195,11 +189,10 @@ def _norm_form_solutions(factors: dict[int, int]) -> list[tuple[int, int]]:
                 return []
             choices = [(p ** (e // 2), 0)]
         elif p == 3:
-            choices = [_power((1, -1), e)]
+            choices = [_powers((1, -1), e)[-1]]
         else:
-            pi = _split_prime(p)
-            conj = (pi[0] - pi[1], -pi[1])
-            choices = [_mul(_power(pi, a), _power(conj, e - a)) for a in range(e + 1)]
+            powers = _powers(_split_prime(p), e)
+            choices = [_mul(z, (x - y, -y)) for z, (x, y) in zip(powers, reversed(powers))]
         elements = [_mul(x, c) for x in elements for c in choices]
     return sorted(_mul(x, u) for x in elements for u in _UNITS)
 

@@ -12,7 +12,7 @@ import pytest
 from trigroup import cli, eisenstein, orbit, reduction
 from trigroup.cli import _BATCH, _json_safe, main
 from trigroup.counting import count_by_height, count_by_max
-from trigroup.eisenstein import factorize
+from trigroup.eisenstein import divisor_character_sum, factorize
 from trigroup.orbit import orbit_vectors
 from trigroup.reduction import reduce_to_root
 from conftest import configuration_json, cusp_quadruple
@@ -727,6 +727,21 @@ def test_normform_factorizes_once(capsys, monkeypatch):
     assert calls == [91]
     assert after == before
     assert json.loads(after)["character_sum"] == 4
+
+
+@pytest.mark.parametrize("k", [*range(201), 3**12, 2**10, 7**20])
+def test_normform_character_sum_is_a_sixth_of_the_count(capsys, k):
+    # the six units act freely on the nonzero solutions, one orbit per
+    # choice of prime factors; divisor_character_sum is the independent
+    # count from the factorization
+    payload = run_json(capsys, "normform", str(k))
+    if k == 0:
+        assert "character_sum" not in payload and payload["count"] == 1
+    else:
+        assert payload["count"] == 6 * divisor_character_sum(k)
+        assert payload["character_sum"] == divisor_character_sum(k)
+    if k == 2:
+        assert (payload["count"], payload["character_sum"]) == (0, 0)
 
 
 def test_alpha_search_factorizes_each_row_once(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigroup import eisenstein
 from trigroup.core import is_triangle_quadruple
 from trigroup.eisenstein import (
     _is_prime,
@@ -140,6 +141,24 @@ def test_solve_norm_form_near_1e20(k):
         assert (-w, z - w) in closed  # times omega
         assert (-z, -w) in closed
         assert (w, z) in closed
+
+
+@pytest.mark.parametrize("e", [50, 200])
+def test_prime_power_solutions_take_linear_work(monkeypatch, e):
+    # the e + 1 factors of 7^e come from one running power, so the
+    # products are about 9(e + 1): e powers, e + 1 factors, e + 1
+    # elements and 6(e + 1) unit multiples
+    products = []
+
+    def counted(a, b, mul=eisenstein._mul):
+        products.append(None)
+        return mul(a, b)
+
+    expected = solve_norm_form(7**e)
+    monkeypatch.setattr(eisenstein, "_mul", counted)
+    assert solve_norm_form(7**e) == expected
+    assert len(expected) == 6 * (e + 1)
+    assert len(products) <= 9 * (e + 1)
 
 
 def test_solution_set_symmetries():

@@ -207,6 +207,20 @@ def test_every_public_function_has_a_caller():
     assert uncalled == [], f"public functions with no caller: {uncalled}"
 
 
+def test_cli_reads_no_private_library_name():
+    # the CLI calls each library module through its public functions only
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    assert "eisenstein" in modules
+    private = sorted(ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in modules
+                     and node.attr.startswith("_"))
+    assert private == [], f"cli.py reads {private}"
+
+
 def test_one_length_cap_bounds_every_length():
     # each cap is one module constant; the one cap on a word length or a
     # BFS depth is core.LENGTH_CAP, and every length input is checked

@@ -42,6 +42,7 @@ from .orbit import (
     extremal_word,
     growth_recurrence,
     max_norm_at_length,
+    orbit_layers,
     orbit_sizes,
     orbit_vectors,
     prime_factor_count,

@@ -3,14 +3,19 @@
 Each handler returns its output, a dict or preformatted text, and
 main passes it to _emit, the one stdout writer.  A dict is one JSON
 document; list outputs are JSON lines (or CSV), written in batches after
-the first line.  Integers whose magnitude exceeds 53 bits are serialized
-as strings to survive double-precision JSON consumers.  A --list row,
-and a reduce step, is one %-template applied to a tuple of ints (_rows);
-whether to quote is decided once per census from its bound, once per
-orbit layer from a bound on its sums, and once per reduction from the
-start's sum, with the bytes json.dumps gives.  Exit
-codes: 0 success, 1 a verify ledger with a failing identity, 2 invalid
-input, 3 resource cap exceeded.
+the first line.  orbit --list streams: each sorted layer is built when
+the writer reaches it, so the root's line leaves before layer 1 exists,
+while a census list is sorted whole before its first row.  The reduce
+steps and the normform solutions are streamed into their documents.
+Integers whose magnitude exceeds 53 bits are serialized as strings to
+survive double-precision JSON consumers.  A --list row, a reduce step
+and a normform solution is one %-template applied to a tuple of ints
+(_rows); whether to quote is decided once per census from its bound,
+once per orbit layer from a bound on its sums, once per reduction from
+the start's sum and once per normform from k, with the bytes json.dumps
+gives.  Exit codes: 0 success, 1 a verify ledger with a failing
+identity, 2 invalid input, 3 resource cap exceeded; an orbit --list
+that meets the element cap has written the layers under it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import functools
 import json
 import math
 import sys
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
@@ -56,7 +61,7 @@ def _json_int(x: int) -> str:
 
 
 def _rows(template: str, rows, top: int):
-    """The lines template % row for rows of nonnegative ints at most top.
+    """The lines template % row for rows of ints of magnitude at most top.
     Each %s is the entry as _line writes it: only when top exceeds 53
     bits is each entry put through _json_int."""
     if top <= _BIG:
@@ -64,18 +69,37 @@ def _rows(template: str, rows, top: int):
     return (template % tuple(map(_json_int, row)) for row in rows)
 
 
+def _document(doc: dict, rows):
+    """The pieces of _line(doc), whose last sorted key holds an empty
+    list, with rows streamed into that list: the document is cut open
+    before its "]}\n", and each row carries its ", " separator, which
+    the first one drops."""
+    first = next(rows, ", ")
+    return chain([_line(doc)[:-3] + first[2:]], rows, ["]}\n"])
+
+
 def _emit(out) -> None:
     """The CLI's one stdout writer.  A dict is one sorted-key JSON line;
     any other output is preformatted pieces, lines or the parts of one
     long line, the first written alone so that it leaves at once and the
-    rest _BATCH at a time."""
+    rest _BATCH at a time.  Pieces are made as they are written, so a
+    cap met part way (an orbit layer past the element cap) is raised
+    after every piece made before it is written."""
     lines = iter([_line(out)] if isinstance(out, dict) else out)
     write = sys.stdout.write
     for line in lines:
         write(line)
         break
-    while batch := "".join(islice(lines, _BATCH)):
-        write(batch)
+    batch: list[str] = []
+    try:
+        for line in lines:
+            batch.append(line)
+            if len(batch) == _BATCH:
+                write("".join(batch))
+                batch.clear()
+    finally:
+        if batch:
+            write("".join(batch))
 
 
 def _cmd_check(args):
@@ -89,29 +113,28 @@ def _cmd_reduce(args):
     trace = reduction.reduce_to_root(tuple(args.entries))
     start = trace.start
     g = math.gcd(*start)
-    # the document with an empty step list, cut open before its "]}\n":
-    # "steps" sorts last, so the steps follow, one template each
-    head = _line({
-        "start": list(start), "steps": [], "root": list(trace.root), "gcd": g, "primitive": g == 1
-    })[:-3]
-    # sums only fall and entries are nonnegative, so no entry exceeds
-    # sum(start); each step carries its ", " separator, which the first
-    # one drops
+    # "steps" sorts last; sums only fall and entries are nonnegative, so
+    # no entry exceeds sum(start)
     steps = _rows(', {"generator": %s, "result": [%s, %s, %s, %s]}',
                   ((i, *q) for i, q in trace.steps), sum(start))
-    first = next(steps, ", ")
-    return chain([head + first[2:]], steps, ["]}\n"])
+    return _document({
+        "start": list(start), "steps": [], "root": list(trace.root), "gcd": g, "primitive": g == 1
+    }, steps)
 
 
 def _cmd_orbit(args):
     bounds = (tuple(args.root), args.depth, args.max_elements, args.max_sum)
     if args.list:
-        layers = orbit.orbit_vectors(*bounds).layers
+        # one sorted layer at a time, each built when _emit asks for its rows
+        layers = orbit.orbit_layers(*bounds)
         # a reflection takes the sum s to 2s - 3v <= 2s, and no entry
-        # exceeds its sum, so no entry of layer n exceeds sum(root) << n
+        # exceeds its sum, so no entry of layer n exceeds sum(root) << n;
+        # past layer 0, the root, no sum exceeds max_sum either
         total = sum(args.root)
+        top = math.inf if args.max_sum is None else max(total, args.max_sum)
         return chain.from_iterable(
-            _rows(f'{{"depth": {depth}, "vector": [%s, %s, %s, %s]}}\n', layer, total << depth)
+            _rows(f'{{"depth": {depth}, "vector": [%s, %s, %s, %s]}}\n', layer,
+                  min(total << depth, top))
             for depth, layer in enumerate(layers)
         )
     sizes = orbit.orbit_sizes(*bounds).cumulative_sizes
@@ -195,11 +218,11 @@ def _cmd_pair(args):
 
 def _cmd_normform(args):
     solutions = eisenstein.solve_norm_form(args.k)
-    payload = {"k": args.k}
+    payload = {"k": args.k, "count": len(solutions), "solutions": []}
     if args.k:  # k >= 1: the six units act freely, so count = 6 * character sum
         payload["character_sum"] = len(solutions) // 6
-    payload.update(count=len(solutions), solutions=[list(s) for s in solutions])
-    return payload
+    # "solutions" sorts last; z^2 - zw + w^2 = k gives |z|, |w| <= k
+    return _document(payload, _rows(", [%s, %s]", solutions, args.k))
 
 
 def _cmd_stabilizer(args):

@@ -12,8 +12,9 @@ norm maxima, and owns their element cap and their depth cap, LENGTH_CAP;
 the norm maxima walk the orbit of their start, not the group.  Layer n
 holds the vectors first reached by a word of length n, as an unordered
 collection without duplicates, and _bfs holds only two layers at a time
-(max_norm_at_length keeps them all); only orbit_vectors sorts its
-layers, which it returns.
+(max_norm_at_length keeps them all); only orbit_layers sorts them, one
+layer at a time as they are asked for, and orbit_vectors keeps what it
+yields.
 
 The descent rule: s_i changes the entry sum of v by sum(v) - 3 v_i, and
 for v = w(x), x in the closed chamber (3 x_i <= sum(x), such as
@@ -51,7 +52,7 @@ from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice
 from operator import mul
 
 from . import counting
@@ -230,6 +231,23 @@ class VectorOrbit:
     layers: tuple[tuple[Vector4, ...], ...]
 
 
+def orbit_layers(
+    root: Quadruple,
+    max_depth: int,
+    max_elements: int | None = None,
+    max_sum: int | None = None,
+) -> Iterator[list[Vector4]]:
+    """The layers of orbit_vectors(root, ...), each sorted, one at a time.
+
+    Layer n + 1 is built only when it is asked for, so a caller can use
+    layer n first.  The arguments are checked, and layer 0 is built,
+    when this is called; ResourceLimitError for the element cap comes
+    when the layer that crosses it is asked for, after those under it.
+    """
+    layers = map(sorted, _bfs(validate_quadruple(root), max_depth, max_elements, max_sum))
+    return chain([next(layers)], layers)
+
+
 def orbit_vectors(
     root: Quadruple,
     max_depth: int,
@@ -247,14 +265,10 @@ def orbit_vectors(
     when its own sum exceeds max_sum.  Each of the layers is sorted; a
     root's layers are its canonical levels expanded into every order.
     """
-    root = validate_quadruple(root)
-    layers = tuple(
-        tuple(sorted(layer))
-        for layer in _bfs(root, max_depth, max_elements, max_sum)
-    )
+    layers = tuple(map(tuple, orbit_layers(root, max_depth, max_elements, max_sum)))
     return VectorOrbit(
-        root=root,
-        cumulative_sizes=tuple(accumulate(len(layer) for layer in layers)),
+        root=layers[0][0],
+        cumulative_sizes=tuple(accumulate(map(len, layers))),
         layers=layers,
     )
 

@@ -79,6 +79,10 @@ CALLS = {
     "extremal_word": ((5,), {(0,): NONNEG}),
     "growth_recurrence": ((5,), {(0,): NONNEG}),
     "max_norm_at_length": ((3, Q, 1000), {(0,): NONNEG, **_entries(1, NONNEG), (2,): POSITIVE}),
+    "orbit_layers": (
+        (Q, 3, 1000, 50),
+        {**_entries(0, NONNEG), (1,): NONNEG, (2,): POSITIVE, (3,): NONNEG},
+    ),
     "orbit_vectors": (
         (Q, 3, 1000, 50),
         {**_entries(0, NONNEG), (1,): NONNEG, (2,): POSITIVE, (3,): NONNEG},
@@ -176,16 +180,16 @@ def test_public_names():
         "divisor_character_sum", "factorize", "quadruples_with_pair", "representation_count",
         "solve_norm_form",
         "GrowthTable", "VectorOrbit", "bfs_elements", "coxeter_char_poly", "coxeter_element",
-        "extremal_word", "growth_recurrence", "max_norm_at_length", "orbit_sizes",
-        "orbit_vectors", "prime_factor_count", "spectral_radius", "spectral_radius_closed_form",
-        "stabilizer_counts", "word_norm",
+        "extremal_word", "growth_recurrence", "max_norm_at_length", "orbit_layers",
+        "orbit_sizes", "orbit_vectors", "prime_factor_count", "spectral_radius",
+        "spectral_radius_closed_form", "stabilizer_counts", "word_norm",
         "ReductionTrace", "gcd_content", "is_primitive", "is_root", "reduce_step",
         "reduce_to_root", "same_orbit",
         "NegativeEntryWarning", "PointConfiguration", "gram_closed_form", "gram_det",
         "gram_residual", "identity_residual", "reflect", "standard_configuration",
         "tuple_from_configuration",
     }
-    assert len(trigroup.__all__) == 53
+    assert len(trigroup.__all__) == 54
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))

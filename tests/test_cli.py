@@ -652,6 +652,30 @@ def test_orbit_list_layers_cross_53_bits_partway(capsys, root):
     assert largest[0] <= 2**53 < largest[-1]
 
 
+@pytest.mark.parametrize(
+    "g,max_sum,quoting",
+    [
+        # past layer 0 no sum exceeds max_sum = 256g, though 3g << n
+        # does from layer 7 on
+        (2**45, 2**53, False),
+        (2**45, 2**54, True),
+        # the root alone, over max_sum, is quoted by its own sum
+        (2**53 + 1, 1, True),
+    ],
+)
+def test_orbit_list_under_max_sum_quotes_by_the_smaller_bound(
+    capsys, monkeypatch, g, max_sum, quoting
+):
+    json_int, quoted = cli._json_int, []
+    monkeypatch.setattr(cli, "_json_int", lambda x: quoted.append(x) or json_int(x))
+    root = (0, g, g, g)
+    code, out, _ = run_cli(capsys, "orbit", "--depth", "10", "--list", "--max-sum", str(max_sum),
+                           "--root", *map(str, root))
+    assert code == 0
+    assert out == orbit_oracle(root, 10, max_sum)
+    assert bool(quoted) == quoting
+
+
 @pytest.mark.parametrize("top", [2**53, 2**53 + 1])
 def test_rows_quote_only_past_53_bits(top):
     template = '{"depth": 5, "vector": [%s, %s, %s, %s]}\n'
@@ -711,6 +735,81 @@ def test_list_first_row_written_alone(monkeypatch, argv):
     assert writes[0] == lines[0]
     assert len(writes) == 1 + -(-(len(lines) - 1) // _BATCH)
     assert all(w.endswith("\n") for w in writes)
+
+
+@pytest.mark.parametrize(
+    "root,depth,max_sum",
+    [((0, 1, 1, 1), 12, None), ((7, 4, 3, 1), 6, None), ((0, 1, 1, 1), 10, 500)],
+)
+def test_orbit_list_writes_its_first_line_before_layer_1(monkeypatch, root, depth, max_sum):
+    # no timing: _bfs counts the layers it has yielded, and stdout notes
+    # that count at each write
+    bfs, built = orbit._bfs, []
+
+    def counted(*args, **kwargs):
+        for layer in bfs(*args, **kwargs):
+            built.append(len(layer))
+            yield layer
+
+    class CountingStdout(RecordingStdout):
+        def write(self, s):
+            self.writes.append((len(built), s))
+            return len(s)
+
+    stream = CountingStdout()
+    monkeypatch.setattr(orbit, "_bfs", counted)
+    monkeypatch.setattr(sys, "stdout", stream)
+    argv = ["orbit", "--depth", str(depth), "--list", "--root", *map(str, root)]
+    assert main(argv + (["--max-sum", str(max_sum)] if max_sum else [])) == 0
+    assert stream.writes[0][0] == 1
+    assert len(built) == depth + 1
+    assert "".join(s for _, s in stream.writes) == orbit_oracle(root, depth, max_sum)
+
+
+@pytest.mark.parametrize(
+    "root,cap", [((0, 1, 1, 1), c) for c in (1, 4, 100, 314, 500, 724)] + [((7, 4, 3, 1), 60)]
+)
+def test_orbit_list_over_the_element_cap_writes_the_layers_under_it(capsys, root, cap):
+    # the layers whose running total is within the cap are written, more
+    # than one batch of them at 500 and 724, and the layer that crosses
+    # it exits 3
+    code, out, err = run_cli(capsys, "orbit", "--depth", "8", "--list", "--max-elements", str(cap),
+                             "--root", *map(str, root))
+    assert code == 3
+    assert "resource limit" in err
+    totals = orbit.orbit_sizes(root, 8).cumulative_sizes
+    depth = sum(total <= cap for total in totals) - 1
+    assert 0 <= depth < 8
+    assert out == orbit_oracle(root, depth)
+
+
+@pytest.mark.parametrize("max_sum", [None, 0, 60])
+@pytest.mark.parametrize("root", [(0, 1, 1, 1), (3, 0, 3, 3), (7, 4, 3, 1), (7, 4, 9, 1)])
+def test_orbit_layers_are_the_layers_of_orbit_vectors(root, max_sum):
+    # the CLI lists what orbit_layers yields, one sorted layer at a time
+    layers = orbit.orbit_layers(root, 7, max_sum=max_sum)
+    assert next(layers) == [root]
+    whole = orbit_vectors(root, 7, max_sum=max_sum).layers
+    assert [[root], *layers] == [list(layer) for layer in whole]
+
+
+@pytest.mark.parametrize(
+    "k", [0, 1, 7, 91, 1000, 2**53, 7 * 2**60, 3 * 2**106, 7**40, 13**12 * 2**80], ids=str
+)
+def test_normform_output_is_the_line_of_its_document(capsys, k):
+    # the solutions go through one row template, quoted past 2**53 as
+    # _line quotes them; 7**40 mixes quoted and unquoted entries, and the
+    # k past 2**53 with small solutions take the quoting path unquoted
+    solutions = eisenstein.solve_norm_form(k)
+    doc = {"k": k, "count": len(solutions), "solutions": [list(s) for s in solutions]}
+    if k:
+        doc["character_sum"] = len(solutions) // 6
+    code, out, _ = run_cli(capsys, "normform", str(k))
+    assert code == 0
+    assert out == cli._line(doc)
+    if k == 7**40:
+        entries = [abs(x) for s in solutions for x in s]
+        assert min(entries) <= 2**53 < max(entries)
 
 
 def test_normform_factorizes_once(capsys, monkeypatch):

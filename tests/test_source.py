@@ -221,6 +221,16 @@ def test_cli_reads_no_private_library_name():
     assert private == [], f"cli.py reads {private}"
 
 
+def test_cli_lists_orbits_layer_by_layer():
+    # orbit --list streams from orbit.orbit_layers; orbit_vectors builds
+    # and sorts every layer before the first row could be written
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _calls_to(tree, "orbit_layers")
+    lines = [node.lineno for node in _reads(tree, "orbit_vectors")]
+    assert lines == [], f"cli.py reads orbit_vectors at lines {lines}"
+
+
 def test_one_length_cap_bounds_every_length():
     # each cap is one module constant; the one cap on a word length or a
     # BFS depth is core.LENGTH_CAP, and every length input is checked

@@ -25,6 +25,8 @@ from .counting import (
     count_by_max,
     divisor_square_sum,
     height_sweep,
+    list_by_height,
+    list_by_max,
 )
 from .eisenstein import (
     divisor_character_sum,

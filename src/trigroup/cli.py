@@ -4,9 +4,12 @@ Each handler returns its output, a dict or preformatted text, and
 main passes it to _emit, the one stdout writer.  A dict is one JSON
 document; list outputs are JSON lines (or CSV), written in batches after
 the first line.  orbit --list streams: each sorted layer is built when
-the writer reaches it, so the root's line leaves before layer 1 exists,
-while a census list is sorted whole before its first row.  The reduce
-steps and the normform solutions are streamed into their documents.
+the writer reaches it, so the root's line leaves before layer 1 exists.
+A canonical census list streams one first entry at a time, each chunk
+sorted once the walk has passed it, so its first row leaves before the
+census is built; an ordered census list still walks the whole census
+before its first row.  The reduce steps and the normform solutions are
+streamed into their documents.
 Integers whose magnitude exceeds 53 bits are serialized as strings to
 survive double-precision JSON consumers.  A --list row, a reduce step
 and a normform solution is one %-template applied to a tuple of ints
@@ -25,7 +28,7 @@ import functools
 import json
 import math
 import sys
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
@@ -92,11 +95,13 @@ def _emit(out) -> None:
         break
     batch: list[str] = []
     try:
-        for line in lines:
-            batch.append(line)
-            if len(batch) == _BATCH:
-                write("".join(batch))
-                batch.clear()
+        while True:
+            # extend keeps the lines taken before a raise, for the finally
+            batch.extend(islice(lines, _BATCH))
+            if len(batch) < _BATCH:
+                break
+            write("".join(batch))
+            batch.clear()
     finally:
         if batch:
             write("".join(batch))
@@ -177,20 +182,23 @@ def _census_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _census(census, args):
-    """Run census (count_by_height or count_by_max) and return its count
-    document or, under --list, its rows."""
+def _census(census, listing, args):
+    """Run census (count_by_height or count_by_max) for its count
+    document or, under --list, return the rows of listing (list_by_height
+    or list_by_max), made as _emit writes them."""
     if args.format != "jsonl" and not args.list:
         raise ValueError("--format csv needs --list")
-    report = census(args.bound, args.mode, args.primitive, args.max_bound, include_list=args.list)
+    bounds = (args.bound, args.mode, args.primitive, args.max_bound)
     if not args.list:
+        report = census(*bounds)
         return dict(
             bound=report.bound, mode=report.mode, primitive=args.primitive, count=report.count
         )
+    rows = listing(*bounds)
     if args.format == "csv":
-        return chain(["a,b,c,d\n"], map("%s,%s,%s,%s\n".__mod__, report.quadruples))
+        return chain(["a,b,c,d\n"], map("%s,%s,%s,%s\n".__mod__, rows))
     # by height or by largest entry, no entry exceeds the bound
-    return _rows('{"quadruple": [%s, %s, %s, %s]}\n', report.quadruples, report.bound)
+    return _rows('{"quadruple": [%s, %s, %s, %s]}\n', rows, args.bound)
 
 
 def _cmd_census_height(args):
@@ -199,11 +207,11 @@ def _cmd_census_height(args):
             raise ValueError("--sweep takes no --primitive, --list or --format csv")
         rows = counting.height_sweep(args.bound, mode=args.mode, max_bound=args.max_bound)
         return (_line({"bound": n, "count": count, "ratio": ratio}) for n, count, ratio in rows)
-    return _census(counting.count_by_height, args)
+    return _census(counting.count_by_height, counting.list_by_height, args)
 
 
 def _cmd_census_max(args):
-    return _census(counting.count_by_max, args)
+    return _census(counting.count_by_max, counting.list_by_max, args)
 
 
 def _cmd_divisor_sum(args):

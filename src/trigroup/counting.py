@@ -8,9 +8,15 @@ backwards, the reduction makes the primitive canonical (nonincreasing)
 quadruples one tree rooted at (1, 1, 1, 0): _walk walks it depth first,
 _root_layers by levels for the root orbits (orbit.py).  As s^2 = 3h on
 every quadruple (s its entry sum, h its squared height), height n is the
-sum bound isqrt(3 n^2), and both walks prune on sums.  By the gcd
+sum bound isqrt(3 n^2), and the walks prune on sums.  By the gcd
 identity a node q (largest entry a, sum s) stands for its multiples g q,
 g <= min(top // a, max_sum // s): full(n) = sum over g of prim(n // g).
+
+Counts and height_sweep read _walk, which holds only its stack.
+list_by_height and list_by_max yield the sorted rows one chunk per first
+entry: canonical lists from _walk_by_largest, level by level, so the
+first row leaves before the census is built; ordered lists, whose rows
+may start with any entry, after the whole walk.
 
 The group acts trivially mod 3, so a primitive quadruple is (0, 1, 1, 1)
 mod 3 in some order and g q is (0, g, g, g) mod 3g: its class entry, the
@@ -33,8 +39,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, permutations, repeat
-from operator import floordiv, itemgetter, mul
+from itertools import accumulate, chain, permutations, repeat
+from operator import add, floordiv, itemgetter, mul
 
 from .core import Quadruple, Vector4, _require_int, validate_quadruple
 
@@ -57,7 +63,10 @@ class CensusReport:
     bound: int
     mode: str
     count: int
-    quadruples: tuple[Quadruple, ...] | None = None
+    # Always None: lists stream from list_by_height and list_by_max.  The
+    # field stays so that a report serializes (dataclasses.asdict) with
+    # the keys it always had.
+    quadruples: None = None
 
 
 def canonicalize(q: Quadruple) -> Quadruple:
@@ -78,12 +87,17 @@ def _orders_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 _ORDERS = _orders_table()
-# Per tie pattern: its ordered weight, one itemgetter laying out all its
-# orders, and in _ROOT_LAYOUTS[p][j] those with entry j at position p.
-# _ROOT_WEIGHTS: a quarter of the weight, by number of ties (0, 1, 2).
+# Per tie pattern: its ordered weight; in _TAILS, for each entry j that
+# comes first in some order, one itemgetter laying out the last three
+# entries of those orders; and in _ROOT_LAYOUTS[p][j] the orders with
+# entry j at position p.  _ROOT_WEIGHTS: a quarter of the weight, by
+# number of ties (0, 1, 2).
 _WEIGHTS = tuple(map(len, _ORDERS))
 _ROOT_WEIGHTS = tuple(_WEIGHTS[ties] // 4 for ties in (0, 1, 1 + 2))
-_LAYOUTS = tuple(itemgetter(*(i for o in row for i in o)) for row in _ORDERS)
+_TAILS = tuple(
+    tuple((j, itemgetter(*(i for o in row if o[0] == j for i in o[1:])))
+          for j in dict.fromkeys(o[0] for o in row))
+    for row in _ORDERS)
 _ROOT_LAYOUTS = tuple(tuple(
     tuple(itemgetter(*idx) if idx else None
           for idx in ([i for o in row if o[p] == j for i in o] for row in _ORDERS))
@@ -164,20 +178,72 @@ def _expand(level: list[Vector4], g: int, p: int) -> list[Vector4]:
     return list(zip(it, it, it, it))
 
 
-def _rows(walk: Iterable[Node], top: int, ordered: bool) -> Iterator[Quadruple]:
-    """The quadruples g q, g <= m, of a walk's nodes (q, ties, m), each
-    in its orders (_LAYOUTS) when ordered.  Equal entries are one object
-    of one list of ints, which the sort of a listing compares by identity."""
+def _walk_by_largest(top: int, max_sum: int) -> Iterator[list[Quadruple]]:
+    """Yield, for x = 1..top, the primitive canonical quadruples with
+    largest entry x and entry sum at most max_sum: _walk's tree, with its
+    children built by the same three tests, walked from buckets by
+    largest entry (a monotone bucket queue).  A child's largest entry w
+    is at least its parent's, so bucket x is whole once buckets 1..x-1
+    are expanded; it grows while it is read, by children with w = x.
+    The buckets above x are held, about 39% of the tree at a time, so
+    the counts keep to _walk's stack."""
+    buckets: list = [[] for _ in range(top + 1)]
+    if max_sum >= 3:
+        buckets[1].append((1, 1, 1, 0))
+    for x in range(1, top + 1):
+        level = buckets[x]
+        for a, b, c, d in level:
+            s = a + b + c + d
+            r = s - a
+            lo = max((s - top + 1) // 2, (2 * s - max_sum + 2) // 3)
+            if lo <= b < a and 2 * b <= r:
+                buckets[s - 2 * b].append((s - 2 * b, a, c, d))
+            if lo <= c < b and 2 * c <= r:
+                buckets[s - 2 * c].append((s - 2 * c, a, b, d))
+            if lo <= d < c and 2 * d <= r:
+                buckets[s - 2 * d].append((s - 2 * d, a, b, c))
+        buckets[x] = None
+        yield level
+
+
+def _canonical_chunks(top: int, max_sum: int, primitive: bool) -> Iterator[list[Quadruple]]:
+    """For x = 1..top, the sorted quadruples g q with first entry x (q
+    with g = 1 alone when primitive), each yielded once level x of
+    _walk_by_largest is read: every row g q has first entry g a >= a, so
+    no later level adds to it.  Equal entries are one object of one list
+    of ints, which each chunk's sort compares by identity."""
     ints = list(range(top + 1))
-    for (a, b, c, d), ties, m in walk:
-        layout = _LAYOUTS[ties]
-        for g in range(1, m + 1):
+    chunks: list = [[] for _ in range(top + 1)]
+    for x, level in enumerate(_walk_by_largest(top, max_sum), 1):
+        for a, b, c, d in level:
+            m = 1 if primitive else min(top // x, max_sum // (a + b + c + d))
+            for g in range(1, m + 1):
+                chunks[g * a].append((ints[g * a], ints[g * b], ints[g * c], ints[g * d]))
+        chunk = chunks[x]
+        chunks[x] = None
+        chunk.sort()
+        yield chunk
+
+
+def _ordered_chunks(top: int, max_sum: int, primitive: bool) -> Iterator[Iterator[Quadruple]]:
+    """For x = 0..top, the sorted orders of the quadruples g q whose
+    first entry is x.  Any entry may come first, so the whole walk is
+    bucketed first, each order as its tail (_TAILS), and each chunk is
+    let go once its rows x + tail are made."""
+    ints = list(range(top + 1))
+    chunks: list = [[] for _ in range(top + 1)]
+    for (a, b, c, d), ties, m in _walk(top, max_sum):
+        tails = _TAILS[ties]
+        for g in range(1, (1 if primitive else m) + 1):
             q = ints[g * a], ints[g * b], ints[g * c], ints[g * d]
-            if ordered:
-                it = iter(layout(q))
-                yield from zip(it, it, it, it)
-            else:
-                yield q
+            for j, tail in tails:
+                it = iter(tail(q))
+                chunks[q[j]].extend(zip(it, it, it))
+    for x in range(top + 1):
+        chunk = chunks[x]
+        chunks[x] = None
+        chunk.sort()
+        yield map(add, repeat((x,)), chunk)
 
 
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
@@ -186,18 +252,19 @@ def _check_args(bound: int, mode: str, max_bound: int) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _build_report(
-    walk: Iterable[Node], bound: int, mode: str, primitive: bool, include_list: bool
-) -> CensusReport:
-    """The census of a walk's multiples, or of its nodes when primitive."""
+def _report(walk: Iterable[Node], bound: int, mode: str, primitive: bool) -> CensusReport:
+    """The count of a walk's multiples, or of its nodes when primitive."""
+    weights = _WEIGHTS if mode == "ordered" else (1,) * 8
     if primitive:
-        walk = ((q, ties, 1) for q, ties, _ in walk)
-    if not include_list:
-        weights = _WEIGHTS if mode == "ordered" else (1,) * 8
+        count = sum(weights[ties] for _, ties, _ in walk)
+    else:
         count = sum(weights[ties] * m for _, ties, m in walk)
-        return CensusReport(bound=bound, mode=mode, count=count)
-    listed = tuple(sorted(_rows(walk, bound, mode == "ordered")))
-    return CensusReport(bound=bound, mode=mode, count=len(listed), quadruples=listed)
+    return CensusReport(bound=bound, mode=mode, count=count)
+
+
+def _listing(top: int, max_sum: int, mode: str, primitive: bool) -> Iterator[Quadruple]:
+    chunks = _ordered_chunks if mode == "ordered" else _canonical_chunks
+    return chain.from_iterable(chunks(top, max_sum, primitive))
 
 
 def count_by_height(
@@ -205,18 +272,17 @@ def count_by_height(
     mode: str = "canonical",
     primitive: bool = False,
     max_bound: int = DEFAULT_BOUND_CAP,
-    include_list: bool = False,
 ) -> CensusReport:
     """Census of quadruples whose height is at most n.
 
     Height is the Euclidean norm sqrt(a^2 + b^2 + c^2 + d^2); membership
     is decided on the entry sum, s <= isqrt(3 n^2), exact as s^2 = 3h.
-    Canonical mode counts (and with include_list lists) nonincreasing
-    multiset representatives; ordered mode every distinct arrangement.
+    Canonical mode counts nonincreasing multiset representatives;
+    ordered mode every distinct arrangement.
     """
     _check_args(n, mode, max_bound)
     # height <= n exactly when sum <= isqrt(3 n^2), as 3h = s^2
-    return _build_report(_walk(n, math.isqrt(3 * n * n)), n, mode, primitive, include_list)
+    return _report(_walk(n, math.isqrt(3 * n * n)), n, mode, primitive)
 
 
 def count_by_max(
@@ -224,12 +290,40 @@ def count_by_max(
     mode: str = "canonical",
     primitive: bool = False,
     max_bound: int = DEFAULT_BOUND_CAP,
-    include_list: bool = False,
 ) -> CensusReport:
     """Census of quadruples whose maximal entry is at most n."""
     _check_args(n, mode, max_bound)
     # s <= 3 max always (3a = s on roots, 3a > s else), so the sum never prunes
-    return _build_report(_walk(n, 3 * n), n, mode, primitive, include_list)
+    return _report(_walk(n, 3 * n), n, mode, primitive)
+
+
+def list_by_height(
+    n: int,
+    mode: str = "canonical",
+    primitive: bool = False,
+    max_bound: int = DEFAULT_BOUND_CAP,
+) -> Iterator[Quadruple]:
+    """The quadruples that count_by_height counts, in sorted order.
+
+    The arguments are checked when it is called.  Canonical rows come one
+    first entry at a time, each chunk sorted once the walk has passed it,
+    so the first row leaves before the census is built; ordered rows come
+    after the whole walk, bucketed by first entry.
+    """
+    _check_args(n, mode, max_bound)
+    return _listing(n, math.isqrt(3 * n * n), mode, primitive)
+
+
+def list_by_max(
+    n: int,
+    mode: str = "canonical",
+    primitive: bool = False,
+    max_bound: int = DEFAULT_BOUND_CAP,
+) -> Iterator[Quadruple]:
+    """The quadruples that count_by_max counts, in sorted order, as
+    list_by_height lists them."""
+    _check_args(n, mode, max_bound)
+    return _listing(n, 3 * n, mode, primitive)
 
 
 def height_sweep(

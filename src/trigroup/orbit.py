@@ -495,8 +495,7 @@ def search_prime_factor_count(height_bound: int, max_count: int) -> list[tuple[Q
     Counted entry by entry, as in prime_factor_count, and each distinct
     entry is factored once: the rows share few values."""
     _require_int("max_count", max_count, 0)
-    report = counting.count_by_height(height_bound, "canonical", True, include_list=True)
-    rows = [q for q in report.quadruples if q[3]]
+    rows = [q for q in counting.list_by_height(height_bound, "canonical", True) if q[3]]
     omega = {x: sum(factorize(x).values()) for x in {x for q in rows for x in q}}
     counted = ((q, sum(map(omega.__getitem__, q))) for q in rows)
     return [(q, count) for q, count in counted if count <= max_count]

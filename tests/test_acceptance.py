@@ -22,6 +22,8 @@ from trigroup.counting import (
     count_by_height,
     count_by_max,
     height_sweep,
+    list_by_height,
+    list_by_max,
 )
 from trigroup.eisenstein import (
     divisor_character_sum,
@@ -73,9 +75,8 @@ def test_criterion_01_coxeter_relations():
 
 def test_criterion_02_reduction_of_all_small_quadruples():
     start = time.monotonic()
-    census = count_by_max(200, include_list=True)
     checked = 0
-    for canonical in census.quadruples:
+    for canonical in list_by_max(200):
         g = gcd_content(canonical)
         for q in set(permutations(canonical)):
             trace = reduce_to_root(q)
@@ -92,8 +93,7 @@ def test_criterion_02_reduction_of_all_small_quadruples():
 
 
 def test_criterion_03_orbit_completeness():
-    census = count_by_height(40, primitive=True, include_list=True)
-    target = set(census.quadruples)
+    target = set(list_by_height(40, primitive=True))
     # entry sums along reversed reduction paths never exceed twice the
     # final height, so the sum-pruned BFS walks genuine length-<=20 paths
     orbit = orbit_vectors(ROOT, 20, max_sum=80)
@@ -206,14 +206,12 @@ def test_criterion_07_censuses_against_naive_oracle():
 
     for bound in (5, 20, 41, 60):
         by_height = naive(bound, "height")
-        report = count_by_height(bound, include_list=True)
-        assert set(report.quadruples) == by_height, bound
+        assert set(list_by_height(bound)) == by_height, bound
         assert count_by_height(bound, mode="ordered").count == sum(
             ordered_multiplicity(q) for q in by_height
         )
         by_max = naive(bound, "max")
-        max_report = count_by_max(bound, include_list=True)
-        assert set(max_report.quadruples) == by_max, bound
+        assert set(list_by_max(bound)) == by_max, bound
         assert count_by_max(bound, mode="ordered").count == sum(
             ordered_multiplicity(q) for q in by_max
         )

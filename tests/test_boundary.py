@@ -62,8 +62,10 @@ CALLS = {
     "verify_coxeter_relations": ((), {}),
     # counting
     "canonicalize": ((Q,), _entries(0, NONNEG)),
-    "count_by_height": ((10, "canonical", True, 100, True), {(0,): POSITIVE, (3,): POSITIVE}),
-    "count_by_max": ((10, "ordered", False, 100, True), {(0,): POSITIVE, (3,): POSITIVE}),
+    "count_by_height": ((10, "canonical", True, 100), {(0,): POSITIVE, (3,): POSITIVE}),
+    "count_by_max": ((10, "ordered", False, 100), {(0,): POSITIVE, (3,): POSITIVE}),
+    "list_by_height": ((10, "ordered", True, 100), {(0,): POSITIVE, (3,): POSITIVE}),
+    "list_by_max": ((10, "canonical", False, 100), {(0,): POSITIVE, (3,): POSITIVE}),
     "divisor_square_sum": ((100,), {(0,): POSITIVE}),
     "height_sweep": ((10, "canonical", 100), {(0,): POSITIVE, (2,): POSITIVE}),
     # eisenstein
@@ -176,7 +178,7 @@ def test_public_names():
         "generator_matrix", "is_triangle_quadruple", "norm_form_substitution", "quadratic_form",
         "validate_quadruple", "verify_coxeter_relations",
         "CensusReport", "canonicalize", "count_by_height", "count_by_max", "divisor_square_sum",
-        "height_sweep",
+        "height_sweep", "list_by_height", "list_by_max",
         "divisor_character_sum", "factorize", "quadruples_with_pair", "representation_count",
         "solve_norm_form",
         "GrowthTable", "VectorOrbit", "bfs_elements", "coxeter_char_poly", "coxeter_element",
@@ -189,7 +191,7 @@ def test_public_names():
         "gram_residual", "identity_residual", "reflect", "standard_configuration",
         "tuple_from_configuration",
     }
-    assert len(trigroup.__all__) == 54
+    assert len(trigroup.__all__) == 56
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))
@@ -259,7 +261,7 @@ def test_bad_int_raises_value_error(case):
         lambda: orbit.extremal_word(2.0),
         lambda: counting.count_by_height(True),
         lambda: counting.count_by_height(3.0),
-        lambda: counting.count_by_height(2.5, include_list=True),
+        lambda: counting.list_by_height(2.5),
         lambda: counting.height_sweep(True),
         lambda: counting.count_by_height(10, max_bound=True),
         lambda: orbit.stabilizer_cumulative_closed_form(1.5),

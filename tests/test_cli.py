@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from trigroup import cli, eisenstein, orbit, reduction
+from trigroup import cli, counting, eisenstein, orbit, reduction
 from trigroup.cli import _BATCH, _json_safe, main
-from trigroup.counting import count_by_height, count_by_max
+from trigroup.counting import list_by_height, list_by_max
 from trigroup.eisenstein import divisor_character_sum, factorize
 from trigroup.orbit import orbit_vectors
 from trigroup.reduction import reduce_to_root
+from census_oracle import expected_list, scan_census
 from conftest import configuration_json, cusp_quadruple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -572,10 +573,10 @@ def orbit_oracle(root, depth, max_sum=None):
     )
 
 
-def census_oracle(report, fmt):
+def census_list_oracle(rows, fmt):
     if fmt == "csv":
-        return "a,b,c,d\n" + "".join(",".join(str(x) for x in q) + "\n" for q in report.quadruples)
-    return "".join(emit_oracle({"quadruple": list(q)}) for q in report.quadruples)
+        return "a,b,c,d\n" + "".join(",".join(str(x) for x in q) + "\n" for q in rows)
+    return "".join(emit_oracle({"quadruple": list(q)}) for q in rows)
 
 
 @pytest.mark.parametrize("max_sum", [None, 60])
@@ -596,16 +597,16 @@ def test_orbit_list_matches_emit_oracle(capsys, root, max_sum):
 )
 @pytest.mark.parametrize("command,bound", [("census-height", 101), ("census-max", 60)])
 def test_census_list_matches_emit_oracle(capsys, command, bound, mode, primitive, fmt):
+    # rows from the discriminant scan, which shares no code with the
+    # listing; the ordered lists hold 2528 to 7260 rows, with 246 to 357
+    # of them in their largest chunk, so chunks cross the 256-line batches
     argv = [command, str(bound), "--list", "--mode", mode, "--format", fmt]
     if primitive:
         argv.append("--primitive")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    if command == "census-height":
-        report = count_by_height(bound, mode=mode, primitive=primitive, include_list=True)
-    else:
-        report = count_by_max(bound, mode=mode, primitive=primitive, include_list=True)
-    assert out == census_oracle(report, fmt)
+    canonical = scan_census(bound, "height" if command == "census-height" else "max")
+    assert out == census_list_oracle(expected_list(canonical, mode, primitive), fmt)
 
 
 def test_orbit_list_53_bit_boundary(capsys):
@@ -766,6 +767,43 @@ def test_orbit_list_writes_its_first_line_before_layer_1(monkeypatch, root, dept
     assert "".join(s for _, s in stream.writes) == orbit_oracle(root, depth, max_sum)
 
 
+@pytest.mark.parametrize("command,listing", [("census-height", list_by_height),
+                                             ("census-max", list_by_max)])
+def test_census_list_writes_its_first_row_before_the_walk_ends(monkeypatch, command, listing):
+    # no timing: each census walk notes the largest entries of the nodes
+    # it has handed on (_walk a node before it expands it, _walk_by_largest
+    # a level after), and stdout notes the largest of them at each write
+    expanded = []
+
+    def watch(name, largest):
+        walk = getattr(counting, name)
+
+        def watched(*args):
+            for item in walk(*args):
+                expanded.append(largest(item))
+                yield item
+
+        monkeypatch.setattr(counting, name, watched)
+
+    watch("_walk", lambda node: node[0][0])
+    watch("_walk_by_largest", lambda level: max((q[0] for q in level), default=0))
+
+    class WatchingStdout(RecordingStdout):
+        def write(self, s):
+            self.writes.append((max(expanded, default=0), s))
+            return len(s)
+
+    stream = WatchingStdout()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main([command, "300", "--list"]) == 0
+    reached, first = stream.writes[0]
+    assert first == '{"quadruple": [1, 1, 1, 0]}\n'
+    assert reached <= 1
+    assert max(expanded) > 250
+    rows = listing(300)
+    assert "".join(s for _, s in stream.writes) == census_list_oracle(rows, "jsonl")
+
+
 @pytest.mark.parametrize(
     "root,cap", [((0, 1, 1, 1), c) for c in (1, 4, 100, 314, 500, 724)] + [((7, 4, 3, 1), 60)]
 )
@@ -854,8 +892,7 @@ def test_alpha_search_factorizes_each_row_once(capsys, monkeypatch):
 
     monkeypatch.setattr(orbit, "factorize", counted)
     code, after, _ = run_cli(capsys, *argv)
-    report = count_by_height(40, mode="canonical", primitive=True, include_list=True)
-    rows = [q for q in report.quadruples if all(q)]
+    rows = [q for q in expected_list(scan_census(40, "height"), "canonical", True) if all(q)]
     assert code == 0
     assert after == before
     # each distinct entry of the rows is factored, once

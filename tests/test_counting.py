@@ -1,5 +1,4 @@
 import bisect
-import functools
 import math
 import os
 import random
@@ -19,9 +18,13 @@ from trigroup.counting import (
     count_by_max,
     divisor_square_sum,
     height_sweep,
+    list_by_height,
+    list_by_max,
 )
 from trigroup.reduction import is_primitive, reduce_to_root
-from census_oracle import all_roots_walk, ordered_multiplicity, orders
+from census_oracle import all_roots_walk, expected_list, ordered_multiplicity, scan_census
+
+LISTINGS = {count_by_height: list_by_height, count_by_max: list_by_max}
 
 
 def naive_census(bound, by="height"):
@@ -40,70 +43,16 @@ def naive_census(bound, by="height"):
     return found
 
 
-def _leading_candidates(b, c, d):
-    """Exact integer solutions a >= b of the quadruple equation for (b, c, d):
-    2a = (b+c+d) +- sqrt(6(bc+cd+db) - 3(b^2+c^2+d^2))."""
-    delta = 6 * (b * c + c * d + d * b) - 3 * (b * b + c * c + d * d)
-    if delta < 0:
-        return
-    s = math.isqrt(delta)
-    if s * s != delta:
-        return
-    sigma = b + c + d
-    for twice_a in {sigma + s, sigma - s}:
-        if twice_a % 2:
-            continue
-        a = twice_a // 2
-        if a >= b:
-            yield a
-
-
-@functools.lru_cache(maxsize=None)
-def scan_census(bound, by):
-    """Independent oracle: the cubic discriminant scan over b >= c >= d,
-    returning the sorted canonical quadruples."""
-    bound_sq = bound * bound
-    found = set()
-    for b in range(bound + 1):
-        bb = b * b
-        if by == "height" and bb > bound_sq:
-            break
-        for c in range(b + 1):
-            norm_bc = bb + c * c
-            if by == "height" and norm_bc > bound_sq:
-                break
-            top = min(c, math.isqrt(bound_sq - norm_bc)) if by == "height" else c
-            for d in range(top + 1):
-                for a in _leading_candidates(b, c, d):
-                    q = (a, b, c, d)
-                    if by == "height" and a * a + norm_bc + d * d > bound_sq:
-                        continue
-                    if by == "max" and a > bound:
-                        continue
-                    if is_triangle_quadruple(q):
-                        found.add(q)
-    return tuple(sorted(found))
-
-
-def _expected_list(canonical, mode, primitive):
-    if primitive:
-        canonical = [q for q in canonical if math.gcd(*q) == 1]
-    if mode == "canonical":
-        return tuple(canonical)
-    return tuple(sorted(t for q in canonical for t in orders(q)))
-
-
 def test_enumerate_all_bound_5():
-    report = count_by_height(5, include_list=True)
-    assert report.count == 3
-    assert set(report.quadruples) == {(1, 1, 1, 0), (2, 2, 2, 0), (3, 1, 1, 1)}
-    assert (4, 3, 1, 1) not in report.quadruples  # height sqrt(27) > 5
+    rows = tuple(list_by_height(5))
+    assert count_by_height(5).count == len(rows) == 3
+    assert set(rows) == {(1, 1, 1, 0), (2, 2, 2, 0), (3, 1, 1, 1)}
+    assert (4, 3, 1, 1) not in rows  # height sqrt(27) > 5
 
 
 def test_enumerate_all_bound_2():
-    report = count_by_height(2, include_list=True)
-    assert report.count == 1
-    assert report.quadruples == ((1, 1, 1, 0),)
+    assert count_by_height(2).count == 1
+    assert tuple(list_by_height(2)) == ((1, 1, 1, 0),)
 
 
 def test_count_by_height_values():
@@ -113,9 +62,9 @@ def test_count_by_height_values():
 
 
 def test_count_by_max_values():
-    report = count_by_max(3, include_list=True)
-    assert report.count == 4
-    assert set(report.quadruples) == {
+    rows = tuple(list_by_max(3))
+    assert count_by_max(3).count == len(rows) == 4
+    assert set(rows) == {
         (1, 1, 1, 0),
         (2, 2, 2, 0),
         (3, 3, 3, 0),
@@ -127,18 +76,16 @@ def test_count_by_max_values():
 @pytest.mark.parametrize("bound", [1, 2, 5, 10, 17, 25])
 def test_height_census_matches_naive_oracle(bound):
     oracle = naive_census(bound, by="height")
-    report = count_by_height(bound, include_list=True)
-    assert set(report.quadruples) == oracle
-    ordered = count_by_height(bound, mode="ordered", include_list=True)
+    assert set(list_by_height(bound)) == oracle
+    ordered = count_by_height(bound, mode="ordered")
     assert ordered.count == sum(ordered_multiplicity(q) for q in oracle)
-    assert len(ordered.quadruples) == ordered.count
+    assert len(tuple(list_by_height(bound, mode="ordered"))) == ordered.count
 
 
 @pytest.mark.parametrize("bound", [1, 3, 8, 15, 25])
 def test_max_census_matches_naive_oracle(bound):
     oracle = naive_census(bound, by="max")
-    report = count_by_max(bound, include_list=True)
-    assert set(report.quadruples) == oracle
+    assert set(list_by_max(bound)) == oracle
     assert count_by_max(bound, mode="ordered").count == sum(
         ordered_multiplicity(q) for q in oracle
     )
@@ -148,10 +95,8 @@ def test_max_census_matches_naive_oracle(bound):
 @pytest.mark.parametrize("primitive", [False, True])
 @pytest.mark.parametrize("bound", [100, 146, 200])
 def test_height_census_matches_scan_oracle(bound, primitive, mode):
-    expected = _expected_list(scan_census(bound, "height"), mode, primitive)
-    report = count_by_height(bound, mode=mode, primitive=primitive, include_list=True)
-    assert report.quadruples == expected
-    assert report.count == len(expected)
+    expected = expected_list(scan_census(bound, "height"), mode, primitive)
+    assert tuple(list_by_height(bound, mode=mode, primitive=primitive)) == expected
     assert count_by_height(bound, mode=mode, primitive=primitive).count == len(expected)
 
 
@@ -159,10 +104,8 @@ def test_height_census_matches_scan_oracle(bound, primitive, mode):
 @pytest.mark.parametrize("primitive", [False, True])
 @pytest.mark.parametrize("bound", [121, 200])
 def test_max_census_matches_scan_oracle(bound, primitive, mode):
-    expected = _expected_list(scan_census(bound, "max"), mode, primitive)
-    report = count_by_max(bound, mode=mode, primitive=primitive, include_list=True)
-    assert report.quadruples == expected
-    assert report.count == len(expected)
+    expected = expected_list(scan_census(bound, "max"), mode, primitive)
+    assert tuple(list_by_max(bound, mode=mode, primitive=primitive)) == expected
     assert count_by_max(bound, mode=mode, primitive=primitive).count == len(expected)
 
 
@@ -188,7 +131,7 @@ def test_gcd_decomposition_at_height_1000(mode):
     # squared height <= N is the sum over g of the primitive count with
     # squared height <= N // g^2 (scaling keeps the ordered multiplicity).
     bound_sq = 1000 * 1000
-    primitive = count_by_height(1000, primitive=True, include_list=True).quadruples
+    primitive = tuple(list_by_height(1000, primitive=True))
     weighted = sorted(
         (sum(x * x for x in q), ordered_multiplicity(q) if mode == "ordered" else 1)
         for q in primitive
@@ -285,22 +228,23 @@ def test_class_entry_ties_nothing_so_six_tie_patterns(primitive):
 def test_ordered_rows_are_the_distinct_permutations(census):
     # the one itemgetter per tie pattern lays out exactly the orders that
     # set(permutations(q)) finds (primitive lists: the scan oracle tests)
-    canonical = census(300, include_list=True).quadruples
-    report = census(300, mode="ordered", include_list=True)
-    assert report.quadruples == _expected_list(canonical, "ordered", False)
+    listing = LISTINGS[census]
+    canonical = tuple(listing(300))
+    ordered = tuple(listing(300, mode="ordered"))
+    assert ordered == expected_list(canonical, "ordered", False)
 
 
 def test_census_properties_over_walk():
     # Every listed quadruple is valid (the walk does not re-check its
     # output) and obeys max(Q) <= H(Q) <= 2 max(Q), exactly on squares.
-    for report in (
-        count_by_height(200, include_list=True),
-        count_by_height(60, mode="ordered", include_list=True),
-        count_by_max(200, include_list=True),
-        count_by_max(60, mode="ordered", include_list=True),
+    for rows in (
+        tuple(list_by_height(200)),
+        tuple(list_by_height(60, mode="ordered")),
+        tuple(list_by_max(200)),
+        tuple(list_by_max(60, mode="ordered")),
     ):
-        assert report.quadruples
-        for q in report.quadruples:
+        assert rows
+        for q in rows:
             assert is_triangle_quadruple(q), q
             top = max(q)
             assert top * top <= sum(x * x for x in q) <= 4 * top * top, q
@@ -311,9 +255,9 @@ def test_census_properties_over_walk():
 def test_listed_entries_are_at_most_the_bound(census, mode):
     # the CLI decides 53-bit quoting of a census list from its bound alone
     for bound in range(1, 61):
-        report = census(bound, mode=mode, include_list=True)
-        assert report.bound == bound
-        assert all(0 <= x <= bound for q in report.quadruples for x in q), bound
+        rows = tuple(LISTINGS[census](bound, mode=mode))
+        assert len(rows) == census(bound, mode=mode).count, bound
+        assert all(0 <= x <= bound for q in rows for x in q), bound
 
 
 def test_mode_checked_before_enumerating(monkeypatch):
@@ -321,8 +265,10 @@ def test_mode_checked_before_enumerating(monkeypatch):
         raise AssertionError("census walked before the mode was checked")
 
     monkeypatch.setattr(counting, "_walk", no_walk)
+    monkeypatch.setattr(counting, "_walk_by_largest", no_walk)
     for call in (
-        lambda: count_by_height(300, mode="bogus", include_list=True),
+        lambda: list_by_height(300, mode="bogus"),
+        lambda: list_by_max(300, mode="bogus"),
         lambda: count_by_height(300, mode="bogus"),
         lambda: count_by_max(300, mode="bogus"),
         lambda: height_sweep(300, mode="bogus"),
@@ -342,23 +288,23 @@ def test_census_monotone_and_sandwiched():
 
 
 def test_census_primitives_reduce_to_unit_root():
-    report = count_by_height(30, primitive=True, include_list=True)
-    assert report.count > 0
-    for q in report.quadruples:
+    rows = tuple(list_by_height(30, primitive=True))
+    assert rows
+    for q in rows:
         assert is_primitive(q)
         assert sorted(reduce_to_root(q).root) == [0, 1, 1, 1]
 
 
 def test_census_substitution_consistency():
-    for q in count_by_height(40, include_list=True).quadruples:
+    for q in list_by_height(40):
         x, y, z, w = norm_form_substitution(q)
         assert z * z - z * w + w * w == 3 * x * y
 
 
 def test_primitive_filter():
-    full = count_by_height(20, include_list=True)
-    prim = count_by_height(20, primitive=True, include_list=True)
-    assert set(prim.quadruples) == {q for q in full.quadruples if is_primitive(q)}
+    full = tuple(list_by_height(20))
+    prim = tuple(list_by_height(20, primitive=True))
+    assert set(prim) == {q for q in full if is_primitive(q)}
 
 
 def test_height_sweep_consistent_with_counts():
@@ -545,7 +491,7 @@ def test_count_only_census_holds_no_list():
         finally:
             tracemalloc.stop()
 
-    listed = peak(lambda: count_by_height(400, include_list=True))
+    listed = peak(lambda: tuple(list_by_height(400)))
     for call in (
         lambda: count_by_height(400),
         lambda: count_by_height(400, mode="ordered"),

@@ -6,7 +6,7 @@ from itertools import combinations, islice
 import pytest
 
 from trigroup import counting, orbit
-from trigroup.counting import count_by_height
+from trigroup.counting import count_by_height, list_by_height
 from trigroup.core import (
     FORM_MATRIX,
     ResourceLimitError,
@@ -468,7 +468,7 @@ def product_prime_factor_count(q):
 
 
 def test_prime_factor_count_per_entry_matches_the_product():
-    rows = count_by_height(60, include_list=True).quadruples
+    rows = tuple(list_by_height(60))
     for q in rows + tuple(random_quadruples(60, seed=5, max_steps=14)):
         assert prime_factor_count(q) == product_prime_factor_count(q), q
     for q, count in search_prime_factor_count(60, 9):

@@ -5,7 +5,7 @@ import pytest
 
 from trigroup import core, reduction
 from trigroup.core import apply_generator
-from trigroup.counting import count_by_height
+from trigroup.counting import list_by_height
 from trigroup.orbit import orbit_vectors
 from trigroup.reduction import (
     ReductionTrace,
@@ -82,7 +82,7 @@ def _stepwise(q):
 def test_inline_loop_matches_reduce_step_on_census_rows():
     # every order of every quadruple of height <= 120, tied largest
     # entries included
-    rows = count_by_height(120, "ordered", include_list=True).quadruples
+    rows = tuple(list_by_height(120, "ordered"))
     assert sum(sorted(q)[2] == max(q) and not is_root(q) for q in rows) > 100
     for q in rows:
         assert reduce_to_root(q) == _stepwise(q), q
@@ -197,7 +197,7 @@ def _root_mod_3(q):
 def test_ordered_root_is_read_off_mod_3():
     # reflection i changes entry i by s - 3 v_i, and 3 divides s, so q is
     # congruent mod 3 to its root
-    census = count_by_height(120, "ordered", include_list=True).quadruples
+    census = tuple(list_by_height(120, "ordered"))
     assert len(census) == 10192
     for q in census + tuple(random_quadruples(200, seed=12, max_scale=9, max_steps=40)):
         assert _root_mod_3(q) == reduce_to_root(q).root, q

@@ -84,13 +84,17 @@ def _defs(stem):
 
 def test_bfs_loop_neither_sorts_nor_calls_reflect():
     # the counts read unordered layers, and the loops reflect in place
-    # from one entry sum per vector; only orbit_vectors sorts.  The loops
-    # are orbit._bfs, counting._walk and reduction.reduce_to_root, and
-    # every function they name, followed from orbit into counting
-    # (counting.<name>) and on; the reduction runs reduce_step's step
-    # inline, so it calls neither that step nor the reflection.
+    # from one entry sum per vector; the sorts are outside them, in
+    # orbit.orbit_layers and the census lists' chunks.  The loops are
+    # orbit._bfs, counting._walk, counting._walk_by_largest and
+    # reduction.reduce_to_root, and every function they name, followed
+    # from orbit into counting (counting.<name>) and on; the reduction
+    # runs reduce_step's step inline, so it calls neither that step nor
+    # the reflection.
     defs = {stem: _defs(stem) for stem in ("orbit", "counting", "reduction")}
-    todo, seen = [("orbit", "_bfs"), ("counting", "_walk"), ("reduction", "reduce_to_root")], set()
+    todo = [("orbit", "_bfs"), ("counting", "_walk"), ("counting", "_walk_by_largest"),
+            ("reduction", "reduce_to_root")]
+    seen = set()
     while todo:
         stem, name = todo.pop()
         if (stem, name) in seen:
@@ -124,19 +128,46 @@ def test_orders_come_from_one_table():
 
 
 def test_census_and_root_orbits_build_children_by_one_rule():
-    # counting._walk and counting._root_layers push the children of
-    # (a, b, c, d) by the same three tests, each with its own lower bound
-    # lo on the replaced entry; the census functions read a node's tie
-    # pattern from the walk instead of computing it again
+    # counting._walk, counting._walk_by_largest and counting._root_layers
+    # build the children of (a, b, c, d) by the same three tests, each
+    # walk with its own lower bound lo on the replaced entry; the census
+    # functions read a node's tie pattern from the walk instead of
+    # computing it again
     defs = _defs("counting")
     rules = [[ast.unparse(node) for node in ast.walk(defs[name])
               if isinstance(node, ast.If) and _calls_to(node, "push")]
              for name in ("_walk", "_root_layers")]
     assert len(rules[0]) == 3 and rules[0] == rules[1], rules
+    # _walk_by_largest files each child under its largest entry in place
+    # of push: the same tests, and the same child in each
+    children = {name: [(ast.unparse(node.test), ast.unparse(node.body[0].value.args[0]))
+                       for node in ast.walk(defs[name])
+                       if isinstance(node, ast.If) and _reads(node.test, "lo")]
+                for name in ("_walk", "_walk_by_largest", "_root_layers")}
+    assert len(children["_walk"]) == 3, children
+    assert children["_walk_by_largest"] == children["_root_layers"] == children["_walk"], children
     ties = "(a == b) + 2 * (b == c) + 4 * (c == d)"
     assert ties in ast.unparse(defs["_walk"])
-    for name in ("_rows", "_build_report", "height_sweep"):
+    for name in ("_canonical_chunks", "_ordered_chunks", "_report", "height_sweep"):
         assert ties not in ast.unparse(defs[name]), f"counting.{name} computes the tie pattern"
+
+
+def test_census_lists_sort_one_first_entry_at_a_time():
+    # a census list is sorted chunk by chunk, one chunk per first entry,
+    # never whole: no sorted() in counting but canonicalize's, of its
+    # four entries, and list.sort only on the chunks.  The CLI lists
+    # from list_by_height and list_by_max, not from a report.
+    defs = _defs("counting")
+    sorting = {name for name, fn in defs.items() if _calls_to(fn, "sorted")}
+    assert sorting == {"canonicalize"}, sorting
+    chunks = {name for name, fn in defs.items() if _calls_to(fn, "sort")}
+    assert chunks == {"_canonical_chunks", "_ordered_chunks"}, chunks
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in _reads(tree, "quadruples")]
+    assert lines == [], f"cli.py reads quadruples at lines {lines}"
+    for name in ("list_by_height", "list_by_max"):
+        assert _reads(tree, name), f"cli.py does not read {name}"
 
 
 def test_no_group_element_walk_left():

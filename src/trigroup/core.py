@@ -79,6 +79,9 @@ def _is_int(value) -> bool:
 # orbit._bfs's depth, growth_recurrence_terms, stabilizer_counts, extremal_word,
 # word_norm's word and lie.power_formula_report's max_n.
 LENGTH_CAP = 10_000
+# The cap on the exponent e of a fraction string ("1e-5"), built as 10**e:
+# Python's default int/str digit limit, so no larger value could be printed.
+EXPONENT_CAP = 4300
 
 
 def _require_int(
@@ -105,12 +108,15 @@ def _require_int(
 def _rational(name: str, value) -> Fraction:
     """The library's one rule for a rational input: a Fraction, an int
     that is not a bool, or a str that Fraction parses ("3/8", "-2",
-    "0.25").  Anything else, floats and bools included, raises
-    ValueError."""
+    "0.25", "2.5E3").  Anything else, floats and bools included, raises
+    ValueError; a str whose exponent exceeds EXPONENT_CAP in magnitude
+    raises ResourceLimitError before it is parsed."""
     if isinstance(value, Fraction) or _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exponent = value.lower().partition("e")[2] or 0
+            _require_int(f"{name} exponent", abs(int(exponent)), cap=EXPONENT_CAP)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass

@@ -1,12 +1,13 @@
 """Independent oracles of the census: the walk over every root's tree,
 the cubic discriminant scan and the ordered multiplicity from factorials.
 
-trigroup.counting walks only the primitive tree and reads the full census
-off it by the gcd identity, with ordered weights and rows from its tie
-pattern table; these oracles walk one tree per root (g, g, g, 0) and
-count orders from the multiset of entries, so they share neither; the
-scan solves the quadruple equation for its largest entry and walks no
-tree at all.
+trigroup.counting counts and lists ordered rows from the primitive tree
+by the gcd identity, with ordered weights and rows from its tie pattern
+table; all_roots_walk walks one tree per root (g, g, g, 0) and
+ordered_multiplicity counts orders from the multiset of entries.
+Canonical lists now walk the same forest as all_roots_walk, so list
+tests must keep checking them against scan_census, the one oracle that
+walks no tree: it solves the quadruple equation for its largest entry.
 """
 
 import functools

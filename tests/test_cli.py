@@ -428,6 +428,15 @@ def test_simplex_verify(capsys):
     assert payload["residual"] == "0"
 
 
+@pytest.mark.parametrize("text", ["1e10000000", "-1E+10000000", "1e-10000000"])
+def test_simplex_huge_exponent_exits_3_at_once(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simplex", "verify", "--", text, "0", "0", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "exponent 10000000 exceeds cap" in err
+
+
 def test_simplex_reflect(capsys):
     payload = run_json(
         capsys, "simplex", "reflect", "1", "3/8", "3/8", "3/8", "3/8", "--index", "4"

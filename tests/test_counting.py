@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -480,21 +481,33 @@ def test_divisor_table_fits_in_bytes():
     assert counting.DIVISOR_TABLE_CAP < 1081080
 
 
+def _peak(call):
+    """The traced peak of memory allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_count_only_census_holds_no_list():
     # The walk is consumed as it goes: a count needs only the walk's stack,
     # a list needs the whole census.
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    listed = peak(lambda: tuple(list_by_height(400)))
+    listed = _peak(lambda: tuple(list_by_height(400)))
     for call in (
         lambda: count_by_height(400),
         lambda: count_by_height(400, mode="ordered"),
         lambda: count_by_max(400, primitive=True),
     ):
-        assert peak(call) < listed / 10
+        assert _peak(call) < listed / 10
+
+
+@pytest.mark.parametrize("listing", [list_by_max, list_by_height])
+def test_streamed_canonical_list_holds_under_two_fifths_of_it(listing):
+    # A canonical list read row by row holds the levels of its forest
+    # not yet listed, one node per row, and no second copy of them.  An
+    # untraced first read keeps one-time allocations out of both peaks.
+    deque(listing(600), maxlen=0)
+    held = _peak(lambda: deque(listing(600), maxlen=0))
+    assert held < 0.4 * _peak(lambda: tuple(listing(600)))

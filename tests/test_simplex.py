@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from trigroup import simplex
-from trigroup.core import apply_generator
+from trigroup.core import EXPONENT_CAP, ResourceLimitError, apply_generator
 from trigroup.linalg import rational_det, rational_rank
 from trigroup.simplex import (
     NegativeEntryWarning,
@@ -228,6 +229,20 @@ def test_constructor_applies_the_rational_rule():
     assert strings == exact
     assert all(type(x) is F for v in exact.vertices + (exact.point,) for x in v)
     assert tuple_from_configuration(exact) == (F(9, 2), F(3, 2), F(3, 2), F(3, 2))
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "-1E+10000000", "1e-10000000"])
+def test_huge_exponent_raises_before_parsing(text):
+    # Fraction would build 10**e; the exponent is capped first
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="exponent"):
+        as_entries((text, 0, 0, 0))
+    assert time.perf_counter() - start < 1
+
+
+def test_fraction_strings_keep_their_values():
+    for text in ("3/8", "-2", "0.25", "1e-5", "2.5E3", f"1e{EXPONENT_CAP}", f"1e-{EXPONENT_CAP}"):
+        assert as_entries((text, 0, 0, 0))[0] == F(text), text
 
 
 def test_gram_residual_zero_for_configurations():

@@ -139,8 +139,16 @@ def test_census_and_root_orbits_build_children_by_one_rule():
              for name in ("_walk", "_root_layers")]
     assert len(rules[0]) == 3 and rules[0] == rules[1], rules
     # _walk_by_largest files each child under its largest entry in place
-    # of push: the same tests, and the same child in each
-    children = {name: [(ast.unparse(node.test), ast.unparse(node.body[0].value.args[0]))
+    # of push: the same tests, and the same child in each, but for its
+    # new entry, which it reads from its table ints
+    def child(name, node):
+        new, *rest = node.body[0].value.args[0].elts
+        if name == "_walk_by_largest":
+            assert isinstance(new, ast.Subscript) and ast.unparse(new.value) == "ints", ast.unparse(new)
+            new = new.slice
+        return ast.unparse(ast.Tuple([new, *rest], ast.Load()))
+
+    children = {name: [(ast.unparse(node.test), child(name, node))
                        for node in ast.walk(defs[name])
                        if isinstance(node, ast.If) and _reads(node.test, "lo")]
                 for name in ("_walk", "_walk_by_largest", "_root_layers")}
@@ -265,13 +273,14 @@ def test_cli_lists_orbits_layer_by_layer():
 def test_one_length_cap_bounds_every_length():
     # each cap is one module constant; the one cap on a word length or a
     # BFS depth is core.LENGTH_CAP, and every length input is checked
-    # against it by core._require_int
+    # against it by core._require_int, as core._rational checks a fraction
+    # string's exponent against core.EXPONENT_CAP
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     caps = {f"{stem}.{target.id}" for stem, tree in trees.items() for node in tree.body
             if isinstance(node, ast.Assign) for target in node.targets
             if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
     assert caps == {
-        "core.LENGTH_CAP", "counting.DEFAULT_BOUND_CAP", "counting.DIVISOR_SUM_CAP",
+        "core.EXPONENT_CAP", "core.LENGTH_CAP", "counting.DEFAULT_BOUND_CAP", "counting.DIVISOR_SUM_CAP",
         "counting.DIVISOR_TABLE_CAP", "eisenstein.RHO_ITERATION_CAP", "eisenstein.SOLUTION_CAP",
         "reduction.REDUCTION_STEP_CAP",
     }
@@ -280,6 +289,9 @@ def test_one_length_cap_bounds_every_length():
                 and "LENGTH_CAP" in (getattr(node, "id", None), getattr(node, "attr", None))}
     assert assigned == {"core"}
     defs = {**_defs("orbit"), **_defs("lie")}
+    exponent = [ast.unparse(k.value) for call in _calls_to(_defs("core")["_rational"], "_require_int")
+                for k in call.keywords if k.arg == "cap"]
+    assert exponent == ["EXPONENT_CAP"], exponent
     for name in ("_bfs", "word_norm", "growth_recurrence_terms", "extremal_word",
                  "stabilizer_counts", "power_formula_report"):
         caps = [ast.unparse(k.value) for call in _calls_to(defs[name], "_require_int")

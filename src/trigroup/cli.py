@@ -11,14 +11,16 @@ census is built; an ordered census list still walks the whole census
 before its first row.  The reduce steps and the normform solutions are
 streamed into their documents.
 Integers whose magnitude exceeds 53 bits are serialized as strings to
-survive double-precision JSON consumers.  A --list row, a reduce step
-and a normform solution is one %-template applied to a tuple of ints
-(_rows); whether to quote is decided once per census from its bound,
+survive double-precision JSON consumers.  A --list row, a --sweep row,
+a reduce step and a normform solution is one %-template applied to a
+tuple (_rows); whether to quote is decided once per census from its bound,
 once per orbit layer from a bound on its sums, once per reduction from
 the start's sum and once per normform from k, with the bytes json.dumps
 gives.  Exit codes: 0 success, 1 a verify ledger with a failing
-identity, 2 invalid input, 3 resource cap exceeded; an orbit --list
-that meets the element cap has written the layers under it.
+identity, 2 invalid input, 3 resource cap exceeded, or an output
+integer of more than EXPONENT_CAP digits, which Python cannot write; an
+orbit --list that meets the element cap has written the layers under
+it, and one that meets the digit limit the rows before it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from itertools import accumulate, chain, islice
 
 from . import counting, eisenstein, lie, orbit, reduction, simplex
 from .core import (
+    EXPONENT_CAP,
     ResourceLimitError,
     _is_int,
     form_signature,
@@ -42,11 +45,27 @@ from .core import (
 
 _BIG = 2**53
 _BATCH = 256
+# Python's default int/str digit limit: no int this large can be written.
+_UNWRITABLE = 10**EXPONENT_CAP
+
+
+def _decimal(x: int) -> str:
+    """str(x); ResourceLimitError when x has more than EXPONENT_CAP digits,
+    a limit that is only met once the work is done."""
+    if x >= _UNWRITABLE or x <= -_UNWRITABLE:
+        raise ResourceLimitError(f"an output integer exceeds {EXPONENT_CAP} digits")
+    return str(x)
+
+
+def _fraction(x) -> str:
+    """str(x) for a Fraction, each part written through _decimal."""
+    top = _decimal(x.numerator)
+    return top if x.denominator == 1 else f"{top}/{_decimal(x.denominator)}"
 
 
 def _json_safe(obj):
     if _is_int(obj):  # bools fall through unchanged
-        return str(obj) if abs(obj) > _BIG else obj
+        return _decimal(obj) if abs(obj) > _BIG else obj
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -60,7 +79,7 @@ def _line(doc: dict) -> str:
 
 def _json_int(x: int) -> str:
     """An integer as _line writes it: a string beyond 53 bits."""
-    return f'"{x}"' if x > _BIG or x < -_BIG else str(x)
+    return f'"{_decimal(x)}"' if x > _BIG or x < -_BIG else str(x)
 
 
 def _rows(template: str, rows, top: int):
@@ -206,7 +225,9 @@ def _cmd_census_height(args):
         if args.primitive or args.list or args.format != "jsonl":
             raise ValueError("--sweep takes no --primitive, --list or --format csv")
         rows = counting.height_sweep(args.bound, mode=args.mode, max_bound=args.max_bound)
-        return (_line({"bound": n, "count": count, "ratio": ratio}) for n, count, ratio in rows)
+        # counts only grow, and %s writes a float as json.dumps does, by repr
+        return _rows('{"bound": %s, "count": %s, "ratio": %s}\n', rows,
+                     max(args.bound, rows[-1][1]))
     return _census(counting.count_by_height, counting.list_by_height, args)
 
 
@@ -321,19 +342,21 @@ def _cmd_simplex(args):
         raise ValueError("provide tuple entries or --config")
     if (args.index is None) == (args.action == "reflect"):
         raise ValueError("reflect requires --index, and only reflect takes it")
-    payload = {"entries": [str(e) for e in entries]}
+    payload = {"entries": list(map(_fraction, entries))}
     if args.action == "verify":
         residual = simplex.identity_residual(entries)
-        payload.update(residual=str(residual), valid=residual == 0)
+        payload.update(residual=_fraction(residual), valid=residual == 0)
     elif args.action == "reflect":
         result = simplex.reflect(entries, args.index)
         payload.update(
-            index=args.index, result=[str(e) for e in result], negative=any(e < 0 for e in result)
+            index=args.index,
+            result=list(map(_fraction, result)),
+            negative=any(e < 0 for e in result),
         )
     else:
         det = simplex.gram_det(entries)
         closed = simplex.gram_closed_form(entries)
-        payload.update(determinant=str(det), closed_form=str(closed), match=det == closed)
+        payload.update(determinant=_fraction(det), closed_form=_fraction(closed), match=det == closed)
     return payload
 
 

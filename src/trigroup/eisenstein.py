@@ -10,20 +10,54 @@ multiplicative divisor sum: A(k) = 6 * sum over d | k of chi(d), where
 chi is the nontrivial character mod 3.  Solving the form also counts the
 quadruples containing a fixed positive pair (p, q), via the unimodular
 substitution that sends the quadruple equation to z^2 - zw + w^2 = 3pq.
+
+Every query starts with factorize(k).  One gcd of k with the product of
+the 168 primes below 1000 names the small primes that divide k, and k
+is divided by those alone.  A cofactor with no prime factor below 1000
+is prime below 1009^2; above, Miller-Rabin decides with the first j
+prime bases, j the least index with n < psi_j in the table of strong
+pseudoprimes (OEIS A014233), which makes it deterministic below
+psi_13 = 3.3e24, and Pollard-Brent rho splits what is composite.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, repeat
 
 from .core import Quadruple, ResourceLimitError, _require_int
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_DIVISORS = _SMALL_PRIMES + tuple(range(41, 1_000, 2))
 
-# Miller-Rabin with these witnesses is deterministic below 3.3e24.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+def _sieve(n: int) -> bytearray:
+    """flags[i] == 1 exactly when i < n is prime (sieve of Eratosthenes)."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return flags
+
+
+_IS_SMALL_PRIME = _sieve(1000)
+# The 168 primes below 1000, and their product: one gcd with k finds
+# every prime below 1000 that divides k.
+_PRIMES = tuple(i for i, flag in enumerate(_IS_SMALL_PRIME) if flag)
+_PRIMORIAL = math.prod(_PRIMES)
+# A number > 1 with no prime factor below 1000 is prime below 1009^2.
+_UNSPLIT_BOUND = 1009**2
+
+# psi_k (OEIS A014233): the least odd composite that passes the strong
+# test to each of the first k prime bases.  Below psi_k those k bases
+# decide primality; psi_12 and psi_13 are from J. Sorenson and J. Webster,
+# Strong pseudoprimes to twelve prime bases, Math. Comp. 86 (2017).
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+# Past psi_13, a strong test to more bases, with no proof behind it.
+_EXTRA_BASES = _PRIMES[:12] + tuple(range(41, 160, 2))
 
 # The six units of Z[omega] as (z, w) pairs for z + w*omega.
 _UNITS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
@@ -36,20 +70,24 @@ SOLUTION_CAP = 10**6
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below 3.3e24; strong test above."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    """Primality, deterministic below psi_13 = 3.3e24.
+
+    A prime factor below 1000 shows in gcd(n, _PRIMORIAL); without one,
+    n > 1 is prime below 1009^2.  Above, Miller-Rabin with the first k
+    prime bases, k the least index with n < psi_k: 4 bases below 3.2e9
+    and 13 (2 to 41) below psi_13; past psi_13, _EXTRA_BASES.
+    """
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n < 1000 and _IS_SMALL_PRIME[n] == 1
+    if n < _UNSPLIT_BOUND:
+        return n > 1
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses = _SMALL_PRIMES
-    if n >= _MR_DETERMINISTIC_BOUND:
-        witnesses = _SMALL_PRIMES + tuple(range(41, 160, 2))
+    k = bisect_right(_PSI, n)
+    witnesses = _PRIMES[: k + 1] if k < len(_PSI) else _EXTRA_BASES
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -99,18 +137,28 @@ def _pollard_rho(n: int) -> int:
 def factorize(k: int) -> dict[int, int]:
     """Exact prime factorization as {prime: exponent}; factorize(1) == {}.
 
-    Trial division by small primes, then Miller-Rabin plus Pollard-Brent
-    splitting.  Raises ResourceLimitError when one number takes more than
-    RHO_ITERATION_CAP rho iterations, rather than running unbounded.
+    One gcd with _PRIMORIAL gives the primes below 1000 that divide k,
+    and k is divided by those alone.  What is left is tested by _is_prime
+    (with no prime factor below 1000, it is prime below 1009^2) and split
+    by Pollard-Brent where it is not prime.  Raises ResourceLimitError
+    when one number takes more than RHO_ITERATION_CAP rho iterations,
+    rather than running unbounded.
     """
     _require_int("factorize argument", k, 1)
     factors: dict[int, int] = {}
-    for p in _TRIAL_DIVISORS:
-        if p * p > k:
+    g = math.gcd(k, _PRIMORIAL)
+    for p in _PRIMES:
+        if g == 1:
             break
-        while k % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            k //= p
+        if g < p * p:  # no prime below p divides g, so g is prime
+            p = g
+        if g % p == 0:
+            g //= p
+            e = 0
+            while k % p == 0:
+                k //= p
+                e += 1
+            factors[p] = e
     stack = [k] if k > 1 else []
     while stack:
         m = stack.pop()

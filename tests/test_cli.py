@@ -171,6 +171,18 @@ def test_census_sweep(capsys):
     assert rows[4]["count"] == 3
 
 
+@pytest.mark.parametrize("mode", ["canonical", "ordered"])
+@pytest.mark.parametrize("big", [False, True], ids=["plain", "quoted"])
+def test_census_sweep_rows_are_the_line_bytes(capsys, monkeypatch, mode, big):
+    if big:  # every int past "53 bits" is quoted, through _rows's other path
+        monkeypatch.setattr(cli, "_BIG", 10)
+    code, out, _ = run_cli(capsys, "census-height", "125", "--sweep", "--mode", mode)
+    assert code == 0
+    rows = counting.height_sweep(125, mode=mode)
+    assert out == "".join(cli._line({"bound": n, "count": c, "ratio": r}) for n, c, r in rows)
+    assert ('"count": "' in out) is big
+
+
 def test_census_max(capsys):
     payload = run_json(capsys, "census-max", "3")
     assert payload["count"] == 4
@@ -271,6 +283,15 @@ def test_normform_and_pair_near_1e20(capsys, argv, count):
     payload = run_json(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert payload["count"] == count
+
+
+def test_normform_of_psi_12(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes the strong test to the
+    # twelve bases 2..37; taken for a prime, it failed in Cornacchia
+    payload = run_json(capsys, "normform", "318665857834031151167461")
+    assert (payload["count"], payload["character_sum"]) == (24, 4)
+    k = 318665857834031151167461
+    assert all(int(z) ** 2 - int(z) * int(w) + int(w) ** 2 == k for z, w in payload["solutions"])
 
 
 def test_normform_unfactorable_exits_3(capsys, monkeypatch):
@@ -435,6 +456,29 @@ def test_simplex_huge_exponent_exits_3_at_once(capsys, text):
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert "exponent 10000000 exceeds cap" in err
+
+
+def test_simplex_output_past_the_digit_limit_exits_3(capsys):
+    # 1e2200 passes the exponent cap, but its residual has about 4400 digits
+    code, out, err = run_cli(capsys, "simplex", "verify", "1e2200", "0", "0", "0")
+    assert (code, out) == (3, "")
+    assert "exceeds 4300 digits" in err
+
+
+def test_orbit_list_past_the_digit_limit_keeps_its_rows_and_exits_3(capsys):
+    g = 10**4299
+    code, out, err = run_cli(capsys, "orbit", "--root", str(g), str(g), str(g), "0",
+                             "--depth", "5", "--list")
+    assert code == 3
+    assert "exceeds 4300 digits" in err
+    rows = [json.loads(line) for line in out.splitlines()]
+    expected = [(d, v) for d, layer in enumerate(orbit.orbit_layers((g, g, g, 0), 5))
+                for v in layer]
+    # every row before the first unwritable entry was written
+    assert [(r["depth"], tuple(map(int, r["vector"]))) for r in rows] == expected[: len(rows)]
+    assert rows[0]["vector"] == [str(g)] * 3 + [0]
+    assert max(map(abs, expected[len(rows)][1])) >= 10**4300
+    assert all(max(map(abs, v)) < 10**4300 for _, v in expected[: len(rows)])
 
 
 def test_simplex_reflect(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from trigroup import eisenstein
 from trigroup.core import is_triangle_quadruple
 from trigroup.eisenstein import (
+    _PSI,
     _is_prime,
     _split_prime,
     divisor_character_sum,
@@ -14,6 +16,7 @@ from trigroup.eisenstein import (
     representation_count,
     solve_norm_form,
 )
+from factor_oracle import LIMIT, trial_factorize
 
 
 def brute_solutions(k):
@@ -320,7 +323,7 @@ def test_factorize_reconstructs():
     ],
 )
 def test_factorize_medium_primes(expected):
-    # primes above the trial-division bound are split by Pollard-Brent
+    # primes above 1000 are left after the primorial gcd and split by Pollard-Brent
     k = 1
     for p, e in expected.items():
         k *= p**e
@@ -339,3 +342,67 @@ def test_is_prime_small():
 def test_divisor_count_matches_naive():
     for n in range(1, 300):
         assert divisor_count(n) == brute_divisor_count(n)
+
+
+def test_factorize_matches_trial_division_below_2e4():
+    for k in range(1, 2 * 10**4 + 1):
+        assert factorize(k) == trial_factorize(k), k
+
+
+def test_factorize_matches_trial_division_on_random_k():
+    # about 40 k per decade from 10^4 to 10^14
+    rng = random.Random(20170112)
+    ks = [rng.randrange(10**e, 10 ** (e + 1)) for e in range(4, 14) for _ in range(40)]
+    assert max(ks) < LIMIT
+    for k in ks:
+        assert factorize(k) == trial_factorize(k), k
+
+
+PRIME_SQUARE = 1_000_003**2  # above 10^12
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        # edges of the shortcut: a cofactor with no prime factor below
+        # 1000 is prime below 1009^2
+        997, 1009, 997 * 1009, 1009 * 1013, 1009**2, 999983,
+        # Carmichael numbers
+        561, 41041, 825265,
+        # strong pseudoprimes to base 2
+        2047, 3277, 4033,
+        PRIME_SQUARE,
+    ],
+)
+def test_factorize_matches_trial_division_at_the_edges(k):
+    assert factorize(k) == trial_factorize(k)
+
+
+def test_trial_oracle_edge_values():
+    assert trial_factorize(PRIME_SQUARE) == {1_000_003: 2}
+    assert trial_factorize(999983) == {999983: 1}
+    assert trial_factorize(825265) == {5: 1, 7: 1, 17: 1, 19: 1, 73: 1}
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n passes the strong (Miller-Rabin) test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite():
+    # psi_k (OEIS A014233) passes the strong test to each of the first k
+    # prime bases; psi_12 passed all twelve bases 2..37 that _is_prime
+    # once ran at every size
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert len(_PSI) == 13
+    for k, psi in enumerate(_PSI, 1):
+        assert all(strong_probable_prime(psi, a) for a in bases[:k]), k
+        assert not _is_prime(psi), k
+    psi_12 = 318665857834031151167461
+    factors = factorize(psi_12)
+    assert factors == {399165290221: 1, 798330580441: 1}
+    assert all(trial_factorize(p) == {p: 1} for p in factors)

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -197,7 +198,7 @@ def test_list_rows_quote_entries_only_past_53_bits():
     path = next(p for p in SOURCES if p.name == "cli.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     defs = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    for name in ("_cmd_orbit", "_census"):
+    for name in ("_cmd_orbit", "_census", "_cmd_census_height"):
         assert _calls_to(defs[name], "_rows"), f"cli.{name} does not call _rows"
     readers = {name for name, fn in defs.items() if _reads(fn, "_json_int")}
     assert readers == {"_rows"}, f"cli functions reading _json_int: {readers}"
@@ -212,7 +213,8 @@ def test_list_rows_quote_entries_only_past_53_bits():
 def test_input_caps_go_through_require_int():
     # an input cap is core._require_int(..., cap=...); the only other
     # ResourceLimitError raises are the work caps of the BFS loop, of
-    # the factorization and of the reduction loop
+    # the factorization and of the reduction loop, and cli._decimal's
+    # limit on the digits of an output integer
     raising = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -223,7 +225,8 @@ def test_input_caps_go_through_require_int():
             ):
                 raising.add(f"{path.stem}.{fn.name}")
     assert raising == {
-        "core._require_int", "orbit._bfs", "eisenstein._pollard_rho", "reduction.reduce_to_root"
+        "core._require_int", "orbit._bfs", "eisenstein._pollard_rho", "reduction.reduce_to_root",
+        "cli._decimal",
     }
 
 
@@ -297,3 +300,22 @@ def test_one_length_cap_bounds_every_length():
         caps = [ast.unparse(k.value) for call in _calls_to(defs[name], "_require_int")
                 for k in call.keywords if k.arg == "cap"]
         assert caps == ["LENGTH_CAP"], f"{name} checks caps {caps}"
+
+
+def test_factorization_tables():
+    # factorize divides k by the primes below 1000 that divide
+    # gcd(k, _PRIMORIAL), and _is_prime sizes its Miller-Rabin bases by
+    # the table of psi_k, OEIS A014233, written out here
+    from trigroup import eisenstein
+
+    primes = [n for n in range(2, 1000) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert list(eisenstein._PRIMES) == primes and len(primes) == 168
+    assert eisenstein._PRIMORIAL == math.prod(primes)
+    assert eisenstein._PSI == (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+    )
+    names = {node.id for path in SOURCES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Name)}
+    assert not names & {"_TRIAL_DIVISORS", "_SMALL_PRIMES", "_MR_DETERMINISTIC_BOUND"}

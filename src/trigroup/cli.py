@@ -7,9 +7,9 @@ the first line.  orbit --list streams: each sorted layer is built when
 the writer reaches it, so the root's line leaves before layer 1 exists.
 A canonical census list streams one first entry at a time, each chunk
 sorted once the walk has passed it, so its first row leaves before the
-census is built; an ordered census list still walks the whole census
-before its first row.  The reduce steps and the normform solutions are
-streamed into their documents.
+census is built; an ordered census list walks the whole forest before
+its first row, then lays out one first entry at a time.  The reduce
+steps and the normform solutions are streamed into their documents.
 Integers whose magnitude exceeds 53 bits are serialized as strings to
 survive double-precision JSON consumers.  A --list row, a --sweep row,
 a reduce step and a normform solution is one %-template applied to a

@@ -13,12 +13,12 @@ bound isqrt(3 n^2), and the walks prune on sums.  By the gcd identity a
 node q (largest entry a, sum s) stands for its multiples g q,
 g <= min(top // a, max_sum // s): full(n) = sum over g of prim(n // g).
 
-Counts, height_sweep and ordered lists read the multiples of _walk's
-nodes by the gcd identity; _walk holds only its stack.  list_by_height
-and list_by_max yield sorted rows one chunk per first entry: canonical
-lists from _walk_by_largest, whose level x over the forest is the rows
-with first entry x, so the first row leaves before the census is built;
-ordered lists, whose rows may start with any entry, after the whole walk.
+Counts and height_sweep read the multiples of _walk's nodes by the gcd
+identity.  list_by_height and list_by_max yield sorted rows one chunk
+per first entry from _walk_by_largest over the forest: canonical lists
+level by level, as level x is the rows with first entry x; ordered
+lists after the whole walk, each quadruple filed under its distinct
+entries and chunk x laid out from those filed under x.
 
 The group acts trivially mod 3, so a primitive quadruple is (0, 1, 1, 1)
 mod 3 in some order and g q is (0, g, g, g) mod 3g: its class entry, the
@@ -42,7 +42,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, repeat
-from operator import add, floordiv, itemgetter, mul
+from operator import floordiv, itemgetter, mul
 
 from .core import Quadruple, Vector4, _require_int, validate_quadruple
 
@@ -89,27 +89,21 @@ def _orders_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 _ORDERS = _orders_table()
-# Per tie pattern: its ordered weight; in _TAILS, for each entry j that
-# comes first in some order, one itemgetter laying out the last three
-# entries of those orders; and in _ROOT_LAYOUTS[p][j] the orders with
-# entry j at position p.  _ROOT_WEIGHTS: a quarter of the weight, by
-# number of ties (0, 1, 2).
+# Per tie pattern: its ordered weight, and in _LAYOUTS[p][j] the orders
+# with entry j at position p, as the indices they read.  _ROOT_WEIGHTS:
+# a quarter of the weight, by number of ties (0, 1, 2).
 _WEIGHTS = tuple(map(len, _ORDERS))
 _ROOT_WEIGHTS = tuple(_WEIGHTS[ties] // 4 for ties in (0, 1, 1 + 2))
-_TAILS = tuple(
-    tuple((j, itemgetter(*(i for o in row if o[0] == j for i in o[1:])))
-          for j in dict.fromkeys(o[0] for o in row))
-    for row in _ORDERS)
-_ROOT_LAYOUTS = tuple(tuple(
+_LAYOUTS = tuple(tuple(
     tuple(itemgetter(*idx) if idx else None
           for idx in ([i for o in row if o[p] == j for i in o] for row in _ORDERS))
     for j in range(4)) for p in range(4))
 
 
 def _walk(top: int, max_sum: int) -> Iterator[Node]:
-    """Yield (q, ties, m) for the primitive canonical quadruples q with
-    largest entry at most top and entry sum at most max_sum, ties their
-    tie pattern, m their number of multiples g q within both bounds.
+    """Yield (q, ties, m), for the counts and height_sweep: q the primitive
+    canonical quadruples with largest entry at most top and entry sum at
+    most max_sum, ties their tie pattern, m their multiples g q in both bounds.
 
     A child of q = (a, b, c, d) (sum s) replaces b, c or d, but no value
     equal to its left neighbour, by w = s - 2v when w >= a (2v <= s - a):
@@ -139,18 +133,20 @@ def _root_layers(
 ) -> Iterator[list[Vector4]] | Iterator[int]:
     """The BFS layers of a root (0, g, g, g), zero at position p: level n
     of the tree of (g, g, g, 0), n reduction steps down, each quadruple
-    in its orders with its class entry at p (_expand), or with sizes set
-    their number.  Children are _walk's, with lo the least v whose
+    in its orders with its class entry (= 0 mod 3g) at p, or with sizes
+    set their number.  Children are _walk's, with lo the least v whose
     child's sum 2s - 3v is at most max_sum: a child over it is dropped
     with its subtree."""
     g = max(start)
     p = start.index(0)
+    k = 3 * g
     cur = [(g, g, g, 0)]
     while True:
         if sizes:
             yield sum(_ROOT_WEIGHTS[(a == b) + (b == c) + (c == d)] for a, b, c, d in cur)
         else:
-            yield _expand(cur, g, p)
+            yield _layout(cur, p, [0 if a % k == 0 else 1 if b % k == 0 else 2 if c % k == 0 else 3
+                                   for a, b, c, d in cur])
         nxt: list[Vector4] = []
         push = nxt.append
         for a, b, c, d in cur:
@@ -166,31 +162,29 @@ def _root_layers(
         cur = nxt
 
 
-def _expand(level: list[Vector4], g: int, p: int) -> list[Vector4]:
-    """A root orbit's vectors from a level of canonical quadruples: the
-    class entry (= 0 mod 3g) at p, the others in each of their orders."""
-    k = 3 * g
-    layouts = _ROOT_LAYOUTS[p]
+def _layout(level: Iterable[Vector4], p: int, index: Iterable[int]) -> list[Vector4]:
+    """The orders of each canonical v in level with v[j] at p, j from index
+    and the first of its run: _LAYOUTS[p][j] by v's tie pattern."""
+    layouts = _LAYOUTS[p]
     entries: list[int] = []
-    for v in level:
+    for v, j in zip(level, index):
         a, b, c, d = v
-        j = 0 if a % k == 0 else 1 if b % k == 0 else 2 if c % k == 0 else 3
         entries += layouts[j][(a == b) + 2 * (b == c) + 4 * (c == d)](v)
     it = iter(entries)
     return list(zip(it, it, it, it))
 
 
 def _walk_by_largest(top: int, max_sum: int, primitive: bool) -> Iterator[list[Quadruple]]:
-    """Yield, for x = 1..top, the canonical quadruples with first entry x
-    and entry sum at most max_sum, unsorted: the forest of the roots
-    (g, g, g, 0), g <= min(top, max_sum // 3), or (1, 1, 1, 0) alone when
-    primitive, children built by _walk's three tests, walked from buckets
-    by largest entry (a monotone bucket queue).  A child's largest entry
-    w is at least its parent's, so bucket x is whole once buckets 1..x-1
-    are expanded; it grows while it is read, by children with w = x.
-    New entries are read from one list ints, so equal entries are one
-    object.  The buckets above x hold at most 39.2% of the forest at
-    height 5000 (289 757 of 739 297 nodes)."""
+    """Yield, for the census lists and x = 1..top, the canonical
+    quadruples with first entry x and entry sum at most max_sum, unsorted:
+    the forest of the roots (g, g, g, 0), g <= min(top, max_sum // 3), or
+    (1, 1, 1, 0) alone when primitive, children built by _walk's three
+    tests, walked from buckets by largest entry (a monotone bucket queue).
+    A child's largest entry w is at least its parent's, so bucket x is
+    whole once buckets 1..x-1 are expanded; it grows while it is read, by
+    children with w = x.  New entries are read from one list ints, so
+    equal entries are one object.  The buckets above x hold at most 39.2%
+    of the forest at height 5000 (289 757 of 739 297 nodes)."""
     ints = list(range(top + 1))
     buckets: list = [[] for _ in range(top + 1)]
     for g in ints[1 : min(1 if primitive else top, max_sum // 3) + 1]:
@@ -218,25 +212,25 @@ def _canonical_chunks(top: int, max_sum: int, primitive: bool) -> Iterator[list[
         yield level
 
 
-def _ordered_chunks(top: int, max_sum: int, primitive: bool) -> Iterator[Iterator[Quadruple]]:
-    """For x = 0..top, the sorted orders of the quadruples g q whose
-    first entry is x.  Any entry may come first, so the whole walk is
-    bucketed first, each order as its tail (_TAILS), and each chunk is
-    let go once its rows x + tail are made."""
-    ints = list(range(top + 1))
-    chunks: list = [[] for _ in range(top + 1)]
-    for (a, b, c, d), ties, m in _walk(top, max_sum):
-        tails = _TAILS[ties]
-        for g in range(1, (1 if primitive else m) + 1):
-            q = ints[g * a], ints[g * b], ints[g * c], ints[g * d]
-            for j, tail in tails:
-                it = iter(tail(q))
-                chunks[q[j]].extend(zip(it, it, it))
+def _ordered_chunks(top: int, max_sum: int, primitive: bool) -> Iterator[list[Quadruple]]:
+    """For x = 0..top, the sorted orders of the quadruples with first
+    entry x.  Any entry may come first, so the whole forest is filed
+    first, each quadruple under each of its distinct entries (run starts)."""
+    filed: list = [[] for _ in range(top + 1)]
+    for q in chain.from_iterable(_walk_by_largest(top, max_sum, primitive)):
+        a, b, c, d = q
+        filed[a].append(q)
+        if b != a:
+            filed[b].append(q)
+        if c != b:
+            filed[c].append(q)
+        if d != c:
+            filed[d].append(q)
     for x in range(top + 1):
-        chunk = chunks[x]
-        chunks[x] = None
+        chunk = _layout(filed[x], 0, map(tuple.index, filed[x], repeat(x)))
+        filed[x] = None
         chunk.sort()
-        yield map(add, repeat((x,)), chunk)
+        yield chunk
 
 
 def _check_args(bound: int, mode: str, max_bound: int) -> None:
@@ -301,7 +295,7 @@ def list_by_height(
     The arguments are checked when it is called.  Canonical rows come one
     first entry at a time, each chunk sorted once the walk has passed it,
     so the first row leaves before the census is built; ordered rows come
-    after the whole walk, bucketed by first entry.
+    after the whole walk, one chunk per first entry laid out in turn.
     """
     _check_args(n, mode, max_bound)
     return _listing(n, math.isqrt(3 * n * n), mode, primitive)

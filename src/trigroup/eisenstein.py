@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate, repeat
 
 from .core import Quadruple, ResourceLimitError, _require_int
@@ -228,7 +229,11 @@ def solve_norm_form(k: int) -> list[tuple[int, int]]:
     """
     if _require_int("norm form target", k, 0) == 0:
         return [(0, 0)]
-    factors = factorize(k)
+    return _solve(factorize(k))
+
+
+def _solve(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """solve_norm_form for the k > 0 whose factorization is factors."""
     _require_int("norm form solution count", 6 * _character_sum(factors), cap=SOLUTION_CAP)
     elements = [(1, 0)]
     for p, e in factors.items():
@@ -279,13 +284,13 @@ def representation_count(k: int) -> int:
 def quadruples_with_pair(p: int, q: int) -> list[Quadruple]:
     """All quadruples (p, q, c, d) containing the positive pair (p, q).
 
-    Each norm form solution (z, w) of z^2 - zw + w^2 = 3pq maps to the
-    extension (c, d) = (p + q - z, p + q - w).  Nonnegativity of c and d
-    and validity of the quadruple are theorems for p, q > 0, so they are
-    not filtered; the tests check them.  Extensions are ordered: (c, d)
-    and (d, c) are distinct entries when they both occur.
+    Each norm form solution (z, w) of z^2 - zw + w^2 = 3pq (p and q are
+    factored apart) maps to the extension (c, d) = (p + q - z, p + q - w).
+    Nonnegativity of c and d and validity of the quadruple are theorems
+    for p, q > 0, so they are not filtered; the tests check them.
+    Extensions are ordered: (c, d) and (d, c) are distinct when both occur.
     """
     _require_int("pair entry p", p, 1)
     _require_int("pair entry q", q, 1)
-    s = p + q
-    return [(p, q, s - z, s - w) for z, w in solve_norm_form(3 * p * q)]
+    factors = Counter(factorize(p)) + Counter(factorize(q)) + Counter({3: 1})
+    return [(p, q, p + q - z, p + q - w) for z, w in _solve(factors)]

@@ -1,13 +1,13 @@
 """Independent oracles of the census: the walk over every root's tree,
 the cubic discriminant scan and the ordered multiplicity from factorials.
 
-trigroup.counting counts and lists ordered rows from the primitive tree
-by the gcd identity, with ordered weights and rows from its tie pattern
-table; all_roots_walk walks one tree per root (g, g, g, 0) and
-ordered_multiplicity counts orders from the multiset of entries.
-Canonical lists now walk the same forest as all_roots_walk, so list
-tests must keep checking them against scan_census, the one oracle that
-walks no tree: it solves the quadruple equation for its largest entry.
+trigroup.counting counts from the primitive tree by the gcd identity,
+with ordered weights from its tie pattern table; all_roots_walk walks
+one tree per root (g, g, g, 0) and ordered_multiplicity counts orders
+from the multiset of entries.  Canonical and ordered lists both walk
+the same forest as all_roots_walk, so list tests must keep checking
+them against scan_census, the one oracle that walks no tree: it solves
+the quadruple equation for its largest entry.
 """
 
 import functools

@@ -511,3 +511,15 @@ def test_streamed_canonical_list_holds_under_two_fifths_of_it(listing):
     deque(listing(600), maxlen=0)
     held = _peak(lambda: deque(listing(600), maxlen=0))
     assert held < 0.4 * _peak(lambda: tuple(listing(600)))
+
+
+@pytest.mark.parametrize("listing", [list_by_max, list_by_height])
+def test_streamed_ordered_list_holds_under_a_fifth_of_it(listing):
+    # An ordered list read row by row holds its forest, each canonical
+    # quadruple filed once under each of its distinct entries, and one
+    # chunk of rows at a time: about 24 rows per quadruple are never held
+    # at once.  An untraced first read keeps one-time allocations out of
+    # both peaks.
+    deque(listing(300, "ordered"), maxlen=0)
+    held = _peak(lambda: deque(listing(300, "ordered"), maxlen=0))
+    assert held < 0.2 * _peak(lambda: tuple(listing(300, "ordered")))

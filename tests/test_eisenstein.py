@@ -248,6 +248,29 @@ def test_quadruples_with_pair_large():
         assert is_triangle_quadruple(quad)
 
 
+@pytest.mark.parametrize("p,q,count", [(100_000_000_019, 114_000_000_061, 0),
+                                       (100_000_000_003, 114_000_000_061, 24)])
+def test_quadruples_with_pair_factors_its_entries_apart(monkeypatch, p, q, count):
+    # p and q are primes near 1e11 (p = 2 mod 3 in the first pair, so no
+    # solutions); each factors without rho, their product 3pq would not
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(eisenstein, "_pollard_rho", no_rho)
+    exts = quadruples_with_pair(p, q)
+    assert len(exts) == count
+    for quad in exts:
+        assert quad[:2] == (p, q) and is_triangle_quadruple(quad)
+
+
+def test_quadruples_with_pair_equals_the_solver_on_3pq():
+    for p in range(1, 41):
+        for q in range(1, 41):
+            s = p + q
+            expected = [(p, q, s - z, s - w) for z, w in solve_norm_form(3 * p * q)]
+            assert quadruples_with_pair(p, q) == expected, (p, q)
+
+
 @pytest.mark.parametrize(
     "fn,args",
     [

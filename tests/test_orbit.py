@@ -102,7 +102,7 @@ def tree_layers(start, max_sum=None):
 def canonical_levels(monkeypatch, g, max_sum=None):
     """The levels of nonincreasing quadruples that counting._root_layers
     walks for the root (0, g, g, g), read with its expansion undone."""
-    monkeypatch.setattr(counting, "_expand", lambda level, g, p: level)
+    monkeypatch.setattr(counting, "_layout", lambda level, p, index: level)
     return counting._root_layers((0, g, g, g), max_sum, False)
 
 
@@ -702,14 +702,14 @@ def test_counts_of_chamber_starts_build_no_vectors(monkeypatch):
     expected = orbit_sizes(ROOT, 8, None, 60)
 
     def no_vectors(*args):
-        raise AssertionError("_expand called")
+        raise AssertionError("_layout called")
 
-    monkeypatch.setattr(counting, "_expand", no_vectors)
+    monkeypatch.setattr(counting, "_layout", no_vectors)
     assert bfs_elements(13).layer_sizes == COXETER_SERIES
     assert orbit_sizes(ROOT, 13).layer_sizes == ROOT_ORBIT_SERIES
     assert stabilizer_counts(40) == [1] + [3 * n for n in range(1, 41)]
     assert orbit_sizes(ROOT, 8, None, 60) == expected
-    with pytest.raises(AssertionError, match="_expand"):
+    with pytest.raises(AssertionError, match="_layout"):
         orbit_vectors(ROOT, 3)
 
 

@@ -110,7 +110,7 @@ def test_bfs_loop_neither_sorts_nor_calls_reflect():
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in defs and node.attr in defs[node.value.id]):
                 todo.append((node.value.id, node.attr))
-    kernels = {("orbit", "_set_layers"), ("counting", "_root_layers"), ("counting", "_expand"),
+    kernels = {("orbit", "_set_layers"), ("counting", "_root_layers"), ("counting", "_layout"),
                ("reduction", "reduce_to_root")}
     assert kernels <= seen, f"kernels not followed: {kernels - seen}"
 
@@ -155,10 +155,27 @@ def test_census_and_root_orbits_build_children_by_one_rule():
                 for name in ("_walk", "_walk_by_largest", "_root_layers")}
     assert len(children["_walk"]) == 3, children
     assert children["_walk_by_largest"] == children["_root_layers"] == children["_walk"], children
+    # the tie pattern is computed by _walk for the counts and by _layout
+    # for the rows of root orbits and ordered lists, and nowhere else
     ties = "(a == b) + 2 * (b == c) + 4 * (c == d)"
-    assert ties in ast.unparse(defs["_walk"])
-    for name in ("_canonical_chunks", "_ordered_chunks", "_report", "height_sweep"):
-        assert ties not in ast.unparse(defs[name]), f"counting.{name} computes the tie pattern"
+    computing = {name for name, fn in defs.items() if ties in ast.unparse(fn)}
+    assert computing == {"_walk", "_layout"}, computing
+
+
+def test_ordered_rows_and_root_orbits_share_one_layout():
+    # ordered lists read the forest of roots that canonical lists read,
+    # not _walk, and lay out their rows by the one helper that lays out
+    # root orbits: only _layout reads the layout table, and no tail table
+    # is left
+    defs = _defs("counting")
+    ordered = defs["_ordered_chunks"]
+    assert _calls_to(ordered, "_walk_by_largest") and not _calls_to(ordered, "_walk")
+    callers = {name for name, fn in defs.items() if _calls_to(fn, "_layout")}
+    assert callers == {"_root_layers", "_ordered_chunks"}, callers
+    readers = {name for name, fn in defs.items() if _reads(fn, "_LAYOUTS")}
+    assert readers == {"_layout"}, readers
+    tails = [path.name for path in SOURCES if "_TAILS" in path.read_text(encoding="utf-8")]
+    assert tails == [], tails
 
 
 def test_census_lists_sort_one_first_entry_at_a_time():

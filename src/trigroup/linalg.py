@@ -1,18 +1,41 @@
-"""Exact elimination: fraction-free integer determinant and rank, and
-their rational forms for the geometry module, which clear denominators
-and run the integer routines."""
+"""Exact elimination: one fraction-free elimination, _bareiss (Bareiss,
+Math. Comp. 22, 1968), gives every determinant, rank and characteristic
+polynomial; rational matrices clear denominators first.  The public
+functions check their input once; lie.six_matrix_rank and char_poly's
+minors run the kernel on matrices they build."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
+
+from .core import _as_tuple, _rational, _require_int
+
+# char_poly sums the 2^n principal minors of an n x n matrix.
+CHAR_POLY_SIZE_CAP = 12
+
+
+def _matrix(rows, entry) -> list[list]:
+    """rows as equal-length lists, each entry read by core's rule `entry`."""
+    m = [[entry("matrix entry", x) for x in _as_tuple("matrix row", row)] for row in _as_tuple("matrix", rows)]
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("matrix rows must have equal lengths")
+    return m
+
+
+def _square(m: list[list]) -> list[list]:
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    return m
 
 
 def _bareiss(rows) -> tuple[int, int]:
-    """(rank, signed last pivot) of an integer matrix by fraction-free
+    """(rank, determinant) of an integer matrix by fraction-free
     elimination.  Every interior division is exact, so entries stay at
-    the size of minors; each row swap flips the pivot's sign.  For a
-    square matrix of full rank the signed last pivot is the determinant.
+    the size of minors; each row swap flips the pivot's sign.  The second
+    value is the signed last pivot if the rows are independent, else 0:
+    for a square matrix, its determinant (1 for the empty matrix).
     """
     m = [list(r) for r in rows]
     if not m:
@@ -34,22 +57,30 @@ def _bareiss(rows) -> tuple[int, int]:
         prev = m[rank][col]
         rank += 1
         if rank == nrows:
-            break
-    return rank, sign * prev
+            return rank, sign * prev
+    return rank, 0
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    rank, pivot = _bareiss(rows)
-    return pivot if rank == n else 0
+    return _bareiss(_square(_matrix(rows, _require_int)))[1]
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination."""
-    return _bareiss(rows)[0]
+    return _bareiss(_matrix(rows, _require_int))[0]
+
+
+def char_poly(rows: list[list[int]]) -> tuple[int, ...]:
+    """det(tI - m) for a square integer matrix m, leading coefficient
+    first: the coefficient of t^(n-k) is (-1)^k times the sum of the k x k
+    principal minors.  n above CHAR_POLY_SIZE_CAP raises ResourceLimitError."""
+    m = _square(_matrix(rows, _require_int))
+    n = _require_int("matrix size", len(m), cap=CHAR_POLY_SIZE_CAP)
+    return tuple(
+        (-1) ** k * sum(_bareiss([[m[i][j] for j in s] for i in s])[1] for s in combinations(range(n), k))
+        for k in range(n + 1)
+    )
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
@@ -58,8 +89,7 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     the determinant by the scale."""
     ints = []
     product = 1
-    for row in rows:
-        row = [Fraction(x) for x in row]
+    for row in _matrix(rows, _rational):
         scale = math.lcm(*(x.denominator for x in row))
         ints.append([int(x * scale) for x in row])
         product *= scale

@@ -43,6 +43,7 @@ BFS loops are their oracle in the tests, on a letter subset a BFS over
 exact 4x4 matrices is, and that matrix BFS is the oracle of both loops.
 Layer sizes are computed independently of the closed recurrence, which
 is kept as a separate code path so the two can be reported side by side.
+The Coxeter element's characteristic polynomial is linalg.char_poly.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ from .core import (
     _reflect,
     _require_int,
     _word_matrix,
-    mat_mul,
     validate_quadruple,
 )
 from .eisenstein import factorize
+from .linalg import char_poly
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -406,30 +407,8 @@ def coxeter_element() -> Mat4:
     return _word_matrix((4, 3, 2, 1))
 
 
-def char_poly(m: Mat4) -> tuple[int, ...]:
-    """Characteristic polynomial coefficients, leading first; exact integers.
-
-    Faddeev-LeVerrier recursion; every division by the step index is
-    exact for an integer matrix.
-    """
-    coeffs = [1]
-    b = m
-    for k in range(1, 5):
-        trace = sum(b[i][i] for i in range(4))
-        if trace % k != 0:
-            raise AssertionError("inexact division in characteristic polynomial")
-        c = -trace // k
-        coeffs.append(c)
-        if k < 4:
-            shifted = tuple(
-                tuple(b[i][j] + (c if i == j else 0) for j in range(4))
-                for i in range(4)
-            )
-            b = mat_mul(m, shifted)
-    return tuple(coeffs)
-
-
 def coxeter_char_poly() -> tuple[int, ...]:
+    """det(tI - C) for the Coxeter element C, leading coefficient first."""
     return char_poly(coxeter_element())
 
 

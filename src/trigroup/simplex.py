@@ -110,11 +110,9 @@ def gram_det(values) -> Fraction:
 
 
 def gram_closed_form(values) -> Fraction:
-    """a0^(n-1) * ((sum a)^2 - (n+1) * sum a^2): equals gram_det identically."""
+    """-a0^(n-1) times the identity residual: equals gram_det identically."""
     entries = as_entries(values)
-    n = dimension(entries)
-    total = sum(entries)
-    return entries[0] ** (n - 1) * (total * total - (n + 1) * sum(e * e for e in entries))
+    return -entries[0] ** (dimension(entries) - 1) * identity_residual(entries)
 
 
 @dataclass(frozen=True)

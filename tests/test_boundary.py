@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trigroup
-from trigroup import ResourceLimitError, counting, eisenstein, lie, orbit, simplex
+from trigroup import ResourceLimitError, counting, eisenstein, lie, linalg, orbit, simplex
 from trigroup.core import LENGTH_CAP
 
 Q = (0, 1, 1, 1)
@@ -36,12 +36,20 @@ W = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))
 # a regular triangle with vertices (3/2) e_i in R^3, and its centroid
 V3 = tuple(tuple(Fraction(3, 2) if j == i else 0 for j in range(3)) for i in range(3))
 P3 = (Fraction(1, 2),) * 3
+M2 = ((2, -1), (1, 3))
+M23 = ((2, -1, 0), (1, 3, 5))
+R2 = ((Fraction(1, 2), -1), (1, 3))
 
 
 def _entries(arg, valid_range, count=4):
     """Slots for the entries of the quadruple (or other tuple) at argument
     position arg."""
     return {(arg, j): valid_range for j in range(count)}
+
+
+def _matrix_entries(matrix, valid_range):
+    """Slots for the entries of the matrix that is argument 0."""
+    return {(0, i, j): valid_range for i, row in enumerate(matrix) for j in range(len(row))}
 
 
 # name -> (valid positional args, {path: (min, max) of the legal ints, or
@@ -116,6 +124,12 @@ CALLS = {
     "infinitesimal_residual": ((), {}),
     "preserves_form_infinitesimally": ((), {}),
     "six_matrix_rank": ((), {}),
+    # linalg: integer or rational matrices of any shape the function admits
+    "bareiss_det": ((M2,), _matrix_entries(M2, ANY)),
+    "bareiss_rank": ((M23,), _matrix_entries(M23, ANY)),
+    "char_poly": ((M2,), _matrix_entries(M2, ANY)),
+    "rational_det": ((R2,), _matrix_entries(R2, RATIONAL)),
+    "rational_rank": ((R2,), _matrix_entries(R2, RATIONAL)),
     # simplex: tuple entries, scale and weights are rationals
     "as_entries": ((T,), _entries(0, RATIONAL, 5)),
     "dimension": ((), {}),
@@ -147,7 +161,7 @@ def _public_functions():
         value = getattr(trigroup, name)
         if inspect.isfunction(value):
             found[name] = value
-    for module in (eisenstein, lie, simplex):
+    for module in (eisenstein, lie, linalg, simplex):
         for name, value in vars(module).items():
             if (
                 inspect.isfunction(inspect.unwrap(value))
@@ -299,6 +313,14 @@ def test_bad_int_raises_value_error(case):
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [["0.5", 1]]}),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[1, "2"]]}),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[True, 1]]}),
+        # the determinant of the first is 1/2, and True was read as 1
+        lambda: linalg.bareiss_det([[0.5, 1], [1, 3]]),
+        lambda: linalg.bareiss_det([[True, 1], [1, 3]]),
+        lambda: linalg.bareiss_rank([[1, 2], [3]]),
+        lambda: linalg.bareiss_det(5),
+        lambda: linalg.rational_det([[0.5, 1], [1, 3]]),
+        lambda: linalg.rational_rank([[1, 2], [3, None]]),
+        lambda: linalg.char_poly([[1, "2"], [3, 4]]),
     ],
 )
 def test_motivating_probes_raise_value_error(call):

@@ -1,4 +1,5 @@
-"""The fraction-free determinant against the Leibniz expansion."""
+"""The fraction-free determinant against the Leibniz expansion, and the
+characteristic polynomial against a Laplace expansion of det(tI - m)."""
 
 import math
 import random
@@ -7,7 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from trigroup.linalg import bareiss_det, rational_det
+from trigroup import ResourceLimitError
+from trigroup.linalg import CHAR_POLY_SIZE_CAP, bareiss_det, char_poly, rational_det
 
 
 def leibniz_det(rows):
@@ -92,3 +94,47 @@ def test_non_square_raises_value_error(rows):
 def test_empty_matrix_has_determinant_one():
     assert rational_det([]) == 1
     assert bareiss_det([]) == 1
+
+
+def laplace_det(rows):
+    """Cofactor expansion along the first row; 1 for the empty matrix."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_char_poly_against_laplace_at_integer_points(n):
+    # a degree-n polynomial is fixed by its values at n + 1 points
+    rng = random.Random(300 + n)
+    for _ in range(40):
+        m = random_int_matrix(rng, n)
+        coeffs = char_poly(m)
+        assert len(coeffs) == n + 1 and coeffs[0] == 1
+        for t in range(-(n // 2), n + 1 - n // 2):
+            shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+            assert sum(c * t ** (n - k) for k, c in enumerate(coeffs)) == laplace_det(shifted)
+
+
+def test_char_poly_ends():
+    assert char_poly([]) == (1,)
+    assert char_poly([[5]]) == (1, -5)
+    # the constant term is (-1)^n det m, and the next-to-leading one -trace m
+    m = [[2, -1, 0], [4, 3, 7], [-5, 1, 1]]
+    assert char_poly(m)[1] == -6 and char_poly(m)[-1] == -bareiss_det(m)
+
+
+def test_char_poly_size_cap():
+    assert char_poly([[0] * CHAR_POLY_SIZE_CAP] * CHAR_POLY_SIZE_CAP) == (1,) + (0,) * CHAR_POLY_SIZE_CAP
+    size = CHAR_POLY_SIZE_CAP + 1
+    with pytest.raises(ResourceLimitError):
+        char_poly([[0] * size] * size)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]], [[]]])
+def test_char_poly_of_non_square_raises_value_error(rows):
+    with pytest.raises(ValueError):
+        char_poly(rows)

@@ -115,6 +115,23 @@ def test_bfs_loop_neither_sorts_nor_calls_reflect():
     assert kernels <= seen, f"kernels not followed: {kernels - seen}"
 
 
+def test_one_elimination_computes_every_matrix_invariant():
+    # linalg._bareiss is the one elimination: char_poly is defined once,
+    # in linalg, and runs it on the principal minors; orbit keeps
+    # no characteristic-polynomial recurrence, and no mat_mul to run one
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    defining = sorted(stem for stem, tree in trees.items() for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "char_poly")
+    assert defining == ["linalg"]
+    assert _calls_to(_defs("linalg")["char_poly"], "_bareiss")
+    imported = {alias.name for node in ast.walk(trees["orbit"]) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "mat_mul" not in imported and "char_poly" in imported
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8").lower()
+        assert "inexact division" not in text and "leverrier" not in text, path.name
+
+
 def test_orders_come_from_one_table():
     # ordered weights, ordered rows and root-orbit layouts all read
     # counting._ORDERS: no factorial anywhere, and permutations only in
@@ -302,7 +319,7 @@ def test_one_length_cap_bounds_every_length():
     assert caps == {
         "core.EXPONENT_CAP", "core.LENGTH_CAP", "counting.DEFAULT_BOUND_CAP", "counting.DIVISOR_SUM_CAP",
         "counting.DIVISOR_TABLE_CAP", "eisenstein.RHO_ITERATION_CAP", "eisenstein.SOLUTION_CAP",
-        "reduction.REDUCTION_STEP_CAP",
+        "linalg.CHAR_POLY_SIZE_CAP", "reduction.REDUCTION_STEP_CAP",
     }
     assigned = {stem for stem, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store)

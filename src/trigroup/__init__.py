@@ -36,7 +36,6 @@ from .eisenstein import (
     solve_norm_form,
 )
 from .orbit import (
-    GrowthTable,
     VectorOrbit,
     bfs_elements,
     coxeter_char_poly,

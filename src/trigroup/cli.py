@@ -161,28 +161,22 @@ def _cmd_orbit(args):
                   min(total << depth, top))
             for depth, layer in enumerate(layers)
         )
-    sizes = orbit.orbit_sizes(*bounds).cumulative_sizes
+    sizes = list(accumulate(orbit.orbit_sizes(*bounds)))
     return {
         "root": list(args.root),
         "depth": args.depth,
-        "cumulative_sizes": list(sizes),
+        "cumulative_sizes": sizes,
         "total": sizes[-1],
     }
 
 
 def _cmd_growth(args):
     recurrence = orbit.growth_recurrence_terms(args.depth)
-    table = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
-    sizes = orbit.orbit_sizes(tuple(args.root), args.depth, args.max_elements).cumulative_sizes
+    layers = orbit.bfs_elements(args.depth, max_elements=args.max_elements)
+    sizes = orbit.orbit_sizes(tuple(args.root), args.depth, args.max_elements)
     rows = [
-        {
-            "depth": n,
-            "layer": table.layer_sizes[n],
-            "recurrence": recurrence[n],
-            "cumulative": table.cumulative_sizes[n],
-            "orbit": sizes[n],
-        }
-        for n in range(args.depth + 1)
+        {"depth": n, "layer": layer, "recurrence": recurrence[n], "cumulative": total, "orbit": size}
+        for n, (layer, total, size) in enumerate(zip(layers, accumulate(layers), accumulate(sizes)))
     ]
     return {"root": list(args.root), "rows": rows}
 
@@ -327,7 +321,7 @@ def _cmd_verify(args):
         "derivative_matches": lie.formula_derivative_at_zero() == lie.DERIVATIVE_MATRIX,
         "max_n": max_n,
         "mismatch_count": len(mismatches),
-        "mismatches": [dict(vars(m)) for m in mismatches],
+        "mismatches": mismatches,
     }
 
 

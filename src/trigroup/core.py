@@ -12,6 +12,7 @@ All arithmetic is exact arbitrary-precision integer arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -124,11 +125,17 @@ def _rational(name: str, value) -> Fraction:
 
 
 def _as_tuple(name: str, value) -> tuple:
-    """value as a tuple; ValueError if it is not iterable (an int, None, a float)."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+    """value as a tuple; ValueError if it is not iterable (an int, None, a
+    float), or if its items are not its entries in an order the caller
+    set: a str or bytes, a set or a mapping."""
+    if type(value) is tuple:
+        return value
+    if not isinstance(value, (str, bytes, bytearray, Set, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence, got {value!r}")
 
 
 def generator_matrix(i: int) -> Mat4:
@@ -162,14 +169,14 @@ def _form(x) -> int:
 def is_triangle_quadruple(q) -> bool:
     """True iff q is a nonnegative, not-all-zero integer 4-tuple with Q(q) = 0.
 
-    Total over arbitrary values: a value that is not iterable, or an
+    Total over arbitrary values: a value that _as_tuple rejects, or an
     entry that is a bool or not an int, makes the answer False.  The
     all-zero tuple satisfies the equation but is rejected: it is fixed
     by every generator and has no geometric reading.
     """
     try:
-        q = tuple(q)
-    except TypeError:
+        q = _as_tuple("quadruple", q)
+    except ValueError:
         return False
     return len(q) == 4 and all(_is_int(x) and x >= 0 for x in q) and any(q) and _form(q) == 0
 

@@ -12,7 +12,6 @@ either source is surfaced rather than inherited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .core import (
@@ -92,21 +91,13 @@ def power_formula_matrix(n: int) -> Mat4:
     )
 
 
-@dataclass(frozen=True)
-class EntryMismatch:
-    n: int
-    row: int
-    col: int
-    computed: int
-    formula: int
-
-
-def power_formula_report(max_n: int) -> list[EntryMismatch]:
+def power_formula_report(max_n: int) -> list[dict[str, int]]:
     """Compare exact powers against the recorded closed form, entrywise.
 
-    Returns every disagreeing (n, entry) pair for 0 <= n <= max_n.  The
-    recorded formula disagrees with the exact powers in exactly one
-    entry for every n >= 1; the report states it, the caller decides.
+    Returns every disagreeing (n, entry) pair for 0 <= n <= max_n, as a
+    dict with the keys n, row, col, computed and formula.  The recorded
+    formula disagrees with the exact powers in exactly one entry for
+    every n >= 1; the report states it, the caller decides.
     Above LENGTH_CAP it raises ResourceLimitError before any work.
     """
     _require_int("max_n", max_n, 0, cap=LENGTH_CAP)
@@ -119,7 +110,7 @@ def power_formula_report(max_n: int) -> list[EntryMismatch]:
             for j in range(4):
                 if power[i][j] != formula[i][j]:
                     mismatches.append(
-                        EntryMismatch(n, i, j, power[i][j], formula[i][j])
+                        {"n": n, "row": i, "col": j, "computed": power[i][j], "formula": formula[i][j]}
                     )
         power = mat_mul(power, base)
     return mismatches

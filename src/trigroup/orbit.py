@@ -37,10 +37,12 @@ W_K, K the letters i in L with 3 x_i = sum(x) (5.13), so its layer sizes
 are the coefficients of W_L(t) / W_K(t).  Every label is 3, so W_T is
 finite exactly when |T| <= 2, and Steinberg's formula (5.12) gives each
 growth series from its number of letters alone (_series_den).  The
-counts (bfs_elements, orbit_sizes, stabilizer_counts) of a chamber start
-with no max_sum take them and build no vectors.  On all four letters the
-BFS loops are their oracle in the tests, on a letter subset a BFS over
-exact 4x4 matrices is, and that matrix BFS is the oracle of both loops.
+size queries (bfs_elements, orbit_sizes, stabilizer_counts) return the
+layer sizes, one per word length, and a caller accumulates them for the
+running totals; those of a chamber start with no max_sum come from the
+series and build no vectors.  On all four letters the BFS loops are
+their oracle in the tests, on a letter subset a BFS over exact 4x4
+matrices is, and that matrix BFS is the oracle of both loops.
 Layer sizes are computed independently of the closed recurrence, which
 is kept as a separate code path so the two can be reported side by side.
 The Coxeter element's characteristic polynomial is linalg.char_poly.
@@ -84,14 +86,6 @@ _CHAMBER_VECTOR = (1, 1, 1, 1)
 
 # An integer polynomial, coefficients from the constant term up.
 Poly = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GrowthTable:
-    """Per-depth new-element counts and their running totals."""
-
-    layer_sizes: tuple[int, ...]
-    cumulative_sizes: tuple[int, ...]
 
 
 def _bfs(
@@ -188,27 +182,22 @@ def _set_layers(start: Vector4, max_sum: int | None) -> Iterator[set[Vector4]]:
         prev, cur = cur, nxt
 
 
-def _growth_table(layer_sizes: Iterator[int]) -> GrowthTable:
-    sizes = tuple(layer_sizes)
-    return GrowthTable(layer_sizes=sizes, cumulative_sizes=tuple(accumulate(sizes)))
-
-
-def bfs_elements(max_depth: int, max_elements: int | None = None) -> GrowthTable:
-    """Growth table of the full group: layer sizes and cumulative counts.
+def bfs_elements(max_depth: int, max_elements: int | None = None) -> tuple[int, ...]:
+    """The layer sizes of the full group: the number of elements of each
+    length 0, ..., max_depth.
 
     The sizes are the coefficients of the growth series
     (1 + t)(1 + t + t^2) / ((1 - t)(1 - t - 3t^2)), under the element cap.
     """
-    sizes = _bfs(_CHAMBER_VECTOR, max_depth, max_elements, sizes=True)
-    return _growth_table(sizes)
+    return tuple(_bfs(_CHAMBER_VECTOR, max_depth, max_elements, sizes=True))
 
 
 def growth_recurrence_terms(n: int) -> list[int]:
     """G_0, ..., G_n of the closed three-term recurrence with seeds 1, 4, 12.
 
     G_n = 2 G_{n-1} + 2 G_{n-2} - 3 G_{n-3}.  The BFS oracle disagrees
-    with this at depth 3 (30 against 29); both values are reported by
-    the growth table machinery rather than reconciled here.  Above
+    with this at depth 3 (30 against 29); the growth command reports
+    both side by side rather than reconciling them.  Above
     LENGTH_CAP it raises ResourceLimitError before any work.
     """
     _require_int("depth", n, 0, cap=LENGTH_CAP)
@@ -279,8 +268,8 @@ def orbit_sizes(
     max_depth: int,
     max_elements: int | None = None,
     max_sum: int | None = None,
-) -> GrowthTable:
-    """The sizes of orbit_vectors(root, ...) without its vectors.
+) -> tuple[int, ...]:
+    """The layer sizes of orbit_vectors(root, ...) without its vectors.
 
     Same arguments, checks and element cap, which counts the vectors;
     layer 0 is always the root, even over max_sum.  A root (0, g, g, g)
@@ -289,9 +278,7 @@ def orbit_sizes(
     quadruple of its canonical tree counts as its number of orders.
     Other starts' layers are counted and dropped.
     """
-    root = validate_quadruple(root)
-    sizes = _bfs(root, max_depth, max_elements, max_sum, sizes=True)
-    return _growth_table(sizes)
+    return tuple(_bfs(validate_quadruple(root), max_depth, max_elements, max_sum, sizes=True))
 
 
 def stabilizer_counts(max_n: int) -> list[int]:

@@ -7,7 +7,7 @@ lines alongside the pytest verdicts.
 import math
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from trigroup.core import (
     FORM_MATRIX,
@@ -119,15 +119,15 @@ def test_criterion_03_orbit_completeness():
 
 def test_criterion_04_growth_oracle_vs_recurrence():
     start = time.monotonic()
-    table = bfs_elements(10)
+    sizes = bfs_elements(10)
     elapsed = time.monotonic() - start
-    assert table.layer_sizes[:3] == (1, 4, 12)
+    assert sizes[:3] == (1, 4, 12)
     recurrence = [growth_recurrence(n) for n in range(9)]
     rows = [
-        (n, table.layer_sizes[n], recurrence[n]) for n in range(3, 9)
+        (n, sizes[n], recurrence[n]) for n in range(3, 9)
     ]
     # layers are deduplicated sets by construction; cross-check totals
-    assert table.cumulative_sizes[-1] == sum(table.layer_sizes)
+    assert tuple(accumulate(sizes))[-1] == sum(sizes)
     layers = element_layers(all_generators(), 6)
     seen = set()
     for layer in layers:
@@ -135,11 +135,11 @@ def test_criterion_04_growth_oracle_vs_recurrence():
         seen |= set(layer)
     # documented discrepancy: the BFS oracle yields 30 at depth 3 where
     # the closed recurrence yields 29
-    assert table.layer_sizes[3] == 30
+    assert sizes[3] == 30
     assert recurrence[3] == 29
     assert elapsed < 60.0
     print(
-        f"\nACCEPTANCE 4: BFS layers {list(table.layer_sizes[:9])} vs recurrence"
+        f"\nACCEPTANCE 4: BFS layers {list(sizes[:9])} vs recurrence"
         f" {recurrence}; depth-3 discrepancy 30 vs 29 recorded ({elapsed:.1f}s) PASS"
     )
     for n, bfs, rec in rows:
@@ -234,10 +234,10 @@ def test_criterion_08_stabilizer_growth_and_coset_inequality():
     assert layers == [1] + [3 * n for n in range(1, 11)]
     for n in range(1, 6):
         assert sum(layers[: 2 * n + 1]) == stabilizer_cumulative_closed_form(n)
-    table = bfs_elements(10)
+    totals = tuple(accumulate(bfs_elements(10)))
     vec = orbit_vectors(ROOT, 10)
     for n in range(11):
-        w_n = table.cumulative_sizes[n]
+        w_n = totals[n]
         orbit_n = vec.cumulative_sizes[n]
         assert orbit_n <= w_n
         assert w_n <= orbit_n * stabilizer_cumulative_closed_form(n)
@@ -257,10 +257,10 @@ def test_criterion_09_lie_identities():
     mismatches = power_formula_report(20)
     # the recorded power formula disagrees with exact powers in exactly
     # the (2,3) entry for every n in 1..20; documented, not suppressed
-    assert [(m.n, m.row, m.col) for m in mismatches] == [
+    assert [(m["n"], m["row"], m["col"]) for m in mismatches] == [
         (n, 2, 3) for n in range(1, 21)
     ]
-    assert all(m.computed == 3 * m.n**2 - 2 * m.n for m in mismatches)
+    assert all(m["computed"] == 3 * m["n"]**2 - 2 * m["n"] for m in mismatches)
     print(
         "\nACCEPTANCE 9: translation element matches its display, rank 6,"
         " all infinitesimal checks hold; power-formula ledger records the"

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from trigroup import cli, counting, eisenstein, orbit, reduction
+from trigroup import cli, counting, eisenstein, lie, orbit, reduction
 from trigroup.cli import _BATCH, _json_safe, main
 from trigroup.counting import list_by_height, list_by_max
 from trigroup.eisenstein import divisor_character_sum, factorize
@@ -139,11 +140,11 @@ def test_growth_at_depth_200_under_a_large_cap(capsys):
     # the counts come from the growth series, so depth 200 builds no
     # vectors; the default element cap still counts every element
     payload = run_json(capsys, "growth", "--depth", "200", "--max-elements", str(10**100))
-    table = orbit.bfs_elements(200, 10**100)
+    layers = orbit.bfs_elements(200, 10**100)
     sizes = orbit.orbit_sizes((0, 1, 1, 1), 200, 10**100)
-    assert [int(r["cumulative"]) for r in payload["rows"]] == list(table.cumulative_sizes)
-    assert [int(r["orbit"]) for r in payload["rows"]] == list(sizes.cumulative_sizes)
-    assert len(str(table.layer_sizes[200])) == 73
+    assert [int(r["cumulative"]) for r in payload["rows"]] == list(accumulate(layers))
+    assert [int(r["orbit"]) for r in payload["rows"]] == list(accumulate(sizes))
+    assert len(str(layers[200])) == 73
     code, out, err = run_cli(capsys, "growth", "--depth", "200")
     assert (code, out) == (3, "")
     assert "BFS exceeded cap of 2000000 elements" in err
@@ -436,6 +437,20 @@ def test_verify_a1_documents_discrepancy(capsys):
     assert payload["derivative_matches"] is True
     assert payload["mismatch_count"] == 5
     assert all(m["row"] == 2 and m["col"] == 3 for m in payload["mismatches"])
+
+
+def test_group_counts_and_the_a1_ledger_are_plain_values(capsys):
+    # the size queries return the layer sizes themselves, for a root and
+    # for a non-root, and verify a1 writes the library's ledger as it is
+    for root in ((0, 1, 1, 1), (7, 4, 3, 1)):
+        sizes = orbit.orbit_sizes(root, 9, max_sum=500)
+        assert type(sizes) is tuple and all(type(x) is int for x in sizes)
+        assert len(sizes) == 10
+    layers = orbit.bfs_elements(9)
+    assert type(layers) is tuple and all(type(x) is int for x in layers)
+    assert len(layers) == 10
+    ledger = lie.power_formula_report(5)
+    assert ledger == run_json(capsys, "verify", "a1", "--max-n", "5")["mismatches"]
 
 
 def test_verify_a1_max_n_defaults_to_20(capsys):
@@ -747,7 +762,7 @@ def test_orbit_start_is_always_layer_0(capsys):
     payload = run_json(capsys, "orbit", "--depth", "3", "--max-sum", "1")
     assert payload["cumulative_sizes"] == [1, 1, 1, 1]
     assert orbit_vectors((0, 1, 1, 1), 3, max_sum=1).layers == (((0, 1, 1, 1),), (), (), ())
-    assert orbit.orbit_sizes((0, 1, 1, 1), 3, max_sum=1).layer_sizes == (1, 0, 0, 0)
+    assert orbit.orbit_sizes((0, 1, 1, 1), 3, max_sum=1) == (1, 0, 0, 0)
 
 
 class RecordingStdout(io.TextIOBase):
@@ -868,7 +883,7 @@ def test_orbit_list_over_the_element_cap_writes_the_layers_under_it(capsys, root
                              "--root", *map(str, root))
     assert code == 3
     assert "resource limit" in err
-    totals = orbit.orbit_sizes(root, 8).cumulative_sizes
+    totals = tuple(accumulate(orbit.orbit_sizes(root, 8)))
     depth = sum(total <= cap for total in totals) - 1
     assert 0 <= depth < 8
     assert out == orbit_oracle(root, depth)

@@ -224,7 +224,9 @@ def test_validate_quadruple_passthrough():
         validate_quadruple((1, 2, 3))
 
 
-@pytest.mark.parametrize("value", [None, 5, 1.5, True])
+# a set, a mapping or a str is no quadruple either, even when its items
+# are the entries of one
+@pytest.mark.parametrize("value", [None, 5, 1.5, True, {7, 4, 3, 1}, dict.fromkeys((7, 4, 3, 1)), "7431"])
 def test_non_iterables_are_not_quadruples(value):
     assert is_triangle_quadruple(value) is False
     with pytest.raises(ValueError):

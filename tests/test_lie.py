@@ -78,11 +78,12 @@ def test_power_formula_report_documents_single_bad_entry():
     mismatches = power_formula_report(20)
     assert len(mismatches) == 20
     for m in mismatches:
-        assert (m.row, m.col) == (2, 3)
-        assert m.n >= 1
-        assert m.computed == 3 * m.n * m.n - 2 * m.n
-        assert m.formula == 6 * m.n * m.n - 2 * m.n
-    assert {m.n for m in mismatches} == set(range(1, 21))
+        n = m["n"]
+        assert (m["row"], m["col"]) == (2, 3)
+        assert n >= 1
+        assert m["computed"] == 3 * n * n - 2 * n
+        assert m["formula"] == 6 * n * n - 2 * n
+    assert {m["n"] for m in mismatches} == set(range(1, 21))
 
 
 def test_formula_derivative_is_the_derivative_matrix():

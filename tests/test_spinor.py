@@ -23,4 +23,4 @@ def test_spinor_map_intertwines_the_generators():
 
 
 def test_matrix_model_grows_like_the_group():
-    assert element_layer_sizes(8) == list(bfs_elements(8).layer_sizes)
+    assert element_layer_sizes(8) == list(bfs_elements(8))

@@ -111,7 +111,10 @@ def _rational(name: str, value) -> Fraction:
     that is not a bool, or a str that Fraction parses ("3/8", "-2",
     "0.25", "2.5E3").  Anything else, floats and bools included, raises
     ValueError; a str whose exponent exceeds EXPONENT_CAP in magnitude
-    raises ResourceLimitError before it is parsed."""
+    raises ResourceLimitError before it is parsed.  A Fraction is
+    immutable, so one comes back as it is, not copied."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, Fraction) or _is_int(value):
         return Fraction(value)
     if isinstance(value, str):

@@ -2,18 +2,23 @@
 Math. Comp. 22, 1968), gives every determinant, rank and characteristic
 polynomial; rational matrices clear denominators first.  The public
 functions check their input once; lie.six_matrix_rank and char_poly's
-minors run the kernel on matrices they build."""
+minors run the kernel on matrices they build, and the kernel checks its
+work cap, BAREISS_BITS_CAP, on every matrix."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from .core import _as_tuple, _rational, _require_int
 
 # char_poly sums the 2^n principal minors of an n x n matrix.
 CHAR_POLY_SIZE_CAP = 12
+# Work cap on _bareiss: rows x (bits of the largest entry + bits of the row
+# count), about the size in bits of the largest minor it can build.  At the
+# cap, the costliest admitted matrix, 200 x 200 of entries +-1, takes about
+# 1 s on a 2-vCPU Xeon VM with Python 3.11.
+BAREISS_BITS_CAP = 1_800
 
 
 def _matrix(rows, entry) -> list[list]:
@@ -35,12 +40,16 @@ def _bareiss(rows) -> tuple[int, int]:
     elimination.  Every interior division is exact, so entries stay at
     the size of minors; each row swap flips the pivot's sign.  The second
     value is the signed last pivot if the rows are independent, else 0:
-    for a square matrix, its determinant (1 for the empty matrix).
+    for a square matrix, its determinant (1 for the empty matrix).  A
+    matrix whose rows x (bits of the largest entry + bits of the row
+    count) exceeds BAREISS_BITS_CAP raises ResourceLimitError.
     """
     m = [list(r) for r in rows]
     if not m:
         return 0, 1
     nrows, ncols = len(m), len(m[0])
+    bits = max((abs(x) for row in m for x in row), default=0).bit_length()
+    _require_int("matrix rows x entry bits", nrows * (bits + nrows.bit_length()), cap=BAREISS_BITS_CAP)
     sign = prev = 1
     rank = 0
     for col in range(ncols):
@@ -83,27 +92,12 @@ def char_poly(rows: list[list[int]]) -> tuple[int, ...]:
     )
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each rational row scaled by the lcm of its denominators, and the
-    product of those scales; scaling a row keeps the rank and multiplies
-    the determinant by the scale."""
+def rational_rank(rows) -> int:
+    """Rank of a rational matrix, by the integer elimination on its rows,
+    each scaled by the lcm of its denominators: scaling a row keeps the
+    rank."""
     ints = []
-    product = 1
     for row in _matrix(rows, _rational):
         scale = math.lcm(*(x.denominator for x in row))
-        ints.append([int(x * scale) for x in row])
-        product *= scale
-    return ints, product
-
-
-def rational_det(rows) -> Fraction:
-    """Determinant of a rational matrix: clear denominators row by row,
-    run the fraction-free integer elimination, and undo the scaling."""
-    ints, product = _integer_rows(rows)
-    return Fraction(bareiss_det(ints), product)
-
-
-def rational_rank(rows) -> int:
-    """Rank of a rational matrix, by the integer elimination on its
-    rows scaled to integers."""
-    return bareiss_rank(_integer_rows(rows)[0])
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    return bareiss_rank(ints)

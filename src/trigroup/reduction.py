@@ -62,41 +62,50 @@ def reduce_step(q: Quadruple) -> tuple[Quadruple, int] | None:
 def reduce_to_root(q: Quadruple) -> ReductionTrace:
     """Iterate reduce_step to termination.
 
-    Reflecting the largest entry m of a quadruple with sum s sets it to
-    s - 2m and changes the sum by s - 3m, so the loop stops when
-    3m <= s, the first largest entry breaking ties as in reduce_step.
-    The sum strictly decreases at every step, so termination is
-    guaranteed; the root is a permutation of (0, x, x, x) with
-    x = gcd_content(q).  The step is inline, one loop over four locals,
-    because this loop is the whole cost of a long reduction.  More than
-    REDUCTION_STEP_CAP steps raise ResourceLimitError.
+    The loop keeps a running entry sum s.  At the largest entry v, the
+    first one breaking ties as in reduce_step, the other three sum to
+    t = s - v; reflecting sets v to t - v and the sum to t + (t - v), so
+    the loop stops when v + v <= t.  The sum strictly decreases at every
+    step, so termination is guaranteed; the root is a permutation of
+    (0, x, x, x) with x = gcd_content(q).  The step is inline, one loop
+    over four locals and the sum, because this loop is the whole cost of
+    a long reduction.  More than REDUCTION_STEP_CAP steps raise
+    ResourceLimitError.
     """
     start = validate_quadruple(q)
     steps: list[tuple[int, Quadruple]] = []
     add = steps.append
     a, b, c, d = start
+    s = a + b + c + d
     # repeat is the cheapest counted loop; the cap is read at each call
     for _ in repeat(None, REDUCTION_STEP_CAP + 1):
-        s = a + b + c + d
         if a >= b and a >= c and a >= d:
-            if 3 * a <= s:
+            t = s - a
+            if a + a <= t:
                 break
-            a = s - 2 * a
+            a = t - a
+            s = t + a
             add((1, (a, b, c, d)))
         elif b >= c and b >= d:
-            if 3 * b <= s:
+            t = s - b
+            if b + b <= t:
                 break
-            b = s - 2 * b
+            b = t - b
+            s = t + b
             add((2, (a, b, c, d)))
         elif c >= d:
-            if 3 * c <= s:
+            t = s - c
+            if c + c <= t:
                 break
-            c = s - 2 * c
+            c = t - c
+            s = t + c
             add((3, (a, b, c, d)))
         else:
-            if 3 * d <= s:
+            t = s - d
+            if d + d <= t:
                 break
-            d = s - 2 * d
+            d = t - d
+            s = t + d
             add((4, (a, b, c, d)))
     else:
         raise ResourceLimitError(f"reduction exceeded cap of {REDUCTION_STEP_CAP} steps")

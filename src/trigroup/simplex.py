@@ -10,6 +10,11 @@ and compared exactly.  The reflection replacing one distance entry by
 it coincides with the quadruple generators, and for n > 2 it does not
 preserve integrality.
 
+The residual and the determinant are homogeneous in the entries, of
+degrees 2 and k = n + 1, so both are computed on the tuple scaled to
+integers by the lcm m of its denominators and divided by m^2 and m^k
+once: the elimination runs on ints, with no Fraction in it.
+
 Only n = 2 carries an orbit theory.  Entry reflections i != j are in
 the roots e_i, e_j of the form (n+1) I - J (<e_i, e_i> = n,
 <e_i, e_j> = -1), whose mirrors meet at theta with cos theta = 1/n.  At
@@ -27,13 +32,14 @@ instance, contains no rational equilateral triangle).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .core import _as_tuple, _rational, _require_int
-from .linalg import rational_det, rational_rank
+from .linalg import bareiss_det, rational_rank
 
 Entries = tuple[Fraction, ...]
 
@@ -57,12 +63,22 @@ def dimension(entries: Entries) -> int:
     return len(entries) - 2
 
 
+def _scaled(entries: Entries) -> tuple[list[int], int]:
+    """The entries times m, the lcm of their denominators, as ints, and m."""
+    m = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (m // e.denominator) for e in entries], m
+
+
+def _residual(ints: list[int]) -> int:
+    """(n+1) * sum of squares minus the squared sum, for n + 2 entries."""
+    total = sum(ints)
+    return (len(ints) - 1) * sum(x * x for x in ints) - total * total
+
+
 def identity_residual(values) -> Fraction:
     """(n+1) * sum of squares minus the squared sum; zero iff the tuple is valid."""
-    entries = as_entries(values)
-    n = dimension(entries)
-    total = sum(entries)
-    return (n + 1) * sum(e * e for e in entries) - total * total
+    ints, m = _scaled(as_entries(values))
+    return Fraction(_residual(ints), m * m)
 
 
 def reflect(values, index: int) -> Entries:
@@ -77,11 +93,11 @@ def reflect(values, index: int) -> Entries:
     entries = as_entries(values)
     n = dimension(entries)
     _require_int("index", index, 1, n + 1)
-    residual = identity_residual(entries)
+    ints, m = _scaled(entries)
+    residual = _residual(ints)
     if residual != 0:
-        raise ValueError(f"tuple does not satisfy the identity (residual {residual})")
-    others = sum(entries) - entries[index]
-    new_entry = Fraction(2, n) * others - entries[index]
+        raise ValueError(f"tuple does not satisfy the identity (residual {Fraction(residual, m * m)})")
+    new_entry = Fraction(2 * (sum(ints) - ints[index]) - n * ints[index], n * m)
     if new_entry < 0:
         warnings.warn(
             f"reflection produced negative entry {new_entry} at index {index}",
@@ -91,22 +107,14 @@ def reflect(values, index: int) -> Entries:
     return entries[:index] + (new_entry,) + entries[index + 1 :]
 
 
-def gram_matrix(values) -> list[list[Fraction]]:
-    """The (n+1) x (n+1) matrix with diagonal 2*a_i and off-diagonal
-    a_i + a_j - a0: twice the vertex Gram matrix when P sits at the origin."""
-    entries = as_entries(values)
-    a0 = entries[0]
-    dist = entries[1:]
-    k = len(dist)
-    return [
-        [2 * dist[i] if i == j else dist[i] + dist[j] - a0 for j in range(k)]
-        for i in range(k)
-    ]
-
-
 def gram_det(values) -> Fraction:
-    """Exact determinant of the Gram-style matrix, by fraction-free elimination."""
-    return rational_det(gram_matrix(values))
+    """Exact determinant of the (n+1) x (n+1) matrix with diagonal 2*a_i
+    and off-diagonal a_i + a_j - a0, twice the vertex Gram matrix when P
+    sits at the origin, by fraction-free elimination on the tuple scaled
+    to integers."""
+    (a0, *dist), m = _scaled(as_entries(values))
+    rows = [[2 * x if i == j else x + y - a0 for j, y in enumerate(dist)] for i, x in enumerate(dist)]
+    return Fraction(bareiss_det(rows), m ** len(dist))
 
 
 def gram_closed_form(values) -> Fraction:

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import trigroup
 from trigroup import ResourceLimitError, counting, eisenstein, lie, linalg, orbit, simplex
 from trigroup.core import LENGTH_CAP
+import simplex_oracle
 
 Q = (0, 1, 1, 1)
 Q7 = (7, 4, 3, 1)
@@ -128,14 +129,12 @@ CALLS = {
     "bareiss_det": ((M2,), _matrix_entries(M2, ANY)),
     "bareiss_rank": ((M23,), _matrix_entries(M23, ANY)),
     "char_poly": ((M2,), _matrix_entries(M2, ANY)),
-    "rational_det": ((R2,), _matrix_entries(R2, RATIONAL)),
     "rational_rank": ((R2,), _matrix_entries(R2, RATIONAL)),
     # simplex: tuple entries, scale and weights are rationals
     "as_entries": ((T,), _entries(0, RATIONAL, 5)),
     "dimension": ((), {}),
     "identity_residual": ((T,), _entries(0, RATIONAL, 5)),
     "reflect": ((T, 1), {**_entries(0, RATIONAL, 5), (1,): (1, 4)}),
-    "gram_matrix": ((T,), _entries(0, RATIONAL, 5)),
     "gram_det": ((T,), _entries(0, RATIONAL, 5)),
     "gram_closed_form": ((T,), _entries(0, RATIONAL, 5)),
     "tuple_from_configuration": ((), {}),
@@ -153,6 +152,13 @@ CALLS = {
 }
 
 TOTAL = {"is_triangle_quadruple"}  # predicates that answer False instead of raising
+
+# The Fraction-path reference in tests/simplex_oracle.py keeps the valid
+# calls it had as public functions: the rational matrix R2 and the tuple T.
+ORACLE_CALLS = {
+    "gram_matrix": (simplex_oracle.gram_matrix, (T,)),
+    "rational_det": (simplex_oracle.rational_det, (R2,)),
+}
 
 
 def _public_functions():
@@ -208,10 +214,13 @@ def test_public_names():
     assert len(trigroup.__all__) == 55
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CALLS if CALLS[n][1]))
+@pytest.mark.parametrize("name", sorted([n for n in CALLS if CALLS[n][1]] + list(ORACLE_CALLS)))
 def test_valid_calls_return(name):
-    args, _ = CALLS[name]
-    result = FUNCTIONS[name](*args)
+    if name in ORACLE_CALLS:
+        function, args = ORACLE_CALLS[name]
+    else:
+        function, args = FUNCTIONS[name], CALLS[name][0]
+    result = function(*args)
     if name in TOTAL:
         assert result is True
 
@@ -318,14 +327,14 @@ def test_bad_int_raises_value_error(case):
         lambda: linalg.bareiss_det([[True, 1], [1, 3]]),
         lambda: linalg.bareiss_rank([[1, 2], [3]]),
         lambda: linalg.bareiss_det(5),
-        lambda: linalg.rational_det([[0.5, 1], [1, 3]]),
+        lambda: linalg.rational_rank([[0.5, 1], [1, 3]]),
         lambda: linalg.rational_rank([[1, 2], [3, None]]),
         lambda: linalg.char_poly([[1, "2"], [3, 4]]),
         # a str, a set or a mapping is not a sequence of entries: these
         # returned (2, 1, 1, 1), -2, 2 and 3, reading characters, set
         # members in hash order and the dict's keys
         lambda: simplex.as_entries("2111"),
-        lambda: linalg.rational_det(["12", "34"]),
+        lambda: linalg.rational_rank(["12", "34"]),
         lambda: linalg.bareiss_rank([{1, 2}, {3, 4}]),
         lambda: orbit.word_norm({1: 0, 2: 0}, (0, 1, 1, 1)),
     ],
@@ -350,6 +359,12 @@ def test_motivating_probes_raise_value_error(call):
         lambda: orbit.orbit_vectors(Q7, LENGTH_CAP + 1, max_sum=20),
         lambda: orbit.bfs_elements(LENGTH_CAP + 1),
         lambda: orbit.word_norm((1,) * (LENGTH_CAP + 1), Q),
+        # the elimination's cap, on the matrix of each function that runs it
+        lambda: linalg.bareiss_det([[2**1800]]),
+        lambda: linalg.bareiss_rank([[1, 2**1800]]),
+        lambda: linalg.rational_rank([[Fraction(2**1800, 3)]]),
+        lambda: linalg.char_poly([[2**1800]]),
+        lambda: simplex.gram_det((1, 2**900, 1, 1)),
     ],
 )
 def test_work_caps_raise_before_any_work(call):

@@ -480,6 +480,18 @@ def test_simplex_output_past_the_digit_limit_exits_3(capsys):
     assert "exceeds 4300 digits" in err
 
 
+def test_simplex_gram_past_the_elimination_cap_exits_3_at_once(capsys):
+    # 50 entries over distinct 6-digit prime denominators: scaled by the
+    # lcm, the Gram matrix has 49 rows of ~850-bit entries
+    primes = [p for p in range(100_001, 102_000, 2) if all(p % d for d in range(3, 320, 2))][:50]
+    entries = [f"{(p * 7919) % 10**6}/{p}" for p in primes]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simplex", "gram", *entries)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (3, "")
+    assert "exceeds cap" in err
+
+
 def test_orbit_list_past_the_digit_limit_keeps_its_rows_and_exits_3(capsys):
     g = 10**4299
     code, out, err = run_cli(capsys, "orbit", "--root", str(g), str(g), str(g), "0",

@@ -17,7 +17,8 @@ from trigroup.lie import (
     six_spanning_matrices,
     translation_matrix,
 )
-from trigroup.linalg import bareiss_det, bareiss_rank, rational_det, rational_rank
+from trigroup.linalg import bareiss_det, bareiss_rank, rational_rank
+from simplex_oracle import rational_det
 
 ZERO = tuple((0, 0, 0, 0) for _ in range(4))
 

@@ -1,5 +1,6 @@
-"""The fraction-free determinant against the Leibniz expansion, and the
-characteristic polynomial against a Laplace expansion of det(tI - m)."""
+"""The fraction-free determinant, and the test-side rational one, against
+the Leibniz expansion, and the characteristic polynomial against a
+Laplace expansion of det(tI - m)."""
 
 import math
 import random
@@ -9,7 +10,8 @@ from itertools import permutations
 import pytest
 
 from trigroup import ResourceLimitError
-from trigroup.linalg import CHAR_POLY_SIZE_CAP, bareiss_det, char_poly, rational_det
+from trigroup.linalg import BAREISS_BITS_CAP, CHAR_POLY_SIZE_CAP, bareiss_det, char_poly
+from simplex_oracle import rational_det
 
 
 def leibniz_det(rows):
@@ -132,6 +134,17 @@ def test_char_poly_size_cap():
     size = CHAR_POLY_SIZE_CAP + 1
     with pytest.raises(ResourceLimitError):
         char_poly([[0] * size] * size)
+
+
+def test_elimination_work_cap():
+    # rows x (bits of the largest entry + bits of the row count): the cap
+    # admits its bound and refuses one bit more, before any elimination
+    bits = BAREISS_BITS_CAP // 2 - 2
+    big = 1 << (bits - 1)
+    assert 2 * (big.bit_length() + 2) == BAREISS_BITS_CAP
+    assert bareiss_det([[big, 0], [0, 1]]) == big
+    with pytest.raises(ResourceLimitError, match=f"exceeds cap {BAREISS_BITS_CAP}"):
+        bareiss_det([[2 * big, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]], [[]]])

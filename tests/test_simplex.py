@@ -1,5 +1,6 @@
 import random
 import time
+import warnings
 from fractions import Fraction
 from operator import mul
 
@@ -7,7 +8,7 @@ import pytest
 
 from trigroup import simplex
 from trigroup.core import EXPONENT_CAP, ResourceLimitError, apply_generator
-from trigroup.linalg import rational_det, rational_rank
+from trigroup.linalg import rational_rank
 from trigroup.simplex import (
     NegativeEntryWarning,
     PointConfiguration,
@@ -21,6 +22,7 @@ from trigroup.simplex import (
     standard_configuration,
     tuple_from_configuration,
 )
+import simplex_oracle as oracle
 from conftest import configuration_json, random_quadruples
 
 F = Fraction
@@ -158,7 +160,7 @@ def test_equal_sides_force_affine_independence(n):
     edges = [[x - y for x, y in zip(v, base)] for v in cfg.vertices[1:]]
     gram = [[sum(map(mul, u, v)) for v in edges] for u in edges]
     assert gram == [[a if i == j else a / 2 for j in range(n)] for i in range(n)]
-    assert rational_det(gram) == (a / 2) ** n * (n + 1)
+    assert oracle.rational_det(gram) == (a / 2) ** n * (n + 1)
 
 
 def test_each_configuration_is_ranked_once(monkeypatch):
@@ -265,6 +267,35 @@ def test_gram_det_equals_closed_form_on_arbitrary_tuples():
             if entries[0] == 0:
                 entries[0] = F(1)
             assert gram_det(entries) == gram_closed_form(entries)
+
+
+def _outcome(fn, *args):
+    """(the result or the ValueError text, the warnings) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_integer_kernels_match_the_fraction_path(n):
+    # the residual, the reflection and the Gram determinant on the tuple
+    # scaled to integers equal the Fraction path of tests/simplex_oracle.py:
+    # the same values, ValueError texts and warnings, on valid tuples, their
+    # negatives, their fraction strings and tuples that are not valid
+    rng = random.Random(40 + n)
+    for _ in range(20):
+        valid = random_valid_tuple(rng, n)
+        invalid = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n + 2)]
+        for values in (valid, [-e for e in valid], [str(e) for e in valid], invalid):
+            residual = identity_residual(values)
+            assert type(residual) is F and residual == oracle.identity_residual(values)
+            assert gram_det(values) == oracle.gram_det(values)
+            for index in range(1, n + 2):
+                assert _outcome(reflect, values, index) == _outcome(oracle.reflect, values, index)
 
 
 def test_gram_det_zero_iff_identity_for_positive_side():

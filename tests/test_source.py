@@ -319,7 +319,7 @@ def test_one_length_cap_bounds_every_length():
     assert caps == {
         "core.EXPONENT_CAP", "core.LENGTH_CAP", "counting.DEFAULT_BOUND_CAP", "counting.DIVISOR_SUM_CAP",
         "counting.DIVISOR_TABLE_CAP", "eisenstein.RHO_ITERATION_CAP", "eisenstein.SOLUTION_CAP",
-        "linalg.CHAR_POLY_SIZE_CAP", "reduction.REDUCTION_STEP_CAP",
+        "linalg.BAREISS_BITS_CAP", "linalg.CHAR_POLY_SIZE_CAP", "reduction.REDUCTION_STEP_CAP",
     }
     assigned = {stem for stem, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store)
@@ -329,6 +329,10 @@ def test_one_length_cap_bounds_every_length():
     exponent = [ast.unparse(k.value) for call in _calls_to(_defs("core")["_rational"], "_require_int")
                 for k in call.keywords if k.arg == "cap"]
     assert exponent == ["EXPONENT_CAP"], exponent
+    # the one elimination checks its work cap the same way, on every matrix
+    elimination = [ast.unparse(k.value) for call in _calls_to(_defs("linalg")["_bareiss"], "_require_int")
+                   for k in call.keywords if k.arg == "cap"]
+    assert elimination == ["BAREISS_BITS_CAP"], elimination
     for name in ("_bfs", "word_norm", "growth_recurrence_terms", "extremal_word",
                  "stabilizer_counts", "power_formula_report"):
         caps = [ast.unparse(k.value) for call in _calls_to(defs[name], "_require_int")

@@ -20,7 +20,6 @@ from .core import (
 )
 from .counting import (
     CensusReport,
-    canonicalize,
     count_by_height,
     count_by_max,
     divisor_square_sum,
@@ -32,7 +31,6 @@ from .eisenstein import (
     divisor_character_sum,
     factorize,
     quadruples_with_pair,
-    representation_count,
     solve_norm_form,
 )
 from .orbit import (
@@ -41,7 +39,7 @@ from .orbit import (
     coxeter_char_poly,
     coxeter_element,
     extremal_word,
-    growth_recurrence,
+    growth_recurrence_terms,
     max_norm_at_length,
     orbit_layers,
     orbit_sizes,
@@ -55,7 +53,6 @@ from .orbit import (
 from .reduction import (
     ReductionTrace,
     gcd_content,
-    is_primitive,
     is_root,
     reduce_step,
     reduce_to_root,
@@ -66,7 +63,6 @@ from .simplex import (
     PointConfiguration,
     gram_closed_form,
     gram_det,
-    gram_residual,
     identity_residual,
     reflect,
     standard_configuration,

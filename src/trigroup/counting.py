@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, repeat
 from operator import floordiv, itemgetter, mul
 
-from .core import Quadruple, Vector4, _require_int, validate_quadruple
+from .core import Quadruple, Vector4, _require_int
 
 Node = tuple[Quadruple, int, int]  # (q, ties, m), see _walk
 
@@ -69,11 +69,6 @@ class CensusReport:
     # field stays so that a report serializes (dataclasses.asdict) with
     # the keys it always had.
     quadruples: None = None
-
-
-def canonicalize(q: Quadruple) -> Quadruple:
-    """Sort entries in nonincreasing order (multiset representative)."""
-    return tuple(sorted(validate_quadruple(q), reverse=True))
 
 
 def _orders_table() -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -276,11 +276,6 @@ def _character_sum(factors: dict[int, int]) -> int:
     return result
 
 
-def representation_count(k: int) -> int:
-    """Number of integer solutions of z^2 - zw + w^2 = k, for k >= 1."""
-    return 6 * divisor_character_sum(k)
-
-
 def quadruples_with_pair(p: int, q: int) -> list[Quadruple]:
     """All quadruples (p, q, c, d) containing the positive pair (p, q).
 

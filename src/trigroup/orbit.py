@@ -207,11 +207,6 @@ def growth_recurrence_terms(n: int) -> list[int]:
     return terms
 
 
-def growth_recurrence(n: int) -> int:
-    """G_n of the recurrence, see growth_recurrence_terms."""
-    return growth_recurrence_terms(n)[n]
-
-
 @dataclass(frozen=True)
 class VectorOrbit:
     """Distinct quadruples reached within each depth, plus the layers."""

@@ -118,11 +118,6 @@ def gcd_content(q: Quadruple) -> int:
     return math.gcd(*q)
 
 
-def is_primitive(q: Quadruple) -> bool:
-    """True iff the entries have gcd 1."""
-    return gcd_content(q) == 1
-
-
 def same_orbit(q1: Quadruple, q2: Quadruple) -> bool:
     """True iff q1 and q2 lie in one orbit, identifying permuted roots.
 

@@ -13,7 +13,9 @@ preserve integrality.
 The residual and the determinant are homogeneous in the entries, of
 degrees 2 and k = n + 1, so both are computed on the tuple scaled to
 integers by the lcm m of its denominators and divided by m^2 and m^k
-once: the elimination runs on ints, with no Fraction in it.
+once: the elimination runs on ints, with no Fraction in it.  gram_det
+builds its integer matrix itself, so it runs linalg's kernel, _bareiss,
+directly, without checking the entries again.
 
 Only n = 2 carries an orbit theory.  Entry reflections i != j are in
 the roots e_i, e_j of the form (n+1) I - J (<e_i, e_i> = n,
@@ -39,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import _as_tuple, _rational, _require_int
-from .linalg import bareiss_det, rational_rank
+from .linalg import _bareiss, rational_rank
 
 Entries = tuple[Fraction, ...]
 
@@ -114,7 +116,7 @@ def gram_det(values) -> Fraction:
     to integers."""
     (a0, *dist), m = _scaled(as_entries(values))
     rows = [[2 * x if i == j else x + y - a0 for j, y in enumerate(dist)] for i, x in enumerate(dist)]
-    return Fraction(bareiss_det(rows), m ** len(dist))
+    return Fraction(_bareiss(rows)[1], m ** len(dist))
 
 
 def gram_closed_form(values) -> Fraction:
@@ -173,11 +175,6 @@ def tuple_from_configuration(cfg: PointConfiguration) -> Entries:
     if rational_rank(offsets) != len(vertices) - 1:
         raise ValueError("point does not lie in the affine hull of the vertices")
     return (side,) + tuple(_dist_squared(point, v) for v in vertices)
-
-
-def gram_residual(cfg: PointConfiguration) -> Fraction:
-    """Gram determinant of the configuration (zero for genuine configurations)."""
-    return gram_det(tuple_from_configuration(cfg))
 
 
 def standard_configuration(

@@ -1,7 +1,16 @@
 import random
 
 from trigroup.core import _reflect, apply_generator
+from trigroup.linalg import _bareiss
 from trigroup.orbit import max_norm_at_length
+
+
+def det(rows):
+    """Determinant of a square integer matrix, read from linalg's one
+    elimination; rows that are not square raise ValueError."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    return _bareiss(rows)[1]
 
 
 def random_quadruples(count, seed=0, max_scale=5, max_steps=10):

@@ -13,8 +13,8 @@ import math
 import warnings
 from fractions import Fraction
 
-from trigroup.linalg import bareiss_det
 from trigroup.simplex import NegativeEntryWarning, as_entries, dimension
+from conftest import det
 
 
 def rational_det(rows) -> Fraction:
@@ -27,7 +27,7 @@ def rational_det(rows) -> Fraction:
         scale = math.lcm(*(x.denominator for x in row))
         ints.append([int(x * scale) for x in row])
         product *= scale
-    return Fraction(bareiss_det(ints), product)
+    return Fraction(det(ints), product)
 
 
 def gram_matrix(values) -> list[list[Fraction]]:

@@ -11,6 +11,10 @@ pairs by v -> M_i conj(v), and phi carries that action to reflection i.
 An element is a pair (A, a), acting by v -> A conj^a(v), where A is
 taken modulo the six unit scalars, which phi cannot see; the product is
 (A, a)(B, b) = (A conj^a(B), a xor b).
+
+The translation S1 S2 S1 S3 is a word of even length, so it acts
+linearly, by T = M_1 conj(M_2) M_1 conj(M_3).  T = omega (I + N) with
+N^2 = 0, so T^n = omega^n (I + n N) in closed form.
 """
 
 ZERO, ONE, OMEGA = (0, 0), (1, 0), (0, 1)
@@ -54,10 +58,14 @@ M = {
 }
 
 
+def apply(m, v):
+    """The 2x2 matrix m on the pair v, linearly: m v."""
+    return tuple(add(mul(row[0], v[0]), mul(row[1], v[1])) for row in m)
+
+
 def act(i, v):
     """Generator i on the pair v = (z, w): M_i conj(v)."""
-    v = tuple(map(conj, v))
-    return tuple(add(mul(row[0], v[0]), mul(row[1], v[1])) for row in M[i])
+    return apply(M[i], tuple(map(conj, v)))
 
 
 def _mat_mul(a, b):
@@ -70,9 +78,30 @@ def _mat_conj(m):
     return tuple(tuple(map(conj, row)) for row in m)
 
 
+def _mat_scale(u, m):
+    return tuple(tuple(mul(u, e) for e in row) for row in m)
+
+
 def _modulo_units(m):
     """The least of the six unit multiples of m, one representative per class."""
-    return min(tuple(tuple(mul(u, e) for e in row) for row in m) for u in UNITS)
+    return min(_mat_scale(u, m) for u in UNITS)
+
+
+def translation():
+    """T = M_1 conj(M_2) M_1 conj(M_3), the pair action of S1 S2 S1 S3."""
+    return _mat_mul(_mat_mul(_mat_mul(M[1], _mat_conj(M[2])), M[1]), _mat_conj(M[3]))
+
+
+def nilpotent_part():
+    """N = omega^2 T - I, so that T = omega (I + N)."""
+    (a, b), (c, d) = _mat_scale(OMEGA2, translation())
+    return ((sub(a, ONE), b), (c, sub(d, ONE)))
+
+
+def translation_power(n):
+    """T^n in closed form, omega^n (I + n N): N^2 = 0, and omega is a scalar."""
+    (a, b), (c, d) = (tuple((n * x, n * y) for x, y in row) for row in nilpotent_part())
+    return _mat_scale((ONE, OMEGA, OMEGA2)[n % 3], ((add(ONE, a), b), (c, add(ONE, d))))
 
 
 def compose(x, y):

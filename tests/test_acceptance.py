@@ -18,7 +18,6 @@ from trigroup.core import (
     verify_coxeter_relations,
 )
 from trigroup.counting import (
-    canonicalize,
     count_by_height,
     count_by_max,
     height_sweep,
@@ -28,7 +27,6 @@ from trigroup.counting import (
 from trigroup.eisenstein import (
     divisor_character_sum,
     quadruples_with_pair,
-    representation_count,
     solve_norm_form,
 )
 from trigroup.lie import (
@@ -45,7 +43,7 @@ from trigroup.orbit import (
     bfs_elements,
     coxeter_char_poly,
     extremal_word,
-    growth_recurrence,
+    growth_recurrence_terms,
     orbit_vectors,
     spectral_radius,
     spectral_radius_closed_form,
@@ -102,11 +100,11 @@ def test_criterion_03_orbit_completeness():
         for v in layer:
             assert is_triangle_quadruple(v)
             if sum(x * x for x in v) <= 1600:
-                reached.add(canonicalize(v))
+                reached.add(tuple(sorted(v, reverse=True)))
     assert reached == target
     # spot-check against the unpruned orbit at a smaller depth
     unpruned = {
-        canonicalize(v)
+        tuple(sorted(v, reverse=True))
         for v in all_vectors(orbit_vectors(ROOT, 12))
         if sum(x * x for x in v) <= 1600
     }
@@ -122,7 +120,7 @@ def test_criterion_04_growth_oracle_vs_recurrence():
     sizes = bfs_elements(10)
     elapsed = time.monotonic() - start
     assert sizes[:3] == (1, 4, 12)
-    recurrence = [growth_recurrence(n) for n in range(9)]
+    recurrence = growth_recurrence_terms(8)
     rows = [
         (n, sizes[n], recurrence[n]) for n in range(3, 9)
     ]
@@ -175,7 +173,7 @@ def test_criterion_06_eisenstein_counts():
     for p in range(1, 51):
         for q in range(1, 51):
             extensions = quadruples_with_pair(p, q)
-            assert len(extensions) == representation_count(3 * p * q)
+            assert len(extensions) == 6 * divisor_character_sum(3 * p * q)
             for quad in extensions:
                 assert quad[2] >= 0 and quad[3] >= 0
                 assert is_triangle_quadruple(quad)

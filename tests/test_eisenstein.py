@@ -13,7 +13,6 @@ from trigroup.eisenstein import (
     divisor_character_sum,
     factorize,
     quadruples_with_pair,
-    representation_count,
     solve_norm_form,
 )
 from factor_oracle import LIMIT, trial_factorize
@@ -137,7 +136,7 @@ def test_solve_norm_form_against_scan_large(k):
 def test_solve_norm_form_near_1e20(k):
     sols = solve_norm_form(k)
     assert sols == sorted(set(sols))
-    assert len(sols) == representation_count(k)
+    assert len(sols) == 6 * divisor_character_sum(k)
     assert all(z * z - z * w + w * w == k for z, w in sols)
     closed = set(sols)
     for z, w in sols:
@@ -188,12 +187,12 @@ def test_character_sum_equals_naive_divisor_sum():
 
 def test_representation_count_matches_brute_force():
     for k in range(1, 600):
-        assert representation_count(k) == len(brute_solutions(k)), k
+        assert 6 * divisor_character_sum(k) == len(brute_solutions(k)), k
 
 
 def test_representation_count_bounded_by_divisors():
     for k in range(1, 600):
-        assert representation_count(k) <= 6 * brute_divisor_count(k), k
+        assert 6 * divisor_character_sum(k) <= 6 * brute_divisor_count(k), k
 
 
 @settings(max_examples=60)
@@ -214,7 +213,7 @@ def test_quadruples_with_pair_properties():
     for p in range(1, 8):
         for q in range(1, 8):
             exts = quadruples_with_pair(p, q)
-            assert len(exts) == representation_count(3 * p * q)
+            assert len(exts) == 6 * divisor_character_sum(3 * p * q)
             for quad in exts:
                 assert quad[0] == p and quad[1] == q
                 assert quad[2] >= 0 and quad[3] >= 0
@@ -225,8 +224,8 @@ def test_quadruples_with_pair_spec_cases():
     exts = quadruples_with_pair(2, 2)
     assert (2, 2, 2, 0) in exts
     assert (2, 2, 6, 2) in exts
-    assert len(exts) == representation_count(12) == 6
-    assert len(quadruples_with_pair(1, 3)) == representation_count(9) == 6
+    assert len(exts) == 6 * divisor_character_sum(12) == 6
+    assert len(quadruples_with_pair(1, 3)) == 6 * divisor_character_sum(9) == 6
 
 
 def test_quadruples_with_pair_order():
@@ -241,7 +240,7 @@ def test_quadruples_with_pair_large():
     # p = 7 * 13^2 * 19 * 31 * 37 * 43 and the prime q = 1 mod 3
     p, q = 1_108_588_117, 1_000_000_009
     exts = quadruples_with_pair(p, q)
-    assert len(exts) == representation_count(3 * p * q) == 1152
+    assert len(exts) == 6 * divisor_character_sum(3 * p * q) == 1152
     for quad in exts:
         assert quad[:2] == (p, q)
         assert quad[2] >= 0 and quad[3] >= 0
@@ -281,8 +280,8 @@ def test_quadruples_with_pair_equals_the_solver_on_3pq():
         (factorize, (True,)),
         (divisor_character_sum, (7.0,)),
         (divisor_character_sum, (True,)),
-        (representation_count, (7.0,)),
-        (representation_count, (True,)),
+        (divisor_character_sum, ("7",)),
+        (divisor_character_sum, (None,)),
         (quadruples_with_pair, (True, 1)),
         (quadruples_with_pair, (1, 2.0)),
         (quadruples_with_pair, (1, "2")),

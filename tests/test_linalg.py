@@ -10,7 +10,8 @@ from itertools import permutations
 import pytest
 
 from trigroup import ResourceLimitError
-from trigroup.linalg import BAREISS_BITS_CAP, CHAR_POLY_SIZE_CAP, bareiss_det, char_poly
+from trigroup.linalg import BAREISS_BITS_CAP, CHAR_POLY_SIZE_CAP, bareiss_rank, char_poly
+from conftest import det
 from simplex_oracle import rational_det
 
 
@@ -37,7 +38,7 @@ def test_bareiss_det_against_leibniz(n):
     rng = random.Random(n)
     for _ in range(40):
         m = random_int_matrix(rng, n)
-        assert bareiss_det(m) == leibniz_det(m)
+        assert det(m) == leibniz_det(m)
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -63,10 +64,10 @@ def test_singular_matrices_have_determinant_zero(n):
         m = _singular(rng, n)
         rng.shuffle(m)
         assert leibniz_det(m) == 0
-        assert bareiss_det(m) == 0
+        assert det(m) == 0
         assert rational_det([[Fraction(x, 3) for x in row] for row in m]) == 0
     zero_column = [[0] + row[1:] for row in random_int_matrix(rng, n)]
-    assert bareiss_det(zero_column) == 0
+    assert det(zero_column) == 0
 
 
 @pytest.mark.parametrize(
@@ -79,7 +80,7 @@ def test_singular_matrices_have_determinant_zero(n):
     ],
 )
 def test_row_swaps_flip_the_sign(rows):
-    assert bareiss_det(rows) == leibniz_det(rows) != 0
+    assert det(rows) == leibniz_det(rows) != 0
     assert rational_det([[Fraction(x, 2) for x in row] for row in rows]) == Fraction(
         leibniz_det(rows), 2 ** len(rows)
     )
@@ -88,14 +89,14 @@ def test_row_swaps_flip_the_sign(rows):
 @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]], [[]]])
 def test_non_square_raises_value_error(rows):
     with pytest.raises(ValueError):
-        bareiss_det(rows)
+        det(rows)
     with pytest.raises(ValueError):
         rational_det(rows)
 
 
 def test_empty_matrix_has_determinant_one():
     assert rational_det([]) == 1
-    assert bareiss_det([]) == 1
+    assert det([]) == 1
 
 
 def laplace_det(rows):
@@ -126,7 +127,7 @@ def test_char_poly_ends():
     assert char_poly([[5]]) == (1, -5)
     # the constant term is (-1)^n det m, and the next-to-leading one -trace m
     m = [[2, -1, 0], [4, 3, 7], [-5, 1, 1]]
-    assert char_poly(m)[1] == -6 and char_poly(m)[-1] == -bareiss_det(m)
+    assert char_poly(m)[1] == -6 and char_poly(m)[-1] == -det(m)
 
 
 def test_char_poly_size_cap():
@@ -137,14 +138,22 @@ def test_char_poly_size_cap():
 
 
 def test_elimination_work_cap():
-    # rows x (bits of the largest entry + bits of the row count): the cap
-    # admits its bound and refuses one bit more, before any elimination
+    # max(rows, columns) x (bits of the largest entry + bits of
+    # min(rows, columns)): the cap admits its bound and refuses one bit
+    # more, before any elimination
     bits = BAREISS_BITS_CAP // 2 - 2
     big = 1 << (bits - 1)
     assert 2 * (big.bit_length() + 2) == BAREISS_BITS_CAP
-    assert bareiss_det([[big, 0], [0, 1]]) == big
+    assert det([[big, 0], [0, 1]]) == big
     with pytest.raises(ResourceLimitError, match=f"exceeds cap {BAREISS_BITS_CAP}"):
-        bareiss_det([[2 * big, 0], [0, 1]])
+        det([[2 * big, 0], [0, 1]])
+    # 2 x 300 and 300 x 2: 300 x (4 + 2) is the bound, whichever way round
+    assert 300 * ((15).bit_length() + (2).bit_length()) == BAREISS_BITS_CAP
+    for rows in ([[15] * 300, [1, 0] * 150], [[15, j % 2] for j in range(300)]):
+        assert bareiss_rank(rows) == 2
+        rows[0][0] = 16
+        with pytest.raises(ResourceLimitError, match=f"exceeds cap {BAREISS_BITS_CAP}"):
+            bareiss_rank(rows)
 
 
 @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]], [[]]])

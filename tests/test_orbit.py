@@ -19,7 +19,6 @@ from trigroup.core import (
     validate_quadruple,
 )
 from trigroup.eisenstein import factorize
-from trigroup.linalg import bareiss_det
 from trigroup.orbit import (
     _CHAMBER_VECTOR,
     _bfs,
@@ -31,7 +30,7 @@ from trigroup.orbit import (
     coxeter_char_poly,
     coxeter_element,
     extremal_word,
-    growth_recurrence,
+    growth_recurrence_terms,
     max_norm_at_length,
     orbit_sizes,
     orbit_vectors,
@@ -46,7 +45,7 @@ from trigroup.orbit import (
 from trigroup.reduction import reduce_to_root
 import matrix_bfs
 from census_oracle import all_roots_walk
-from conftest import all_vectors, norm_profile, random_quadruples
+from conftest import all_vectors, det, norm_profile, random_quadruples
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)
@@ -120,10 +119,10 @@ LETTER_SETS = [t for k in range(1, 5) for t in combinations((1, 2, 3, 4), k)]
 
 
 def test_recurrence_values():
-    assert [growth_recurrence(n) for n in range(5)] == [1, 4, 12, 29, 70]
-    assert [growth_recurrence(n) for n in range(7)] == [1, 4, 12, 29, 70, 162, 377]
+    assert growth_recurrence_terms(4) == [1, 4, 12, 29, 70]
+    assert growth_recurrence_terms(6) == [1, 4, 12, 29, 70, 162, 377]
     with pytest.raises(ValueError):
-        growth_recurrence(-1)
+        growth_recurrence_terms(-1)
 
 
 def test_bfs_seed_layers():
@@ -136,7 +135,7 @@ def test_bfs_oracle_vs_recurrence_disagreement():
     # the exact BFS count at depth 3 is 30; the closed recurrence gives 29
     sizes = bfs_elements(5)
     assert sizes[3] == 30
-    assert growth_recurrence(3) == 29
+    assert growth_recurrence_terms(3)[3] == 29
     assert sizes == (1, 4, 12, 30, 72, 168)
 
 
@@ -747,7 +746,7 @@ def test_finite_parabolics_are_the_positive_definite_minors():
     for k, expected in minors.items():
         for subset in combinations((1, 2, 3, 4), k):
             rows = [[FORM_MATRIX[i - 1][j - 1] for j in subset] for i in subset]
-            assert bareiss_det(rows) == expected
+            assert det(rows) == expected
             finite = all(minors[j] > 0 for j in range(k + 1))
             stops = not any(islice(_series_sizes(_CHAMBER_VECTOR, subset), 4, 40))
             assert stops == finite == (k <= 2)
@@ -783,4 +782,4 @@ def test_recurrence_gap_is_the_numerators_cubic_term():
     gap = [0, 0, 0, 1]
     while len(gap) < 201:
         gap.append(2 * gap[-1] + 2 * gap[-2] - 3 * gap[-3])
-    assert [layers[n] - growth_recurrence(n) for n in range(201)] == gap
+    assert [size - term for size, term in zip(layers, growth_recurrence_terms(200), strict=True)] == gap

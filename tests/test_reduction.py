@@ -10,7 +10,6 @@ from trigroup.orbit import orbit_vectors
 from trigroup.reduction import (
     ReductionTrace,
     gcd_content,
-    is_primitive,
     is_root,
     reduce_step,
     reduce_to_root,
@@ -177,8 +176,8 @@ def test_trace_replay_round_trip():
 
 
 def test_primitivity_and_orbit_classification():
-    assert is_primitive((7, 4, 3, 1))
-    assert not is_primitive((0, 2, 2, 2))
+    assert gcd_content((7, 4, 3, 1)) == 1
+    assert gcd_content((0, 2, 2, 2)) == 2
     assert same_orbit((7, 4, 3, 1), (0, 1, 1, 1))
     assert not same_orbit((0, 2, 2, 2), (0, 1, 1, 1))
     for q in random_quadruples(30, seed=8):

@@ -117,13 +117,17 @@ def test_bfs_loop_neither_sorts_nor_calls_reflect():
 
 def test_one_elimination_computes_every_matrix_invariant():
     # linalg._bareiss is the one elimination: char_poly is defined once,
-    # in linalg, and runs it on the principal minors; orbit keeps
-    # no characteristic-polynomial recurrence, and no mat_mul to run one
+    # in linalg, and runs it on the principal minors; simplex.gram_det
+    # runs it on the matrix it builds, and no bareiss_det is left; orbit
+    # keeps no characteristic-polynomial recurrence, and no mat_mul to
+    # run one
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    defining = sorted(stem for stem, tree in trees.items() for fn in ast.walk(tree)
-                      if isinstance(fn, ast.FunctionDef) and fn.name == "char_poly")
-    assert defining == ["linalg"]
+    defining = {name: sorted(stem for stem, tree in trees.items() for fn in ast.walk(tree)
+                             if isinstance(fn, ast.FunctionDef) and fn.name == name)
+                for name in ("char_poly", "bareiss_det")}
+    assert defining == {"char_poly": ["linalg"], "bareiss_det": []}, defining
     assert _calls_to(_defs("linalg")["char_poly"], "_bareiss")
+    assert _calls_to(_defs("simplex")["gram_det"], "_bareiss")
     imported = {alias.name for node in ast.walk(trees["orbit"]) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "mat_mul" not in imported and "char_poly" in imported
@@ -197,12 +201,13 @@ def test_ordered_rows_and_root_orbits_share_one_layout():
 
 def test_census_lists_sort_one_first_entry_at_a_time():
     # a census list is sorted chunk by chunk, one chunk per first entry,
-    # never whole: no sorted() in counting but canonicalize's, of its
-    # four entries, and list.sort only on the chunks.  The CLI lists
-    # from list_by_height and list_by_max, not from a report.
+    # never whole: no sorted() in counting at all, and list.sort only on
+    # the chunks.  The CLI lists from list_by_height and list_by_max, not
+    # from a report.
+    path = next(p for p in SOURCES if p.name == "counting.py")
+    lines = [node.lineno for node in _calls_to(ast.parse(path.read_text(encoding="utf-8")), "sorted")]
+    assert lines == [], f"counting.py calls sorted() at lines {lines}"
     defs = _defs("counting")
-    sorting = {name for name, fn in defs.items() if _calls_to(fn, "sorted")}
-    assert sorting == {"canonicalize"}, sorting
     chunks = {name for name, fn in defs.items() if _calls_to(fn, "sort")}
     assert chunks == {"_canonical_chunks", "_ordered_chunks"}, chunks
     path = next(p for p in SOURCES if p.name == "cli.py")

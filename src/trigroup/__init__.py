@@ -46,14 +46,12 @@ from .orbit import (
     orbit_vectors,
     prime_factor_count,
     spectral_radius,
-    spectral_radius_closed_form,
     stabilizer_counts,
     word_norm,
 )
 from .reduction import (
     ReductionTrace,
     gcd_content,
-    is_root,
     reduce_step,
     reduce_to_root,
     same_orbit,
@@ -65,7 +63,6 @@ from .simplex import (
     gram_det,
     identity_residual,
     reflect,
-    standard_configuration,
     tuple_from_configuration,
 )
 

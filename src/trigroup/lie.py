@@ -7,7 +7,12 @@ nilpotent direction D1, and conjugating and bracketing D1 produces six
 matrices spanning the full 6-dimensional space of matrices X with
 X^T A + A X = 0.  Everything here is computed from the generators and
 compared against independently recorded expected matrices, so a typo in
-either source is surfaced rather than inherited.
+either source is surfaced rather than inherited.  One such disagreement
+stands: the recorded power formula gives the (3,4) entry of T1^n as
+6n^2 - 2n, while the exact 4x4 powers and the 2x2 spinor model of the
+group (where S1 S2 S1 S3 acts as omega (I + N) with N^2 = 0, in
+tests/spinor_model.py) both give 3n^2 - 2n.  The recorded value stays
+as it is, and power_formula_report shows the two side by side.
 """
 
 from __future__ import annotations

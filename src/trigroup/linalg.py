@@ -47,7 +47,7 @@ def _bareiss(rows) -> tuple[int, int]:
     nrows, ncols = len(m), len(m[0])
     bits = max((abs(x) for row in m for x in row), default=0).bit_length()
     work = max(nrows, ncols) * (bits + min(nrows, ncols).bit_length())
-    _require_int("matrix rows x entry bits", work, cap=BAREISS_BITS_CAP)
+    _require_int("max(rows, columns) x (entry bits + bits of min(rows, columns))", work, cap=BAREISS_BITS_CAP)
     sign = prev = 1
     rank = 0
     for col in range(ncols):

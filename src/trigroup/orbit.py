@@ -50,7 +50,6 @@ The Coxeter element's characteristic polynomial is linalg.char_poly.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
@@ -422,17 +421,6 @@ def spectral_radius(error_bound: Fraction = Fraction(1, 10**13)) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def spectral_radius_closed_form() -> float:
-    """Closed form of the largest root of t^4 - 7t^3 - 15t^2 - 7t + 1.
-
-    The palindromic quartic factors as (t^2 - at + 1)(t^2 - bt + 1) with
-    a + b = 7 and ab = -17, so a = (7 + 3 sqrt 13)/2 and the largest
-    root is (a + sqrt(a^2 - 4))/2.
-    """
-    a = (7 + 3 * math.sqrt(13)) / 2
-    return (a + math.sqrt(a * a - 4)) / 2
 
 
 def prime_factor_count(q: Quadruple) -> int | None:

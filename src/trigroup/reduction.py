@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import GENERATOR_INDICES, Quadruple, ResourceLimitError, _reflect, validate_quadruple
+from .core import Quadruple, ResourceLimitError, _reflect, validate_quadruple
 
 # Work cap on reduce_to_root, which keeps every step; k-digit cusps take ~10^(k/2) steps.
 REDUCTION_STEP_CAP = 10**6
@@ -29,18 +29,6 @@ class ReductionTrace:
     start: Quadruple
     steps: tuple[tuple[int, Quadruple], ...]
     root: Quadruple
-
-
-def is_root(q: Quadruple) -> bool:
-    """True iff no generator strictly decreases the entry sum.
-
-    This is the definitional check over all four generators; that roots
-    are exactly the permutations of (0, x, x, x) is a theorem the test
-    suite verifies, not an assumption baked in here.
-    """
-    q = validate_quadruple(q)
-    s = sum(q)
-    return all(sum(_reflect(q, i)) >= s for i in GENERATOR_INDICES)
 
 
 def reduce_step(q: Quadruple) -> tuple[Quadruple, int] | None:
@@ -64,13 +52,13 @@ def reduce_to_root(q: Quadruple) -> ReductionTrace:
 
     The loop keeps a running entry sum s.  At the largest entry v, the
     first one breaking ties as in reduce_step, the other three sum to
-    t = s - v; reflecting sets v to t - v and the sum to t + (t - v), so
-    the loop stops when v + v <= t.  The sum strictly decreases at every
-    step, so termination is guaranteed; the root is a permutation of
-    (0, x, x, x) with x = gcd_content(q).  The step is inline, one loop
-    over four locals and the sum, because this loop is the whole cost of
-    a long reduction.  More than REDUCTION_STEP_CAP steps raise
-    ResourceLimitError.
+    t = s - v; reflecting sets v to u = t - v and the sum to t + u, so
+    the loop stops when u >= v, that is when v + v <= t.  The sum
+    strictly decreases at every step, so termination is guaranteed; the
+    root is a permutation of (0, x, x, x) with x = gcd_content(q).  The
+    step is inline, one loop over four locals and the sum, because this
+    loop is the whole cost of a long reduction.  More than
+    REDUCTION_STEP_CAP steps raise ResourceLimitError.
     """
     start = validate_quadruple(q)
     steps: list[tuple[int, Quadruple]] = []
@@ -81,31 +69,31 @@ def reduce_to_root(q: Quadruple) -> ReductionTrace:
     for _ in repeat(None, REDUCTION_STEP_CAP + 1):
         if a >= b and a >= c and a >= d:
             t = s - a
-            if a + a <= t:
+            if (u := t - a) >= a:
                 break
-            a = t - a
-            s = t + a
+            a = u
+            s = t + u
             add((1, (a, b, c, d)))
         elif b >= c and b >= d:
             t = s - b
-            if b + b <= t:
+            if (u := t - b) >= b:
                 break
-            b = t - b
-            s = t + b
+            b = u
+            s = t + u
             add((2, (a, b, c, d)))
         elif c >= d:
             t = s - c
-            if c + c <= t:
+            if (u := t - c) >= c:
                 break
-            c = t - c
-            s = t + c
+            c = u
+            s = t + u
             add((3, (a, b, c, d)))
         else:
             t = s - d
-            if d + d <= t:
+            if (u := t - d) >= d:
                 break
-            d = t - d
-            s = t + d
+            d = u
+            s = t + u
             add((4, (a, b, c, d)))
     else:
         raise ResourceLimitError(f"reduction exceeded cap of {REDUCTION_STEP_CAP} steps")

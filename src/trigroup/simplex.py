@@ -26,9 +26,11 @@ group is not discrete and denominators along (s_1 s_2)^k grow without
 bound.  as_entries rejects n = 1, the triple 2 sum a^2 = (sum a)^2.
 
 Everything is done on squared quantities, so no irrational coordinate
-ever appears; regular simplices with rational coordinates are built in
-an ambient dimension one above the simplex dimension (the plane, for
-instance, contains no rational equilateral triangle).
+ever appears.  A regular simplex with rational coordinates may need an
+ambient dimension above the simplex dimension (the plane, for instance,
+contains no rational equilateral triangle); the tests build theirs as
+scale * e_i in dimension n + 1 (standard_configuration in
+tests/simplex_oracle.py).
 """
 
 from __future__ import annotations
@@ -175,38 +177,6 @@ def tuple_from_configuration(cfg: PointConfiguration) -> Entries:
     if rational_rank(offsets) != len(vertices) - 1:
         raise ValueError("point does not lie in the affine hull of the vertices")
     return (side,) + tuple(_dist_squared(point, v) for v in vertices)
-
-
-def standard_configuration(
-    n: int,
-    scale: Fraction | int = 1,
-    weights=None,
-) -> PointConfiguration:
-    """Regular n-simplex with rational coordinates, plus a point in its hull.
-
-    Vertices are scale * e_i in (n+1)-dimensional space (squared side
-    2 * scale^2); the point is the affine combination of the vertices
-    with the given rational weights w (default: the centroid), that is
-    scale * w.  Weights must sum to 1 but may be negative, placing the
-    point anywhere in the affine hull.
-    """
-    _require_int("dimension", n, 2)
-    scale = _rational("scale", scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if weights is None:
-        weights = [Fraction(1, n + 1)] * (n + 1)
-    weights = [_rational("weight", w) for w in _as_tuple("weights", weights)]
-    if len(weights) != n + 1:
-        raise ValueError(f"need {n + 1} weights, got {len(weights)}")
-    if sum(weights) != 1:
-        raise ValueError("weights must sum to 1")
-    vertices = tuple(
-        tuple(scale if j == i else Fraction(0) for j in range(n + 1))
-        for i in range(n + 1)
-    )
-    point = tuple(scale * w for w in weights)
-    return PointConfiguration(vertices=vertices, point=point)
 
 
 def _pair_to_fraction(pair) -> Fraction:

@@ -1,6 +1,7 @@
+import math
 import random
 
-from trigroup.core import _reflect, apply_generator
+from trigroup.core import GENERATOR_INDICES, _reflect, apply_generator, validate_quadruple
 from trigroup.linalg import _bareiss
 from trigroup.orbit import max_norm_at_length
 
@@ -11,6 +12,30 @@ def det(rows):
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     return _bareiss(rows)[1]
+
+
+def is_root(q):
+    """True iff no generator strictly decreases the entry sum.
+
+    This is the definitional check over all four generators; that roots
+    are exactly the permutations of (0, x, x, x) is a theorem the test
+    suite verifies, not an assumption baked in here.
+    """
+    q = validate_quadruple(q)
+    s = sum(q)
+    return all(sum(_reflect(q, i)) >= s for i in GENERATOR_INDICES)
+
+
+def spectral_radius_closed_form():
+    """Closed form of the largest root of t^4 - 7t^3 - 15t^2 - 7t + 1, as a
+    float: the oracle of orbit.spectral_radius.
+
+    The palindromic quartic factors as (t^2 - at + 1)(t^2 - bt + 1) with
+    a + b = 7 and ab = -17, so a = (7 + 3 sqrt 13)/2 and the largest
+    root is (a + sqrt(a^2 - 4))/2.
+    """
+    a = (7 + 3 * math.sqrt(13)) / 2
+    return (a + math.sqrt(a * a - 4)) / 2
 
 
 def random_quadruples(count, seed=0, max_scale=5, max_steps=10):

@@ -1,5 +1,6 @@
 """The Fraction path of the simplex identities, the reference that
-trigroup.simplex's integer kernels are checked against.
+trigroup.simplex's integer kernels are checked against, and
+standard_configuration, the regular simplices the tests build.
 
 trigroup.simplex scales the whole tuple once by the lcm of its
 denominators and runs its residual, its reflection and its Gram
@@ -13,7 +14,8 @@ import math
 import warnings
 from fractions import Fraction
 
-from trigroup.simplex import NegativeEntryWarning, as_entries, dimension
+from trigroup.core import _as_tuple, _rational, _require_int
+from trigroup.simplex import NegativeEntryWarning, PointConfiguration, as_entries, dimension
 from conftest import det
 
 
@@ -71,3 +73,31 @@ def reflect(values, index):
             stacklevel=2,
         )
     return entries[:index] + (new_entry,) + entries[index + 1 :]
+
+
+def standard_configuration(n, scale=1, weights=None) -> PointConfiguration:
+    """Regular n-simplex with rational coordinates, plus a point in its hull.
+
+    Vertices are scale * e_i in (n+1)-dimensional space (squared side
+    2 * scale^2); the point is the affine combination of the vertices
+    with the given rational weights w (default: the centroid), that is
+    scale * w.  Weights must sum to 1 but may be negative, placing the
+    point anywhere in the affine hull.
+    """
+    _require_int("dimension", n, 2)
+    scale = _rational("scale", scale)
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    if weights is None:
+        weights = [Fraction(1, n + 1)] * (n + 1)
+    weights = [_rational("weight", w) for w in _as_tuple("weights", weights)]
+    if len(weights) != n + 1:
+        raise ValueError(f"need {n + 1} weights, got {len(weights)}")
+    if sum(weights) != 1:
+        raise ValueError("weights must sum to 1")
+    vertices = tuple(
+        tuple(scale if j == i else Fraction(0) for j in range(n + 1))
+        for i in range(n + 1)
+    )
+    point = tuple(scale * w for w in weights)
+    return PointConfiguration(vertices=vertices, point=point)

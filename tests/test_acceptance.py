@@ -46,7 +46,6 @@ from trigroup.orbit import (
     growth_recurrence_terms,
     orbit_vectors,
     spectral_radius,
-    spectral_radius_closed_form,
     stabilizer_counts,
     stabilizer_cumulative_closed_form,
     word_norm,
@@ -55,8 +54,9 @@ from trigroup.reduction import gcd_content, reduce_to_root
 from trigroup import simplex
 from trigroup.core import apply_generator
 from census_oracle import ordered_multiplicity
-from conftest import all_vectors, norm_profile
+from conftest import all_vectors, norm_profile, spectral_radius_closed_form
 from matrix_bfs import all_generators, element_layers
+from simplex_oracle import standard_configuration
 
 ROOT = (0, 1, 1, 1)
 
@@ -297,7 +297,7 @@ def test_criterion_10_simplex_identity_and_gram_paths():
                 Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)
             ]
             weights.append(1 - sum(weights))
-            cfg = simplex.standard_configuration(
+            cfg = standard_configuration(
                 n, scale=Fraction(rng.randint(1, 9), rng.randint(1, 4)), weights=weights
             )
             entries = simplex.tuple_from_configuration(cfg)

@@ -2,9 +2,9 @@
 entry point.
 
 Each public function that takes an int (directly, or as an entry of a
-quadruple or a word) or a rational (an entry of a simplex tuple, a
-coordinate, a scale or a weight) is listed below with a small valid call
-and the positions of those arguments.  The property replaces one of them
+quadruple or a word) or a rational (an entry of a simplex tuple or a
+coordinate) is listed below with a small valid call and the positions
+of those arguments.  The property replaces one of them
 by a float, a bool, a str that is not a number of the right kind, None
 or an out-of-range int, or replaces a whole container of them (a
 quadruple, a word, a tuple) by an int, None or a float: the call must
@@ -33,7 +33,6 @@ NONNEG = (0, None)
 POSITIVE = (1, None)
 GENERATOR = (1, 4)
 RATIONAL = "rational"  # a Fraction, an int or a fraction string, of any sign
-W = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))
 # a regular triangle with vertices (3/2) e_i in R^3, and its centroid
 V3 = tuple(tuple(Fraction(3, 2) if j == i else 0 for j in range(3)) for i in range(3))
 P3 = (Fraction(1, 2),) * 3
@@ -103,12 +102,10 @@ CALLS = {
     "prime_factor_count": ((Q7,), _entries(0, NONNEG)),
     # error_bound is a rational, but it follows the int rule for its type
     "spectral_radius": ((Fraction(1, 10),), {(0,): (1, None)}),
-    "spectral_radius_closed_form": ((), {}),
     "stabilizer_counts": ((4,), {(0,): NONNEG}),
     "word_norm": (((1, 2), Q), {(0, 0): GENERATOR, (0, 1): GENERATOR, **_entries(1, NONNEG)}),
     # reduction
     "gcd_content": ((Q7,), _entries(0, NONNEG)),
-    "is_root": ((Q7,), _entries(0, NONNEG)),
     "reduce_step": ((Q7,), _entries(0, NONNEG)),
     "reduce_to_root": ((Q7,), _entries(0, NONNEG)),
     "same_orbit": ((Q, Q7), {**_entries(0, NONNEG), **_entries(1, NONNEG)}),
@@ -126,7 +123,7 @@ CALLS = {
     "bareiss_rank": ((M23,), _matrix_entries(M23, ANY)),
     "char_poly": ((M2,), _matrix_entries(M2, ANY)),
     "rational_rank": ((R2,), _matrix_entries(R2, RATIONAL)),
-    # simplex: tuple entries, scale and weights are rationals
+    # simplex: tuple entries and coordinates are rationals
     "as_entries": ((T,), _entries(0, RATIONAL, 5)),
     "dimension": ((), {}),
     "identity_residual": ((T,), _entries(0, RATIONAL, 5)),
@@ -134,10 +131,6 @@ CALLS = {
     "gram_det": ((T,), _entries(0, RATIONAL, 5)),
     "gram_closed_form": ((T,), _entries(0, RATIONAL, 5)),
     "tuple_from_configuration": ((), {}),
-    "standard_configuration": (
-        (3, Fraction(1, 2), W),
-        {(0,): (2, None), (1,): RATIONAL, **_entries(2, RATIONAL)},
-    ),
     "PointConfiguration": (
         (V3, P3),
         {**{(0, i, j): RATIONAL for i in range(3) for j in range(3)}, **_entries(1, RATIONAL, 3)},
@@ -198,14 +191,12 @@ def test_public_names():
         "VectorOrbit", "bfs_elements", "coxeter_char_poly", "coxeter_element",
         "extremal_word", "growth_recurrence_terms", "max_norm_at_length", "orbit_layers",
         "orbit_sizes", "orbit_vectors", "prime_factor_count", "spectral_radius",
-        "spectral_radius_closed_form", "stabilizer_counts", "word_norm",
-        "ReductionTrace", "gcd_content", "is_root", "reduce_step",
-        "reduce_to_root", "same_orbit",
+        "stabilizer_counts", "word_norm",
+        "ReductionTrace", "gcd_content", "reduce_step", "reduce_to_root", "same_orbit",
         "NegativeEntryWarning", "PointConfiguration", "gram_closed_form", "gram_det",
-        "identity_residual", "reflect", "standard_configuration",
-        "tuple_from_configuration",
+        "identity_residual", "reflect", "tuple_from_configuration",
     }
-    assert len(trigroup.__all__) == 51
+    assert len(trigroup.__all__) == 48
 
 
 @pytest.mark.parametrize("name", sorted([n for n in CALLS if CALLS[n][1]] + list(ORACLE_CALLS)))
@@ -293,9 +284,9 @@ def test_bad_int_raises_value_error(case):
         lambda: simplex.as_entries((True, 1, 1, 1)),
         lambda: simplex.as_entries((0.5, 1, 1, 1)),
         lambda: simplex.as_entries(("1/0", 1, 1, 1)),
-        lambda: simplex.standard_configuration(2, scale=True),
-        lambda: simplex.standard_configuration(2, scale=0.5),
-        lambda: simplex.standard_configuration(2, weights=(0.5, 0.25, 0.25)),
+        lambda: simplex.PointConfiguration(V3, (True, 0, 0)),
+        lambda: simplex.PointConfiguration(((True, 0, 0), (0, 1, 0), (0, 0, 1)), P3),
+        lambda: simplex.PointConfiguration(5, P3),
         lambda: simplex.PointConfiguration([(1, 0), (0, 1)], (0.5, 0.5)),
         lambda: simplex.PointConfiguration(vertices=((1.5, 0, 0), (0, 1.5, 0), (0, 0, 1.5)), point=(0.5, 0.5, 0.5)),
         lambda: simplex.PointConfiguration(vertices=V3, point=None),
@@ -304,7 +295,7 @@ def test_bad_int_raises_value_error(case):
         lambda: simplex.identity_residual(None),
         lambda: orbit.word_norm(None, Q),
         lambda: trigroup.quadratic_form(None),
-        lambda: simplex.standard_configuration(2, weights=5),
+        lambda: simplex.PointConfiguration(V3, 5),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[0.5, 1]]}),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]]}),
         lambda: simplex.configuration_from_json({"vertices": [[[1, 1]]], "point": [[1, 0]]}),

@@ -522,7 +522,7 @@ def test_simplex_gram(capsys):
 
 
 def test_simplex_gram_from_config(capsys, tmp_path):
-    from trigroup.simplex import standard_configuration
+    from simplex_oracle import standard_configuration
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(configuration_json(standard_configuration(3))))
@@ -1010,7 +1010,7 @@ def test_divisor_sum_over_cap_exits_3(capsys):
 )
 def test_dropped_flag_combinations_exit_2(capsys, tmp_path, argv):
     # each of these once answered as if a flag or the entries were absent
-    from trigroup.simplex import standard_configuration
+    from simplex_oracle import standard_configuration
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(configuration_json(standard_configuration(3))))

@@ -156,6 +156,17 @@ def test_elimination_work_cap():
             bareiss_rank(rows)
 
 
+def test_elimination_cap_message_names_its_measure():
+    # a 3 x 600 matrix with entries up to 3 measures 600 x (2 + 2) = 2400:
+    # the long side is the columns, and the message says so
+    rows = [[3] * 600, [1, 0] * 300, [0, 1] * 300]
+    with pytest.raises(ResourceLimitError) as refusal:
+        bareiss_rank(rows)
+    assert str(refusal.value) == (
+        f"max(rows, columns) x (entry bits + bits of min(rows, columns)) 2400 exceeds cap {BAREISS_BITS_CAP}"
+    )
+
+
 @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]], [[]]])
 def test_char_poly_of_non_square_raises_value_error(rows):
     with pytest.raises(ValueError):

@@ -37,7 +37,6 @@ from trigroup.orbit import (
     prime_factor_count,
     search_prime_factor_count,
     spectral_radius,
-    spectral_radius_closed_form,
     stabilizer_counts,
     stabilizer_cumulative_closed_form,
     word_norm,
@@ -45,7 +44,7 @@ from trigroup.orbit import (
 from trigroup.reduction import reduce_to_root
 import matrix_bfs
 from census_oracle import all_roots_walk
-from conftest import all_vectors, det, norm_profile, random_quadruples
+from conftest import all_vectors, det, norm_profile, random_quadruples, spectral_radius_closed_form
 from matrix_bfs import all_generators, det4 as _det4, element_layers, word_matrix
 
 ROOT = (0, 1, 1, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,12 +11,11 @@ from trigroup.orbit import orbit_vectors
 from trigroup.reduction import (
     ReductionTrace,
     gcd_content,
-    is_root,
     reduce_step,
     reduce_to_root,
     same_orbit,
 )
-from conftest import cusp_quadruple, random_quadruples
+from conftest import cusp_quadruple, is_root, random_quadruples
 
 
 @pytest.mark.parametrize(
@@ -30,6 +30,15 @@ from conftest import cusp_quadruple, random_quadruples
 )
 def test_is_root(q, expected):
     assert is_root(q) is expected
+
+
+def test_is_root_is_reduce_step_none():
+    # reflecting entry v changes the sum by s - 3v, so the largest entry
+    # decides whether any generator lowers the sum: the definitional test
+    # over all four generators is the single step's None
+    rows = [q for row in list_by_height(60) for q in set(permutations(row))]
+    for q in random_quadruples(200) + rows:
+        assert is_root(q) is (reduce_step(q) is None), q
 
 
 def test_reduce_step_worked_example():
@@ -219,12 +228,12 @@ def test_root_pattern_equivalence():
 def test_reduce_rejects_float_and_bool_entries():
     # both satisfy the quadruple equation; neither is an int quadruple
     for q in ((1.5, 1.5, 1.5, 0.0), (True, True, True, False)):
-        for fn in (reduce_to_root, reduce_step, is_root):
+        for fn in (reduce_to_root, reduce_step):
             with pytest.raises(ValueError):
                 fn(q)
 
 
-@pytest.mark.parametrize("fn", [reduce_to_root, reduce_step, is_root])
+@pytest.mark.parametrize("fn", [reduce_to_root, reduce_step])
 def test_public_reductions_validate_once(monkeypatch, fn):
     q = (0, 1, 1, 1)
     for letter in (1, 2, 3, 4) * 5:

@@ -18,10 +18,10 @@ from trigroup.simplex import (
     as_entries,
     identity_residual,
     reflect,
-    standard_configuration,
     tuple_from_configuration,
 )
 import simplex_oracle as oracle
+from simplex_oracle import standard_configuration
 from conftest import configuration_json, random_quadruples
 
 F = Fraction
